@@ -18,9 +18,8 @@ for name, text in figure_csv_texts(fig).items():
         fh.write(text)
     print(f"wrote {path}")
 
-inside = sum(1 for _ in fig.samples)  # total draws
 print(f"ellipsoid threshold {fig.threshold}, circle radius^2 {fig.radius_sq}")
-print(f"{inside} samples exported")
+print(f"{len(fig.samples)} samples exported")
 
 try:
     import matplotlib

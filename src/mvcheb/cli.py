@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -86,9 +87,22 @@ def _load_spec(value: str, seed_flag: int | None) -> SamplerSpec:
 
 def _eps_grid(text: str) -> list[float]:
     try:
-        return [float(f) for f in text.split(",") if f.strip()]
+        grid = [float(f) for f in text.split(",") if f.strip()]
+        if all(math.isfinite(e) for e in grid):
+            return grid
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad eps grid {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"bad eps grid {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -256,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--streams",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker count; never changes the drawn samples or counts",
     )

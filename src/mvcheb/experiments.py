@@ -77,7 +77,7 @@ def _report(kind: str, delta: float, n_samples: int, hits: int) -> CoverageRepor
 
 
 def _partition(n: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, int(parts))
+    parts = int(parts)
     bounds = [n * i // parts for i in range(parts + 1)]
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
@@ -104,6 +104,8 @@ def run_coverage(
     counts. Returns the (ellipsoid, sphere) report pair.
     """
     n_samples = _check_n_samples(n_samples)
+    if streams < 1:
+        raise InvalidSpec(f"streams must be positive, got {streams}")
     mean_d, cov_d = true_moments(spec)
     mean = mean_d if true_mean is None else as_vector(true_mean, cov_d.dim)
     cov = cov_d if true_cov is None else true_cov
@@ -199,8 +201,8 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     grid = np.asarray(eps_grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise EmptyGrid("eps grid must contain at least one value")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("eps grid must be strictly ascending and positive")
+    if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("eps grid must be strictly ascending, positive and finite")
     mean, cov = true_moments(spec)
     n = spec_dim(spec)
     precision = invert_spd(cov)

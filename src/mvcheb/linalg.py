@@ -2,9 +2,8 @@
 
 Everything downstream (regions, sampling, experiments) runs through the
 covariance matrix: its Cholesky factor, inverse, determinant and trace.
-Matrices are small dense numpy arrays (the worked example is 2x2), so the
-factorization is a plain pivot loop with an explicit, scale-invariant
-positive-definiteness test instead of an opaque LAPACK error.
+The factorization is LAPACK's (``np.linalg.cholesky``) followed by an
+explicit, scale-invariant positive-definiteness test on its pivots.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
@@ -62,36 +60,27 @@ def symmetrize(m, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def cholesky(m, tol: float | None = None) -> np.ndarray:
+def cholesky(m) -> np.ndarray:
     """Lower-triangular L with L L^T = m for symmetric positive-definite m.
 
-    Parameters
-    ----------
-    m : array_like, shape (n, n)
-        Symmetric matrix (within ``SYMMETRY_RTOL``).
-    tol : float, optional
-        Pivot threshold in squared-data units. A factorization pivot
-        (diagonal value after elimination, before the square root) at or
-        below ``tol`` raises :class:`NotPositiveDefinite`. Defaults to
-        ``PIVOT_RTOL * max(diagonal)``, which makes the singularity test
-        invariant under rescaling of the matrix.
+    ``m`` must be symmetric within ``SYMMETRY_RTOL``. A factorization pivot
+    ``L_ii**2`` at or below ``PIVOT_RTOL * max(diagonal)`` raises
+    :class:`NotPositiveDefinite`, which makes the singularity test invariant
+    under rescaling of the matrix.
     """
     a = symmetrize(m)
-    n = a.shape[0]
-    if tol is None:
-        tol = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
-    lower = np.zeros_like(a)
-    for i in range(n):
-        for j in range(i + 1):
-            s = a[i, j] - lower[i, :j] @ lower[j, :j]
-            if i == j:
-                if s <= tol:
-                    raise NotPositiveDefinite(
-                        f"pivot {s:.6e} at row {i} is <= tolerance {tol:.6e}"
-                    )
-                lower[i, i] = np.sqrt(s)
-            else:
-                lower[i, j] = s / lower[j, j]
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("matrix is not positive definite") from None
+    pivots = np.diag(lower) ** 2
+    tol = PIVOT_RTOL * float(np.max(np.diag(a)))
+    bad = np.flatnonzero(pivots <= tol)
+    if bad.size:
+        i = int(bad[0])
+        raise NotPositiveDefinite(
+            f"pivot {pivots[i]:.6e} at row {i} is <= tolerance {tol:.6e}"
+        )
     return lower
 
 
@@ -135,8 +124,7 @@ def invert_spd(c: Covariance) -> np.ndarray:
     With L L^T = Sigma, the inverse is L^-T L^-1; the result is symmetrized
     exactly so the precision can be reused as a quadratic-form kernel.
     """
-    eye = np.eye(c.dim)
-    linv = solve_triangular(c.chol, eye, lower=True)
+    linv = np.linalg.solve(c.chol, np.eye(c.dim))
     p = linv.T @ linv
     return 0.5 * (p + p.T)
 

@@ -57,17 +57,19 @@ def chebyshev_bound(n: int, eps: float) -> BoundValue:
     """Tail bound n/eps on Pr{ (X-mu)^T Sigma^-1 (X-mu) >= eps }."""
     if n < 1 or int(n) != n:
         raise NonPositiveParameter(f"dimension must be a positive integer, got {n}")
-    if eps <= 0.0:
-        raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise NonPositiveEpsilon(f"eps must be positive and finite, got {eps}")
     return _bound(float(n) / float(eps))
 
 
 def classical_bound(var_total: float, eps: float) -> BoundValue:
     """Tail bound Var(X)/eps^2 on Pr{ ||X - mu|| >= eps }."""
-    if var_total <= 0.0:
-        raise NonPositiveVariance(f"total variance must be positive, got {var_total}")
-    if eps <= 0.0:
-        raise NonPositiveEpsilon(f"eps must be positive, got {eps}")
+    if not 0.0 < var_total < math.inf:
+        raise NonPositiveVariance(
+            f"total variance must be positive and finite, got {var_total}"
+        )
+    if not 0.0 < eps < math.inf:
+        raise NonPositiveEpsilon(f"eps must be positive and finite, got {eps}")
     return _bound(float(var_total) / float(eps) ** 2)
 
 

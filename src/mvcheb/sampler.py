@@ -59,55 +59,6 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return (words >> _U64(11)) * _DOUBLE_SCALE
 
 
-class RandomStream:
-    """Stateful view of the (seed, stream_index) uniform/normal sequence.
-
-    ``position`` counts 64-bit words consumed; constructing a stream at a
-    given position reproduces the suffix of the sequence exactly. A stream
-    is single-owner: share work across threads by giving each worker its
-    own stream (or its own position range), never a shared instance.
-    """
-
-    def __init__(self, seed: int, stream_index: int = 0, position: int = 0):
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
-        self._bitgen = Philox(key=_key(self.seed, self.stream_index))
-        if position:
-            self._bitgen.advance(position // _WORDS_PER_BLOCK)
-            rem = position % _WORDS_PER_BLOCK
-            if rem:
-                self._bitgen.random_raw(rem)
-        self.position = int(position)
-        self._spare_normal: float | None = None
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next n uniform doubles in [0, 1)."""
-        words = self._bitgen.random_raw(n)
-        self.position += int(n)
-        return _to_uniform(np.asarray(words, dtype=_U64).reshape(-1))
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
-    def standard_normal(self) -> float:
-        """Next standard normal draw (Box-Muller; the pair's second output
-        is cached and returned by the following call)."""
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-            return z
-        u = self.uniforms(2)
-        r = np.sqrt(-2.0 * np.log1p(-u[0]))
-        z0 = float(r * np.cos(2.0 * np.pi * u[1]))
-        self._spare_normal = float(r * np.sin(2.0 * np.pi * u[1]))
-        return z0
-
-    def normals(self, n: int) -> np.ndarray:
-        """Next n standard normals (vectorized Box-Muller on fresh pairs)."""
-        z = _boxmuller(self.uniforms(2 * ((n + 1) // 2)))
-        return z[:n]
-
-
 def _boxmuller(uniforms: np.ndarray) -> np.ndarray:
     """Map 2m uniforms to 2m normals; pair (2i, 2i+1) feeds transform i."""
     u = uniforms.reshape(-1, 2)
@@ -220,27 +171,47 @@ def spec_to_dict(spec: SamplerSpec) -> dict:
     return out
 
 
+def _int_field(data: dict, key: str, default=None) -> int:
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidSpec(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _float_field(data: dict, key: str) -> float:
+    try:
+        value = float(data[key])
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"{key} must be a number, got {data[key]!r}") from None
+    if not np.isfinite(value):
+        raise InvalidSpec(f"{key} must be finite, got {value}")
+    return value
+
+
 def spec_from_dict(data: dict) -> SamplerSpec:
     """Build a spec from its JSON form.
 
     ``tight_radial`` accepts either an explicit mean/cov or just ``dim``
-    (zero mean, identity covariance). A missing seed defaults to 0.
+    (zero mean, identity covariance). A missing seed defaults to 0. Scalar
+    fields that are not numbers of the right type raise :class:`InvalidSpec`.
     """
     if not isinstance(data, dict):
         raise InvalidSpec(f"spec must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    seed = int(data.get("seed", 0))
+    seed = _int_field(data, "seed", 0)
     try:
         if kind == "gaussian":
             cov = Covariance.from_matrix(data["cov"])
             return gaussian_spec(data["mean"], cov, seed=seed)
         if kind == "paper_example":
-            return paper_example_spec(float(data["sigma"]), float(data["k"]), seed=seed)
+            return paper_example_spec(
+                _float_field(data, "sigma"), _float_field(data, "k"), seed=seed
+            )
         if kind == "tight_radial":
             cov = Covariance.from_matrix(data["cov"]) if "cov" in data else None
-            dim = int(data["dim"]) if "dim" in data else None
+            dim = _int_field(data, "dim") if "dim" in data else None
             return tight_radial_spec(
-                float(data["eps"]), dim=dim, mean=data.get("mean"), cov=cov, seed=seed
+                _float_field(data, "eps"), dim=dim, mean=data.get("mean"), cov=cov, seed=seed
             )
     except KeyError as exc:
         raise InvalidSpec(f"spec is missing required field {exc}") from None

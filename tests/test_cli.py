@@ -108,6 +108,24 @@ class TestBound:
         assert run_json("bound", "--dim", "2", "--eps", "1")["clamped"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--dim", "2", "--eps", "nan"),
+        ("bound", "--dim", "2", "--eps", "inf"),
+        ("bound", "--classical", "--var", "nan", "--eps", "2"),
+        ("bound", "--classical", "--var", "inf", "--eps", "2"),
+        ("tail", "--spec", PAPER_SPEC, "--eps", "2,nan", "--n", "10"),
+        ("tail", "--spec", PAPER_SPEC, "--eps", "2,inf", "--n", "10"),
+    ],
+)
+def test_non_finite_input_exits_2(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "JSON compliant" not in proc.stderr
+
+
 class TestRegion:
     def test_ellipsoid_schema(self):
         out = run_json("region", "--kind", "ellipsoid", "--cov", EXAMPLE_COV, "--delta", "0.1")
@@ -163,6 +181,24 @@ class TestCoverage:
     def test_bad_kind_exits_2(self):
         spec = '{"kind":"laplace","seed":1}'
         assert run_cli("coverage", "--spec", spec, "--delta", "0.1", "--n", "10").returncode == 2
+
+    @pytest.mark.parametrize("streams", ["0", "-2"])
+    def test_streams_below_one_exits_2(self, streams):
+        args = ("coverage", "--spec", PAPER_SPEC, "--delta", "0.1", "--n", "10")
+        assert run_cli(*args, "--streams", streams).returncode == 2
+
+    def test_bad_spec_scalar_exits_2(self):
+        for spec in (
+            '{"kind":"paper_example","sigma":"abc","k":25.0}',
+            '{"kind":"paper_example","sigma":1.0,"k":25.0,"seed":1.7}',
+        ):
+            proc = run_cli("coverage", "--spec", spec, "--delta", "0.1", "--n", "10")
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+
+    def test_non_pd_gaussian_cov_exits_3(self):
+        spec = '{"kind":"gaussian","mean":[0,0],"cov":[[1,2],[2,1]]}'
+        assert run_cli("coverage", "--spec", spec, "--delta", "0.1", "--n", "10").returncode == 3
 
     def test_bad_delta_exits_3(self):
         assert (
@@ -245,6 +281,15 @@ class TestSample:
 
 
 class TestUsage:
+    def test_runtime_imports_no_scipy(self):
+        code = (
+            "import mvcheb, mvcheb.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_no_subcommand_exits_2(self):
         assert run_cli().returncode == 2
 

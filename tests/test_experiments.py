@@ -9,6 +9,7 @@ from scipy.stats import chi2
 from mvcheb import (
     Covariance,
     EmptyGrid,
+    InvalidSpec,
     example_covariance,
     export_figure,
     figure_csv_texts,
@@ -55,6 +56,11 @@ class TestCoverage:
             multi = run_coverage(PAPER, 0.1, 10_000, streams=streams)
             assert multi[0].hits == base[0].hits
             assert multi[1].hits == base[1].hits
+
+    def test_streams_below_one_rejected(self):
+        for streams in (0, -2):
+            with pytest.raises(InvalidSpec):
+                run_coverage(PAPER, 0.1, 100, streams=streams)
 
     def test_explicit_true_moments_override(self):
         mean, cov = np.zeros(2), example_covariance(1.0, 25.0)
@@ -178,8 +184,9 @@ class TestTailCurve:
             run_tail_curve(PAPER, [], 100)
         with pytest.raises(ValueError):
             run_tail_curve(PAPER, [4.0, 2.0], 100)
-        with pytest.raises(ValueError):
-            run_tail_curve(PAPER, [-1.0, 2.0], 100)
+        for bad in ([-1.0, 2.0], [2.0, np.nan], [2.0, np.inf]):
+            with pytest.raises(ValueError):
+                run_tail_curve(PAPER, bad, 100)
 
     def test_dict_keys(self):
         curve = run_tail_curve(PAPER, [2.0, 4.0], 1000)

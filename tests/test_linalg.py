@@ -64,6 +64,13 @@ class TestCholesky:
             with pytest.raises(NotPositiveDefinite):
                 cholesky(scale * ones)
 
+    def test_near_singular_rejected_scale_invariantly(self):
+        # LAPACK factors this matrix; the relative pivot rule must still reject it
+        near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+        for scale in (1.0, 1e-8, 1e8):
+            with pytest.raises(NotPositiveDefinite):
+                cholesky(scale * near)
+
     def test_reconstruction_random_spd(self):
         rng = np.random.default_rng(1234)
         for n in range(1, 7):

@@ -77,6 +77,13 @@ class TestBounds:
             classical_bound(0.0, 1.0)
         with pytest.raises(NonPositiveParameter):
             chebyshev_bound(0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NonPositiveEpsilon):
+                chebyshev_bound(2, bad)
+            with pytest.raises(NonPositiveEpsilon):
+                classical_bound(1.0, bad)
+            with pytest.raises(NonPositiveVariance):
+                classical_bound(bad, 1.0)
 
 
 class TestMahalanobis:

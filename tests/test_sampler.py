@@ -7,7 +7,6 @@ import pytest
 from mvcheb import (
     Covariance,
     InvalidSpec,
-    RandomStream,
     draw,
     draw_range,
     example_covariance,
@@ -23,50 +22,6 @@ from mvcheb import (
 from mvcheb.sampler import blocks_per_sample
 
 
-class TestRandomStream:
-    def test_sequence_reproducible(self):
-        a = RandomStream(seed=42, stream_index=3)
-        b = RandomStream(seed=42, stream_index=3)
-        va = [a.standard_normal() for _ in range(10)]
-        vb = [b.standard_normal() for _ in range(10)]
-        assert va == vb
-
-    def test_different_streams_differ(self):
-        a = RandomStream(seed=42, stream_index=0).uniforms(8)
-        b = RandomStream(seed=42, stream_index=1).uniforms(8)
-        assert not np.array_equal(a, b)
-
-    def test_position_resume(self):
-        full = RandomStream(seed=9).uniforms(25)
-        for pos in (1, 4, 7, 13):
-            resumed = RandomStream(seed=9, position=pos)
-            assert resumed.position == pos
-            assert np.array_equal(resumed.uniforms(25 - pos), full[pos:])
-
-    def test_scalar_and_vector_normals_agree(self):
-        a = RandomStream(seed=5)
-        b = RandomStream(seed=5)
-        assert np.allclose([a.standard_normal() for _ in range(9)], b.normals(9)[:9])
-
-    def test_normal_moments(self):
-        n = 1_000_000
-        z = RandomStream(seed=2718).normals(n)
-        assert abs(z.mean()) <= 5.0 / np.sqrt(n)
-        assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
-        assert abs((z <= 0).mean() - 0.5) <= 5.0 * 0.5 / np.sqrt(n)
-
-    def test_stream_cross_correlation(self):
-        n = 1_000_000
-        a = RandomStream(seed=31, stream_index=0).normals(n)
-        b = RandomStream(seed=31, stream_index=1).normals(n)
-        r = float(np.corrcoef(a, b)[0, 1])
-        assert abs(r) <= 5.0 / np.sqrt(n)
-
-    def test_bad_seed(self):
-        with pytest.raises(InvalidSpec):
-            RandomStream(seed=-1)
-
-
 class TestSpecs:
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpec):
@@ -75,6 +30,29 @@ class TestSpecs:
     def test_missing_fields(self):
         with pytest.raises(InvalidSpec):
             spec_from_dict({"kind": "paper_example", "sigma": 1.0})
+
+    def test_bad_seed(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidSpec):
+                paper_example_spec(1.0, 25.0, seed=seed)
+            with pytest.raises(InvalidSpec):
+                gaussian_spec([0.0], Covariance.from_matrix([[1.0]]), seed=seed)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": 1.7},
+            {"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": "x"},
+            {"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": True},
+            {"kind": "paper_example", "sigma": "abc", "k": 25.0},
+            {"kind": "paper_example", "sigma": None, "k": 25.0},
+            {"kind": "paper_example", "sigma": 1.0, "k": float("nan")},
+            {"kind": "tight_radial", "eps": 8.0, "dim": 2.5},
+        ],
+    )
+    def test_bad_scalar_fields(self, data):
+        with pytest.raises(InvalidSpec):
+            spec_from_dict(data)
 
     def test_tight_radial_eps_floor(self):
         with pytest.raises(InvalidSpec):
@@ -124,7 +102,26 @@ class TestDraw:
         assert blocks_per_sample(five) == 2  # 6 normal words -> 2 blocks
 
 
+def standard_normal_spec(seed):
+    return gaussian_spec([0.0], Covariance.from_matrix([[1.0]]), seed=seed)
+
+
 class TestDistributions:
+    def test_normal_moments(self):
+        n = 1_000_000
+        z = draw(standard_normal_spec(2718), n)[:, 0]
+        assert abs(z.mean()) <= 5.0 / np.sqrt(n)
+        assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
+        assert abs((z <= 0).mean() - 0.5) <= 5.0 * 0.5 / np.sqrt(n)
+
+    def test_stream_cross_correlation(self):
+        n = 1_000_000
+        spec = standard_normal_spec(31)
+        a = draw(spec, n, stream_index=0)[:, 0]
+        b = draw(spec, n, stream_index=1)[:, 0]
+        r = float(np.corrcoef(a, b)[0, 1])
+        assert abs(r) <= 5.0 / np.sqrt(n)
+
     def test_paper_example_moments(self):
         n = 100_000
         x = draw(paper_example_spec(1.0, 25.0, seed=1), n)
