@@ -173,11 +173,12 @@ def _cmd_region(args) -> int:
 
 def _cmd_coverage(args) -> int:
     spec = _load_spec(args.spec, args.seed)
-    pair = run_coverage(spec, args.delta, args.n, streams=args.streams)
-    payload = _coverage_pair_dict(pair)
     if args.estimated:
-        both = run_coverage_estimated(spec, args.delta, args.n)
+        both = run_coverage_estimated(spec, args.delta, args.n, streams=args.streams)
+        payload = _coverage_pair_dict(both["true"])
         payload["estimated"] = _coverage_pair_dict(both["estimated"])
+    else:
+        payload = _coverage_pair_dict(run_coverage(spec, args.delta, args.n, streams=args.streams))
     _emit(dump_json(payload), args.out)
     return 0
 

@@ -2,22 +2,26 @@
 
 Coverage counts use the distribution's true moments (not estimates), so the
 experiments exercise the inequalities themselves rather than estimation
-error; an estimated-moments mode is available separately. Worker
-parallelism only partitions the sample index range (see
-:mod:`mvcheb.sampler`), so hit counts are identical for any worker count.
+error; an estimated-moments mode is available separately. Every experiment
+runs through one reducer: N is cut into fixed chunks (see
+:mod:`mvcheb.sampler` for why a chunk can be drawn alone), workers reduce
+chunks to small partial results, and those are combined in chunk order.
+Results are therefore identical for any worker count, and memory is one
+chunk per worker whatever N is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import EmptyGrid, InvalidSpec
-from .linalg import Covariance, as_vector, invert_spd
-from .moments import estimate_moments
+from .linalg import invert_spd, quad_form
+from .moments import merge_moment_sums, moment_sums, moments_from_sums
 from .regions import (
     chebyshev_bound,
     classical_bound,
@@ -25,10 +29,10 @@ from .regions import (
     ellipse_boundary,
     make_ellipsoid,
     make_sphere,
-    mahalanobis_sq,
 )
 from .sampler import (
     SamplerSpec,
+    blocks_per_sample,
     draw,
     draw_range,
     paper_example_spec,
@@ -36,6 +40,7 @@ from .sampler import (
     true_moments,
 )
 
+# Philox counter blocks per chunk: 65,536 samples of up to 4 words each.
 _CHUNK = 1 << 16
 
 
@@ -52,15 +57,7 @@ class CoverageReport:
     standard_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "delta": self.delta,
-            "n_samples": self.n_samples,
-            "hits": self.hits,
-            "empirical_coverage": self.empirical_coverage,
-            "guaranteed_coverage": self.guaranteed_coverage,
-            "standard_error": self.standard_error,
-        }
+        return asdict(self)
 
 
 def _report(kind: str, delta: float, n_samples: int, hits: int) -> CoverageReport:
@@ -68,18 +65,17 @@ def _report(kind: str, delta: float, n_samples: int, hits: int) -> CoverageRepor
     return CoverageReport(
         kind=kind,
         delta=float(delta),
-        n_samples=int(n_samples),
-        hits=int(hits),
+        n_samples=n_samples,
+        hits=hits,
         empirical_coverage=p,
         guaranteed_coverage=1.0 - float(delta),
         standard_error=math.sqrt(p * (1.0 - p) / n_samples),
     )
 
 
-def _partition(n: int, parts: int) -> list[tuple[int, int]]:
-    parts = int(parts)
-    bounds = [n * i // parts for i in range(parts + 1)]
-    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+def _reports(delta: float, n_samples: int, hits) -> tuple[CoverageReport, CoverageReport]:
+    """The (ellipsoid, sphere) reports for their summed hit counts."""
+    return tuple(_report(k, delta, n_samples, int(h)) for k, h in zip(("ellipsoid", "sphere"), hits))
 
 
 def _check_n_samples(n_samples: int) -> int:
@@ -89,13 +85,36 @@ def _check_n_samples(n_samples: int) -> int:
     return n
 
 
+def _reduce(spec: SamplerSpec, n_samples: int, per_chunk, streams: int = 1):
+    """``per_chunk(x)`` for each chunk x of samples [0, n_samples), in chunk order.
+
+    A chunk is ``_CHUNK`` Philox blocks of samples, so its bounds depend only
+    on the spec and N. ``streams`` threads draw and reduce the chunks; callers
+    combine the results in the order yielded, so no result depends on it.
+    """
+    if streams < 1:
+        raise InvalidSpec(f"streams must be positive, got {streams}")
+    size = max(1, _CHUNK // blocks_per_sample(spec))
+
+    def chunk(start: int):
+        return per_chunk(draw_range(spec, start, min(start + size, n_samples)))
+
+    def results():
+        with ThreadPoolExecutor(max_workers=streams) as pool:
+            yield from pool.map(chunk, range(0, n_samples, size))
+
+    return results()
+
+
+def _hit_counter(mean, cov, delta: float):
+    """Per-chunk (ellipsoid, sphere) hit counts for the regions at ``delta``."""
+    ell = make_ellipsoid(mean, cov, delta)
+    sph = make_sphere(mean, cov, delta)
+    return lambda x: np.array([np.count_nonzero(contains(r, x)) for r in (ell, sph)])
+
+
 def run_coverage(
-    spec: SamplerSpec,
-    delta: float,
-    n_samples: int,
-    true_mean=None,
-    true_cov: Covariance | None = None,
-    streams: int = 1,
+    spec: SamplerSpec, delta: float, n_samples: int, streams: int = 1
 ) -> tuple[CoverageReport, CoverageReport]:
     """Hit counts for the ellipsoid and sphere built from the true moments.
 
@@ -103,55 +122,34 @@ def run_coverage(
     the number of workers; it never changes the drawn samples or the
     counts. Returns the (ellipsoid, sphere) report pair.
     """
-    n_samples = _check_n_samples(n_samples)
-    if streams < 1:
-        raise InvalidSpec(f"streams must be positive, got {streams}")
-    mean_d, cov_d = true_moments(spec)
-    mean = mean_d if true_mean is None else as_vector(true_mean, cov_d.dim)
-    cov = cov_d if true_cov is None else true_cov
-    ell = make_ellipsoid(mean, cov, delta)
-    sph = make_sphere(mean, cov, delta)
-
-    def count(chunk: tuple[int, int]) -> tuple[int, int]:
-        x = draw_range(spec, chunk[0], chunk[1])
-        return int(np.sum(contains(ell, x))), int(np.sum(contains(sph, x)))
-
-    chunks = _partition(n_samples, streams)
-    if streams > 1:
-        with ThreadPoolExecutor(max_workers=streams) as pool:
-            counts = list(pool.map(count, chunks))
-    else:
-        counts = [count(c) for c in chunks]
-    hits_e = sum(c[0] for c in counts)
-    hits_s = sum(c[1] for c in counts)
-    return (
-        _report("ellipsoid", delta, n_samples, hits_e),
-        _report("sphere", delta, n_samples, hits_s),
-    )
+    n = _check_n_samples(n_samples)
+    count = _hit_counter(*true_moments(spec), delta)
+    return _reports(delta, n, sum(_reduce(spec, n, count, streams)))
 
 
 def run_coverage_estimated(
-    spec: SamplerSpec, delta: float, n_samples: int, ddof: int = 1
+    spec: SamplerSpec, delta: float, n_samples: int, ddof: int = 1, streams: int = 1
 ) -> dict:
     """Coverage with both true and re-fitted moments on one sample set.
 
     Returns ``{"true": (ellipsoid, sphere), "estimated": (ellipsoid,
     sphere)}`` where the estimated pair rebuilds the regions from the
-    sample mean and covariance of the same draws.
+    sample mean and covariance of the same draws. The first pass counts
+    the true-moment hits and merges per-chunk moment sums; the second
+    redraws each chunk and counts the hits of the fitted regions.
     """
-    x = draw(spec, _check_n_samples(n_samples))
-    mean, cov = true_moments(spec)
-    fitted = estimate_moments(x, ddof=ddof)
-
-    def pair(m, c) -> tuple[CoverageReport, CoverageReport]:
-        ell = make_ellipsoid(m, c, delta)
-        sph = make_sphere(m, c, delta)
-        return (
-            _report("ellipsoid", delta, n_samples, int(np.sum(contains(ell, x)))),
-            _report("sphere", delta, n_samples, int(np.sum(contains(sph, x)))),
-        )
-
-    return {"true": pair(mean, cov), "estimated": pair(fitted.mean, fitted.cov)}
+    n = _check_n_samples(n_samples)
+    count = _hit_counter(*true_moments(spec), delta)
+    hits, sums = functools.reduce(
+        lambda a, b: (a[0] + b[0], merge_moment_sums(a[1], b[1])),
+        _reduce(spec, n, lambda x: (count(x), moment_sums(x)), streams),
+    )
+    fitted = moments_from_sums(sums, ddof=ddof)
+    count_fitted = _hit_counter(fitted.mean, fitted.cov, delta)
+    return {
+        "true": _reports(delta, n, hits),
+        "estimated": _reports(delta, n, sum(_reduce(spec, n, count_fitted, streams))),
+    }
 
 
 def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
@@ -163,12 +161,9 @@ def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
     """
     mean, cov = true_moments(spec)
     precision = invert_spd(cov)
-    total = 0.0
     n = _check_n_samples(n_samples)
-    for a, b in _partition(n, -(-n // _CHUNK)):
-        x = draw_range(spec, a, b)
-        total += float(np.sum(mahalanobis_sq(x, mean, precision)))
-    return total / n
+    chunk_sums = _reduce(spec, n, lambda x: float(np.sum(quad_form(x - mean, precision))))
+    return math.fsum(chunk_sums) / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,13 +182,7 @@ class TailCurve:
     classical_bound: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "eps_grid": self.eps_grid.tolist(),
-            "empirical_tail": self.empirical_tail.tolist(),
-            "new_bound": self.new_bound.tolist(),
-            "classical_tail": self.classical_tail.tolist(),
-            "classical_bound": self.classical_bound.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
 
 def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
@@ -207,22 +196,25 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     n = spec_dim(spec)
     precision = invert_spd(cov)
     var_total = cov.trace
-
-    d2_tail = np.zeros(grid.size)
-    norm_tail = np.zeros(grid.size)
     total = _check_n_samples(n_samples)
-    for a, b in _partition(total, -(-total // _CHUNK)):
-        x = draw_range(spec, a, b)
-        d2 = mahalanobis_sq(x, mean, precision)
-        sq_norm = np.einsum("ij,ij->i", x - mean, x - mean)
-        d2_tail += np.sum(d2[:, None] >= grid[None, :], axis=0)
-        norm_tail += np.sum(sq_norm[:, None] >= grid[None, :] * var_total, axis=0)
 
+    def histograms(x):
+        # bin k counts the samples at or above exactly k levels of the grid
+        d = x - mean
+        pairs = ((grid, quad_form(d, precision)), (grid * var_total, np.einsum("ij,ij->i", d, d)))
+        return np.stack([
+            np.bincount(np.searchsorted(levels, v, side="right"), minlength=grid.size + 1)
+            for levels, v in pairs
+        ])
+
+    # the tail at level j counts the samples in bins j+1 and up
+    counts = sum(_reduce(spec, total, histograms))
+    tails = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][:, 1:] / total
     return TailCurve(
         eps_grid=grid,
-        empirical_tail=d2_tail / total,
+        empirical_tail=tails[0],
         new_bound=np.array([chebyshev_bound(n, e).clamped for e in grid]),
-        classical_tail=norm_tail / total,
+        classical_tail=tails[1],
         classical_bound=np.array(
             [classical_bound(var_total, math.sqrt(e * var_total)).clamped for e in grid]
         ),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -14,39 +15,28 @@ def dump_json(obj) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so failures leave nothing
-    partial behind."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Write one file atomically (see :func:`atomic_write_many`)."""
+    atomic_write_many({path: text})
 
 
 def atomic_write_many(outputs: dict[str, str]) -> None:
-    """Write a set of files all-or-nothing: stage every temp first, then
-    rename. An error while staging removes all temps and writes no target."""
+    """Write a set of files via sibling temp files: stage every temp
+    first, then rename each onto its target. Any error removes every temp
+    not yet renamed, so a failure leaves no partial or temp file behind;
+    an error while staging writes no target at all."""
     staged: list[tuple[str, str]] = []
     try:
         for path, text in outputs.items():
             directory = os.path.dirname(os.path.abspath(path))
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+            staged.append((tmp, path))
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            staged.append((tmp, path))
+        while staged:
+            os.replace(*staged[0])
+            staged.pop(0)
     except BaseException:
         for tmp, _ in staged:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
         raise
-    for tmp, path in staged:
-        os.replace(tmp, path)

@@ -153,6 +153,5 @@ def quad_form(d, p: np.ndarray) -> float | np.ndarray:
         raise DimensionMismatch(
             f"vector dimension {dv.shape[-1:]} does not match kernel {kernel.shape}"
         )
-    q = np.einsum("...i,ij,...j->...", dv, kernel, dv)
-    q = np.maximum(q, 0.0)
+    q = np.maximum(np.einsum("...i,...i->...", dv @ kernel, dv), 0.0)
     return float(q) if q.ndim == 0 else q

@@ -57,21 +57,7 @@ def sample_covariance(samples, ddof: int = 1, ridge: float = 0.0) -> Covariance:
         keeps the estimator exact; degeneracy then surfaces as
         :class:`NotPositiveDefinite`.
     """
-    a = as_samples(samples)
-    if ddof not in (0, 1):
-        raise ValueError("ddof must be 0 or 1")
-    if ridge < 0.0:
-        raise NonPositiveParameter("ridge must be nonnegative")
-    n_rows = a.shape[0]
-    if n_rows - ddof < 1:
-        raise InsufficientSamples(
-            f"need at least {ddof + 1} rows for ddof={ddof}, got {n_rows}"
-        )
-    centered = a - a.mean(axis=0)
-    cov = centered.T @ centered / (n_rows - ddof)
-    if ridge > 0.0:
-        cov = cov + ridge * np.eye(cov.shape[0])
-    return Covariance.from_matrix(cov)
+    return estimate_moments(samples, ddof=ddof, ridge=ridge).cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +70,41 @@ class MomentEstimate:
 
 
 def estimate_moments(samples, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate:
+    return moments_from_sums(moment_sums(samples), ddof=ddof, ridge=ridge)
+
+
+def moment_sums(samples) -> tuple[int, np.ndarray, np.ndarray]:
+    """(row count, mean, scatter) of a sample set; the scatter matrix is
+    the sum of (x - mean)(x - mean)^T over the rows."""
     a = as_samples(samples)
-    return MomentEstimate(
-        mean=sample_mean(a), cov=sample_covariance(a, ddof=ddof, ridge=ridge), ddof=ddof
-    )
+    mean = a.mean(axis=0)
+    centered = a - mean
+    return a.shape[0], mean, centered.T @ centered
+
+
+def merge_moment_sums(a, b) -> tuple[int, np.ndarray, np.ndarray]:
+    """Moment sums of the union of two sample sets, from those of each part
+    (the pairwise update of Chan, Golub & LeVeque, 1979)."""
+    (n_a, mean_a, scatter_a), (n_b, mean_b, scatter_b) = a, b
+    n, shift = n_a + n_b, mean_b - mean_a
+    scatter = scatter_a + scatter_b + np.outer(shift, shift) * (n_a * n_b / n)
+    return n, mean_a + shift * (n_b / n), scatter
+
+
+def moments_from_sums(sums, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate:
+    """Mean and covariance (divisor N - ddof, plus ``ridge`` I) from the
+    :func:`moment_sums` of a sample set."""
+    if ddof not in (0, 1):
+        raise ValueError("ddof must be 0 or 1")
+    if ridge < 0.0:
+        raise NonPositiveParameter("ridge must be nonnegative")
+    n_rows, mean, scatter = sums
+    if n_rows - ddof < 1:
+        raise InsufficientSamples(f"need at least {ddof + 1} rows for ddof={ddof}, got {n_rows}")
+    cov = scatter / (n_rows - ddof)
+    if ridge > 0.0:
+        cov = cov + ridge * np.eye(cov.shape[0])
+    return MomentEstimate(mean=mean, cov=Covariance.from_matrix(cov), ddof=ddof)
 
 
 def example_covariance(sigma: float, k: float) -> Covariance:

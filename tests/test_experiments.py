@@ -1,6 +1,11 @@
 """Monte Carlo experiment operations: coverage, trace identity, tail
-curves, figure export. The chi-square law of d^2 for Gaussian draws gives
-independent expected values."""
+curves, figure export, and the chunked reducer behind them. The chi-square
+law of d^2 for Gaussian draws gives independent expected values."""
+
+import contextlib
+import io
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +15,9 @@ from mvcheb import (
     Covariance,
     EmptyGrid,
     InvalidSpec,
+    contains,
+    draw,
+    estimate_moments,
     example_covariance,
     export_figure,
     figure_csv_texts,
@@ -17,13 +25,19 @@ from mvcheb import (
     gaussian_spec,
     invert_spd,
     mahalanobis_sq,
+    make_ellipsoid,
+    make_sphere,
     paper_example_spec,
     run_coverage,
     run_coverage_estimated,
     run_tail_curve,
+    spec_to_dict,
     tight_radial_spec,
     trace_identity_check,
+    true_moments,
 )
+from mvcheb import cli, experiments
+from mvcheb.sampler import blocks_per_sample
 
 PAPER = paper_example_spec(1.0, 25.0, seed=99)
 
@@ -61,12 +75,6 @@ class TestCoverage:
         for streams in (0, -2):
             with pytest.raises(InvalidSpec):
                 run_coverage(PAPER, 0.1, 100, streams=streams)
-
-    def test_explicit_true_moments_override(self):
-        mean, cov = np.zeros(2), example_covariance(1.0, 25.0)
-        ell, _ = run_coverage(PAPER, 0.1, 1000, true_mean=mean, true_cov=cov)
-        ref, _ = run_coverage(PAPER, 0.1, 1000)
-        assert ell.hits == ref.hits
 
     def test_standard_error_formula(self):
         ell, _ = run_coverage(PAPER, 0.1, 1000)
@@ -197,6 +205,151 @@ class TestTailCurve:
             "classical_tail",
             "classical_bound",
         ]
+
+
+SMALL_CHUNK = 64  # Philox blocks per chunk in TestReducer: N = 5000 spans many chunks
+REDUCER_SPECS = [
+    paper_example_spec(1.0, 25.0, seed=41),
+    gaussian_spec(np.arange(9.0), Covariance.from_matrix(np.eye(9) + 0.5), seed=42),
+    tight_radial_spec(8.0, dim=2, seed=43),
+]
+
+
+def _hits(x, mean, cov, delta):
+    regions = (make_ellipsoid(mean, cov, delta), make_sphere(mean, cov, delta))
+    return [int(np.sum(contains(region, x))) for region in regions]
+
+
+class TestReducer:
+    """Fixed chunks combined in chunk order: same results for every worker
+    count, equal to an in-memory computation on ``draw(spec, N)``."""
+
+    N = 5000
+    DELTA = 0.2
+    GRID = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_CHUNK", SMALL_CHUNK)
+
+    def _record_draws(self, monkeypatch) -> list:
+        calls = []
+        original = experiments.draw_range
+
+        def recording(spec, start, stop, stream_index=0):
+            calls.append((start, stop))
+            return original(spec, start, stop, stream_index)
+
+        monkeypatch.setattr(experiments, "draw_range", recording)
+        return calls
+
+    def _draws_per_index(self, calls) -> np.ndarray:
+        per_index = np.zeros(self.N, dtype=int)
+        for start, stop in calls:
+            per_index[start:stop] += 1
+        return per_index
+
+    def _run_all(self, monkeypatch, spec, streams):
+        """Every experiment, with ``streams`` workers in every reduction,
+        plus the moments fitted by the estimated mode."""
+        fits = []
+        reduce, fit = experiments._reduce, experiments.moments_from_sums
+
+        def reduce_with_streams(spec, n_samples, per_chunk, streams_ignored=1):
+            return reduce(spec, n_samples, per_chunk, streams)
+
+        def recording_fit(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(experiments, "_reduce", reduce_with_streams)
+        monkeypatch.setattr(experiments, "moments_from_sums", recording_fit)
+        both = run_coverage_estimated(spec, self.DELTA, self.N, streams=streams)
+        tail = run_tail_curve(spec, self.GRID, self.N)
+        return {
+            "hits": [r.hits for r in run_coverage(spec, self.DELTA, self.N, streams=streams)],
+            "true": [r.hits for r in both["true"]],
+            "estimated": [r.hits for r in both["estimated"]],
+            "tails": (tail.empirical_tail.tolist(), tail.classical_tail.tolist()),
+            "trace": trace_identity_check(spec, self.N),
+            "fit": fits[0],
+        }
+
+    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
+    def test_streams_and_in_memory_reference_agree(self, monkeypatch, spec):
+        assert self.N > 10 * (SMALL_CHUNK // blocks_per_sample(spec))
+        runs = {}
+        for streams in (1, 2, 3):
+            with monkeypatch.context() as m:
+                runs[streams] = self._run_all(m, spec, streams)
+        fit = runs[1].pop("fit")
+        for streams in (2, 3):
+            other = runs[streams].pop("fit")
+            assert np.array_equal(other.cov.entries, fit.cov.entries)
+            assert runs[streams] == runs[1]
+
+        x = draw(spec, self.N)
+        mean, cov = true_moments(spec)
+        ref = estimate_moments(x)
+        scale = np.max(np.abs(ref.cov.entries))
+        assert np.max(np.abs(fit.cov.entries - ref.cov.entries)) <= 1e-12 * scale
+        assert np.allclose(fit.mean, ref.mean, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref.mean)))
+        assert runs[1]["hits"] == runs[1]["true"] == _hits(x, mean, cov, self.DELTA)
+        assert runs[1]["estimated"] == _hits(x, ref.mean, ref.cov, self.DELTA)
+        d = x - mean
+        d2 = mahalanobis_sq(x, mean, invert_spd(cov))
+        sq = np.einsum("ij,ij->i", d, d)
+        grid = np.array(self.GRID)
+        assert runs[1]["tails"] == (
+            (np.sum(d2[:, None] >= grid, axis=0) / self.N).tolist(),
+            (np.sum(sq[:, None] >= grid * cov.trace, axis=0) / self.N).tolist(),
+        )
+        assert runs[1]["trace"] == pytest.approx(np.mean(d2), rel=1e-12)
+
+    def test_tail_levels_hit_exactly_count_as_reached(self):
+        # with unit variance in 1-D both distances are x^2, so a grid made of
+        # drawn values puts samples exactly on its levels: the tail is d^2 >= eps
+        spec = gaussian_spec([0.0], Covariance.from_matrix([[1.0]]), seed=44)
+        d2 = draw(spec, self.N)[:, 0] ** 2
+        grid = np.sort(d2[[3, 1000, 2500, 4999]])
+        curve = run_tail_curve(spec, grid, self.N)
+        reached = (np.sum(d2[:, None] >= grid, axis=0) / self.N).tolist()
+        assert curve.empirical_tail.tolist() == curve.classical_tail.tolist() == reached
+        assert reached != (np.sum(d2[:, None] > grid, axis=0) / self.N).tolist()
+
+    def test_each_index_drawn_once_per_pass_one_chunk_at_a_time(self, monkeypatch):
+        chunk = SMALL_CHUNK // blocks_per_sample(PAPER)
+        calls = self._record_draws(monkeypatch)
+        run_coverage(PAPER, self.DELTA, self.N, streams=2)
+        assert np.all(self._draws_per_index(calls) == 1)
+        assert max(b - a for a, b in calls) <= chunk
+
+        calls.clear()
+        run_coverage_estimated(PAPER, self.DELTA, self.N, streams=3)
+        assert np.all(self._draws_per_index(calls) == 2)
+        assert max(b - a for a, b in calls) <= chunk
+
+        calls.clear()
+        argv = ["coverage", "--spec", json.dumps(spec_to_dict(PAPER)), "--delta", "0.2",
+                "--n", str(self.N), "--estimated", "--streams", "2"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert set(json.loads(out.getvalue())) == {"ellipsoid", "sphere", "estimated"}
+        assert np.all(self._draws_per_index(calls) == 2)
+        assert max(b - a for a, b in calls) <= chunk
+
+
+def test_coverage_peak_memory_is_flat_in_n():
+    def peak(n):
+        tracemalloc.start()
+        try:
+            run_coverage(PAPER, 0.1, n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1 << 18), peak(1 << 20)
+    assert large <= 1.5 * small, (small, large)
 
 
 class TestFigureExport:

@@ -34,3 +34,14 @@ def test_atomic_write_many_all_or_nothing(tmp_path):
     with pytest.raises(OSError):
         atomic_write_many({str(good): "a", str(bad): "b"})
     assert os.listdir(tmp_path) == []  # first file staged but never renamed
+
+
+def test_atomic_write_many_rename_failure_leaves_no_temp(tmp_path):
+    # a directory sits at the second target, so its rename fails after the
+    # first file is already in place; no temp file may be left behind
+    (tmp_path / "b.txt").mkdir()
+    outputs = {str(tmp_path / name): name for name in ("a.txt", "b.txt", "c.txt")}
+    with pytest.raises(OSError):
+        atomic_write_many(outputs)
+    assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
