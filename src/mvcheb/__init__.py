@@ -10,21 +10,7 @@ package builds both regions, computes the exact volume ratio
 Monte Carlo experiments.
 """
 
-from .errors import (
-    CsvFormatError,
-    DeltaOutOfRange,
-    DimensionMismatch,
-    EmptyGrid,
-    EmptySampleSet,
-    InsufficientSamples,
-    InvalidSpec,
-    NonPositiveEpsilon,
-    NonPositiveParameter,
-    NonPositiveVariance,
-    NotPositiveDefinite,
-    NotSymmetric,
-    UnsupportedDimension,
-)
+from .errors import DomainError, UsageError
 from .experiments import (
     CoverageReport,
     FigureData,
@@ -91,25 +77,14 @@ __all__ = [
     "BoundValue",
     "Covariance",
     "CoverageReport",
-    "CsvFormatError",
-    "DeltaOutOfRange",
-    "DimensionMismatch",
+    "DomainError",
     "EllipsoidRegion",
-    "EmptyGrid",
-    "EmptySampleSet",
     "FigureData",
-    "InsufficientSamples",
-    "InvalidSpec",
     "MomentEstimate",
-    "NonPositiveEpsilon",
-    "NonPositiveParameter",
-    "NonPositiveVariance",
-    "NotPositiveDefinite",
-    "NotSymmetric",
     "SamplerSpec",
     "SphereRegion",
     "TailCurve",
-    "UnsupportedDimension",
+    "UsageError",
     "chebyshev_bound",
     "cholesky",
     "classical_bound",

@@ -4,10 +4,13 @@ Subcommands: estimate, ratio, bound, region, coverage, tail, figure,
 sample. JSON goes to --out (default stdout); matrix/spec arguments accept
 either inline JSON or a path to a JSON file.
 
-Exit codes: 0 success, 2 usage or parse error, 3 numeric/domain error
-(non-positive-definite matrix, delta out of range, ...), 4 output I/O
-error. Output files are written to a temp file and renamed, so a failing
-run never leaves partial output.
+Exit codes: 0 success; 2 for a :class:`~mvcheb.errors.UsageError` (the
+input cannot be read as what the command needs: bad flags, malformed JSON
+or CSV, a ragged or non-numeric array, an unknown spec kind); 3 for a
+:class:`~mvcheb.errors.DomainError` (the input is well formed but the
+mathematics rejects it: a matrix that is not positive definite, delta
+outside (0, 1), ...); 4 for an output I/O error. Output files are written
+to a temp file and renamed, so a failing run never leaves partial output.
 """
 
 from __future__ import annotations
@@ -20,21 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    CsvFormatError,
-    DeltaOutOfRange,
-    DimensionMismatch,
-    EmptyGrid,
-    EmptySampleSet,
-    InsufficientSamples,
-    InvalidSpec,
-    NonPositiveEpsilon,
-    NonPositiveParameter,
-    NonPositiveVariance,
-    NotPositiveDefinite,
-    NotSymmetric,
-    UnsupportedDimension,
-)
+from .errors import DomainError, UsageError
 from .experiments import (
     export_figure,
     figure_csv_texts,
@@ -57,21 +46,19 @@ from .regions import (
 from .sampler import SamplerSpec, draw, spec_from_dict
 
 
-class _InputError(Exception):
-    """Unreadable or malformed input argument (maps to exit 2)."""
-
-
 def _load_json_arg(value: str):
     """Parse an argument that is inline JSON (starts with '[' or '{') or a
     path to a JSON file."""
     text = value.strip()
-    if not text.startswith(("[", "{")):
-        try:
+    try:
+        if not text.startswith(("[", "{")):
             with open(value) as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise _InputError(f"cannot read {value!r}: {exc}") from None
-    return json.loads(text)
+        return json.loads(text)
+    except OSError as exc:
+        raise UsageError(f"cannot read {value!r}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes, a NUL in the path
+        raise UsageError(f"not valid JSON: {exc}") from None
 
 
 def _load_cov(value: str) -> Covariance:
@@ -118,9 +105,11 @@ def _coverage_pair_dict(pair) -> dict:
 
 def _cmd_estimate(args) -> int:
     try:
-        samples = read_samples_csv(args.input)
-    except OSError as exc:
-        raise _InputError(f"cannot read {args.input!r}: {exc}") from None
+        fh = open(args.input, newline="")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise UsageError(f"cannot read {args.input!r}: {exc}") from None
+    with fh:
+        samples = read_samples_csv(fh)
     est = estimate_moments(samples, ddof=args.ddof, ridge=args.ridge)
     _emit(
         dump_json(
@@ -148,11 +137,11 @@ def _cmd_ratio(args) -> int:
 def _cmd_bound(args) -> int:
     if args.classical:
         if args.var is None:
-            raise _InputError("--classical requires --var")
+            raise UsageError("--classical requires --var")
         b = classical_bound(args.var, args.eps)
     else:
         if args.dim is None:
-            raise _InputError("either --dim or --classical --var is required")
+            raise UsageError("either --dim or --classical --var is required")
         b = chebyshev_bound(args.dim, args.eps)
     _emit(dump_json({"raw": b.raw, "clamped": b.clamped}), args.out)
     return 0
@@ -309,36 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_USAGE_ERRORS = (
-    _InputError,
-    json.JSONDecodeError,
-    CsvFormatError,
-    EmptySampleSet,
-    InvalidSpec,
-    NonPositiveEpsilon,
-    NonPositiveVariance,
-    EmptyGrid,
-)
-_DOMAIN_ERRORS = (
-    NotPositiveDefinite,
-    NotSymmetric,
-    DeltaOutOfRange,
-    InsufficientSamples,
-    NonPositiveParameter,
-    DimensionMismatch,
-    UnsupportedDimension,
-    ValueError,
-)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"mvcheb: error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"mvcheb: error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -1,57 +1,24 @@
-"""Exception types shared across the package.
+"""The two exception types the package raises for bad input.
 
-Everything derives from ``ValueError`` so callers that do not care about
-the fine-grained categories can catch the usual builtin.
+The split is the one the CLI reports as its exit code:
+
+* :class:`UsageError` (exit 2): the input cannot be read as what the
+  command needs. Malformed JSON or CSV, an array that is ragged or not
+  numeric, an unknown or incomplete sampler spec, an empty sample set or
+  eps grid, a non-positive eps or total variance.
+* :class:`DomainError` (exit 3): the input is well formed, but the
+  mathematics rejects it. A matrix that is not square, symmetric, finite
+  or positive definite, mismatched dimensions, delta outside (0, 1), too
+  few samples, a non-positive parameter, a value beyond the float range.
+
+Both derive from ``ValueError``, so callers that do not care about the
+split can catch the builtin.
 """
 
 
-class NotSymmetric(ValueError):
-    """Matrix is not symmetric within the allowed relative tolerance."""
+class UsageError(ValueError):
+    """The input cannot be read as what the operation needs."""
 
 
-class NotPositiveDefinite(ValueError):
-    """Cholesky factorization hit a non-positive pivot."""
-
-
-class DimensionMismatch(ValueError):
-    """Operands have incompatible dimensions."""
-
-
-class EmptySampleSet(ValueError):
-    """A sample set with zero rows was supplied."""
-
-
-class InsufficientSamples(ValueError):
-    """Too few rows for the requested estimator."""
-
-
-class CsvFormatError(ValueError):
-    """Sample CSV is malformed (bad header, ragged or non-numeric row)."""
-
-
-class NonPositiveParameter(ValueError):
-    """A parameter that must be strictly positive was not."""
-
-
-class NonPositiveEpsilon(ValueError):
-    """Tail level epsilon must be strictly positive."""
-
-
-class NonPositiveVariance(ValueError):
-    """Total variance must be strictly positive."""
-
-
-class DeltaOutOfRange(ValueError):
-    """Coverage parameter delta must lie strictly inside (0, 1)."""
-
-
-class UnsupportedDimension(ValueError):
-    """Operation is only defined for a specific dimension."""
-
-
-class InvalidSpec(ValueError):
-    """Sampler specification is incomplete or inconsistent."""
-
-
-class EmptyGrid(ValueError):
-    """An epsilon grid must contain at least one value."""
+class DomainError(ValueError):
+    """The input is well formed, but the mathematics rejects it."""

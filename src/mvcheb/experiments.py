@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyGrid, InvalidSpec
+from .errors import DomainError, UsageError
 from .linalg import invert_spd, quad_form
 from .moments import merge_moment_sums, moment_sums, moments_from_sums
 from .regions import (
@@ -33,6 +33,7 @@ from .regions import (
 from .sampler import (
     SamplerSpec,
     blocks_per_sample,
+    check_entries,
     draw,
     draw_range,
     paper_example_spec,
@@ -81,7 +82,7 @@ def _reports(delta: float, n_samples: int, hits) -> tuple[CoverageReport, Covera
 def _check_n_samples(n_samples: int) -> int:
     n = int(n_samples)
     if n < 1:
-        raise InvalidSpec(f"n_samples must be positive, got {n_samples}")
+        raise UsageError(f"n_samples must be positive, got {n_samples}")
     return n
 
 
@@ -93,7 +94,7 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_chunk, streams: int = 1):
     combine the results in the order yielded, so no result depends on it.
     """
     if streams < 1:
-        raise InvalidSpec(f"streams must be positive, got {streams}")
+        raise UsageError(f"streams must be positive, got {streams}")
     size = max(1, _CHUNK // blocks_per_sample(spec))
 
     def chunk(start: int):
@@ -189,9 +190,9 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     """Evaluate both tails and both bounds on an ascending positive grid."""
     grid = np.asarray(eps_grid, dtype=float).reshape(-1)
     if grid.size == 0:
-        raise EmptyGrid("eps grid must contain at least one value")
+        raise UsageError("eps grid must contain at least one value")
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("eps grid must be strictly ascending, positive and finite")
+        raise DomainError("eps grid must be strictly ascending, positive and finite")
     mean, cov = true_moments(spec)
     n = spec_dim(spec)
     precision = invert_spd(cov)
@@ -253,6 +254,7 @@ def export_figure(
     ell = make_ellipsoid(mean, cov, delta)
     sph = make_sphere(mean, cov, delta)
     m = int(boundary_points)
+    check_entries(2 * m, f"{m} boundary points")
     theta = 2.0 * np.pi * np.arange(m) / m
     circle = sph.center + math.sqrt(sph.radius_sq) * np.stack(
         [np.cos(theta), np.sin(theta)], axis=1

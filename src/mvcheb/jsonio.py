@@ -7,11 +7,16 @@ import json
 import os
 import tempfile
 
+from .errors import DomainError
+
 
 def dump_json(obj) -> str:
     """Stable JSON text: fixed key order (insertion), lossless floats,
-    trailing newline."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    trailing newline. A nan or infinite value raises :class:`DomainError`."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
 
 
 def atomic_write_text(path: str, text: str) -> None:

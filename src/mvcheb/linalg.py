@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from .errors import DomainError, UsageError
 
 # Relative asymmetry tolerated before a matrix is rejected outright.
 SYMMETRY_RTOL = 1e-9
@@ -20,26 +20,35 @@ SYMMETRY_RTOL = 1e-9
 PIVOT_RTOL = 1e-12
 
 
+def as_float_array(x, what: str) -> np.ndarray:
+    """``x`` as a float array; input that does not convert (ragged, not
+    numeric, an object where a list belongs) raises :class:`UsageError`."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{what} is not a numeric array: {exc}") from None
+
+
 def _as_square(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
+    a = as_float_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
     if a.size == 0:
-        raise DimensionMismatch("matrix must be at least 1x1")
+        raise DomainError("matrix must be at least 1x1")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise DomainError("matrix entries must be finite")
     return a
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate a 1-D finite vector, optionally of a required dimension."""
-    v = np.asarray(x, dtype=float)
+    v = as_float_array(x, "vector")
     if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
+        raise DomainError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[0]}")
+        raise DomainError(f"expected dimension {dim}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
+        raise DomainError("vector entries must be finite")
     return v
 
 
@@ -48,13 +57,13 @@ def symmetrize(m, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
 
     Asymmetry up to ``rtol`` relative to the largest entry is treated as
     round-trip noise (e.g. from text formats) and averaged away; anything
-    larger raises :class:`NotSymmetric`.
+    larger raises :class:`DomainError`.
     """
     a = _as_square(m)
     scale = float(np.max(np.abs(a)))
     gap = float(np.max(np.abs(a - a.T)))
     if gap > rtol * max(scale, 1e-300):
-        raise NotSymmetric(
+        raise DomainError(
             f"matrix asymmetry {gap:.3e} exceeds {rtol:.1e} relative to scale {scale:.3e}"
         )
     return 0.5 * (a + a.T)
@@ -65,20 +74,20 @@ def cholesky(m) -> np.ndarray:
 
     ``m`` must be symmetric within ``SYMMETRY_RTOL``. A factorization pivot
     ``L_ii**2`` at or below ``PIVOT_RTOL * max(diagonal)`` raises
-    :class:`NotPositiveDefinite`, which makes the singularity test invariant
+    a :class:`DomainError`, which makes the singularity test invariant
     under rescaling of the matrix.
     """
     a = symmetrize(m)
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("matrix is not positive definite") from None
+        raise DomainError("matrix is not positive definite") from None
     pivots = np.diag(lower) ** 2
     tol = PIVOT_RTOL * float(np.max(np.diag(a)))
     bad = np.flatnonzero(pivots <= tol)
     if bad.size:
         i = int(bad[0])
-        raise NotPositiveDefinite(
+        raise DomainError(
             f"pivot {pivots[i]:.6e} at row {i} is <= tolerance {tol:.6e}"
         )
     return lower
@@ -150,7 +159,7 @@ def quad_form(d, p: np.ndarray) -> float | np.ndarray:
     kernel = _as_square(p)
     dv = np.asarray(d, dtype=float)
     if dv.shape[-1:] != (kernel.shape[0],):
-        raise DimensionMismatch(
+        raise DomainError(
             f"vector dimension {dv.shape[-1:]} does not match kernel {kernel.shape}"
         )
     q = np.maximum(np.einsum("...i,...i->...", dv @ kernel, dv), 0.0)

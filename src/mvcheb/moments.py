@@ -9,32 +9,27 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from os import PathLike
 
 import numpy as np
 
-from .errors import (
-    CsvFormatError,
-    DimensionMismatch,
-    EmptySampleSet,
-    InsufficientSamples,
-    NonPositiveParameter,
-)
-from .linalg import Covariance
+from .errors import DomainError, UsageError
+from .linalg import Covariance, as_float_array
 
 
 def as_samples(rows) -> np.ndarray:
     """Validate a sample set: 2-D, at least one row, all entries finite."""
-    a = np.asarray(rows, dtype=float)
+    a = as_float_array(rows, "sample set")
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
-        raise DimensionMismatch(f"samples must be 2-D, got shape {a.shape}")
+        raise DomainError(f"samples must be 2-D, got shape {a.shape}")
     if a.shape[0] == 0:
-        raise EmptySampleSet("sample set has no rows")
+        raise UsageError("sample set has no rows")
     if not np.all(np.isfinite(a)):
-        raise ValueError("sample entries must be finite")
+        raise DomainError("sample entries must be finite")
     return a
 
 
@@ -52,10 +47,10 @@ def sample_covariance(samples, ddof: int = 1, ridge: float = 0.0) -> Covariance:
     ddof : {0, 1}
         Divisor is N - ddof; ddof=1 (default) is the unbiased estimator.
     ridge : float
-        Optional nonnegative multiple of the identity added before
+        Optional nonnegative, finite multiple of the identity added before
         validation, as an escape hatch for degenerate data. Default 0
         keeps the estimator exact; degeneracy then surfaces as
-        :class:`NotPositiveDefinite`.
+        :class:`DomainError`.
     """
     return estimate_moments(samples, ddof=ddof, ridge=ridge).cov
 
@@ -95,12 +90,12 @@ def moments_from_sums(sums, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate
     """Mean and covariance (divisor N - ddof, plus ``ridge`` I) from the
     :func:`moment_sums` of a sample set."""
     if ddof not in (0, 1):
-        raise ValueError("ddof must be 0 or 1")
-    if ridge < 0.0:
-        raise NonPositiveParameter("ridge must be nonnegative")
+        raise DomainError("ddof must be 0 or 1")
+    if not 0.0 <= ridge < math.inf:
+        raise DomainError(f"ridge must be nonnegative and finite, got {ridge}")
     n_rows, mean, scatter = sums
     if n_rows - ddof < 1:
-        raise InsufficientSamples(f"need at least {ddof + 1} rows for ddof={ddof}, got {n_rows}")
+        raise DomainError(f"need at least {ddof + 1} rows for ddof={ddof}, got {n_rows}")
     cov = scatter / (n_rows - ddof)
     if ridge > 0.0:
         cov = cov + ridge * np.eye(cov.shape[0])
@@ -115,10 +110,13 @@ def example_covariance(sigma: float, k: float) -> Covariance:
     its determinant k sigma^4.
     """
     if sigma <= 0.0:
-        raise NonPositiveParameter(f"sigma must be positive, got {sigma}")
+        raise DomainError(f"sigma must be positive, got {sigma}")
     if k <= 0.0:
-        raise NonPositiveParameter(f"k must be positive, got {k}")
-    s2 = float(sigma) ** 2
+        raise DomainError(f"k must be positive, got {k}")
+    try:
+        s2 = float(sigma) ** 2
+    except OverflowError:
+        raise DomainError(f"sigma**2 is beyond the float range, got sigma={sigma}") from None
     return Covariance.from_matrix([[s2, s2], [s2, (k + 1.0) * s2]])
 
 
@@ -130,36 +128,42 @@ def read_samples_csv(source) -> np.ndarray:
     """Read a sample set from a CSV path or text stream.
 
     The header must be ``x1,...,xn``; every data row must have exactly n
-    numeric fields. Ragged or non-numeric rows raise :class:`CsvFormatError`
-    naming the offending line; a header with no data rows raises
-    :class:`EmptySampleSet`.
+    numeric fields. Ragged or non-numeric rows raise :class:`UsageError`
+    naming the offending line, as do a header with no data rows and text
+    that does not decode or parse as CSV.
     """
     if isinstance(source, (str, PathLike)):
         with open(source, newline="") as fh:
             return read_samples_csv(fh)
-    reader = csv.reader(source)
+    try:
+        return _parse_samples_csv(csv.reader(source))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"unreadable sample CSV: {exc}") from None
+
+
+def _parse_samples_csv(reader) -> np.ndarray:
     try:
         header = next(reader)
     except StopIteration:
-        raise CsvFormatError("empty file: expected header row x1,...,xn") from None
+        raise UsageError("empty file: expected header row x1,...,xn") from None
     header = [h.strip() for h in header]
     if header != _expected_header(len(header)) or not header:
-        raise CsvFormatError(f"bad header {header!r}: expected x1,...,xn")
+        raise UsageError(f"bad header {header!r}: expected x1,...,xn")
     dim = len(header)
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != dim:
-            raise CsvFormatError(
+            raise UsageError(
                 f"line {lineno}: expected {dim} fields, got {len(row)}"
             )
         try:
             rows.append([float(f) for f in row])
         except ValueError:
-            raise CsvFormatError(f"line {lineno}: non-numeric field in {row!r}") from None
+            raise UsageError(f"line {lineno}: non-numeric field in {row!r}") from None
     if not rows:
-        raise EmptySampleSet("no data rows after the header")
+        raise UsageError("no data rows after the header")
     return as_samples(rows)
 
 

@@ -22,18 +22,12 @@ Both regions are closed sets: membership uses <=.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DeltaOutOfRange,
-    DimensionMismatch,
-    NonPositiveEpsilon,
-    NonPositiveParameter,
-    NonPositiveVariance,
-    UnsupportedDimension,
-)
+from .errors import DomainError, UsageError
 from .linalg import Covariance, as_vector, invert_spd, quad_form
 
 
@@ -55,22 +49,24 @@ def _bound(raw: float) -> BoundValue:
 
 def chebyshev_bound(n: int, eps: float) -> BoundValue:
     """Tail bound n/eps on Pr{ (X-mu)^T Sigma^-1 (X-mu) >= eps }."""
-    if n < 1 or int(n) != n:
-        raise NonPositiveParameter(f"dimension must be a positive integer, got {n}")
+    if not 1 <= n <= sys.float_info.max or int(n) != n:
+        raise DomainError(f"dimension must be a positive integer in the float range, got {n}")
     if not 0.0 < eps < math.inf:
-        raise NonPositiveEpsilon(f"eps must be positive and finite, got {eps}")
+        raise UsageError(f"eps must be positive and finite, got {eps}")
     return _bound(float(n) / float(eps))
 
 
 def classical_bound(var_total: float, eps: float) -> BoundValue:
     """Tail bound Var(X)/eps^2 on Pr{ ||X - mu|| >= eps }."""
     if not 0.0 < var_total < math.inf:
-        raise NonPositiveVariance(
-            f"total variance must be positive and finite, got {var_total}"
-        )
+        raise UsageError(f"total variance must be positive and finite, got {var_total}")
     if not 0.0 < eps < math.inf:
-        raise NonPositiveEpsilon(f"eps must be positive and finite, got {eps}")
-    return _bound(float(var_total) / float(eps) ** 2)
+        raise UsageError(f"eps must be positive and finite, got {eps}")
+    var, e = float(var_total), float(eps)
+    try:
+        return _bound(var / e ** 2)
+    except (OverflowError, ZeroDivisionError):  # e**2 is beyond the float range
+        return _bound(var / e / e)
 
 
 def mahalanobis_sq(x, center, precision: np.ndarray) -> float | np.ndarray:
@@ -81,7 +77,7 @@ def mahalanobis_sq(x, center, precision: np.ndarray) -> float | np.ndarray:
     c = as_vector(center)
     xv = np.asarray(x, dtype=float)
     if xv.shape[-1:] != c.shape:
-        raise DimensionMismatch(
+        raise DomainError(
             f"point dimension {xv.shape[-1:]} does not match center {c.shape}"
         )
     return quad_form(xv - c, precision)
@@ -114,7 +110,7 @@ class SphereRegion:
 
 def _check_delta(delta: float) -> float:
     if not 0.0 < delta < 1.0:
-        raise DeltaOutOfRange(f"delta must lie in (0, 1), got {delta}")
+        raise DomainError(f"delta must lie in (0, 1), got {delta}")
     return float(delta)
 
 
@@ -154,7 +150,7 @@ def contains(region, x) -> bool | np.ndarray:
     elif isinstance(region, SphereRegion):
         xv = np.asarray(x, dtype=float)
         if xv.shape[-1:] != region.center.shape:
-            raise DimensionMismatch(
+            raise DomainError(
                 f"point dimension {xv.shape[-1:]} does not match center "
                 f"{region.center.shape}"
             )
@@ -169,7 +165,7 @@ def contains(region, x) -> bool | np.ndarray:
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1)."""
     if n < 1:
-        raise NonPositiveParameter(f"dimension must be >= 1, got {n}")
+        raise DomainError(f"dimension must be >= 1, got {n}")
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
@@ -187,9 +183,9 @@ def volume(region, cov: Covariance | None = None) -> float:
         return vn * region.radius_sq ** (n / 2.0)
     if isinstance(region, EllipsoidRegion):
         if cov is None:
-            raise ValueError("ellipsoid volume requires the covariance matrix")
+            raise DomainError("ellipsoid volume requires the covariance matrix")
         if cov.dim != n:
-            raise DimensionMismatch(
+            raise DomainError(
                 f"covariance dim {cov.dim} does not match region dim {n}"
             )
         return math.sqrt(cov.det) * vn * region.threshold ** (n / 2.0)
@@ -200,10 +196,12 @@ def volume_ratio(cov: Covariance) -> float:
     """vol(sphere)/vol(ellipsoid) = (tr(Sigma)/n)^(n/2) / sqrt(det(Sigma)).
 
     Independent of delta (the coverage level cancels); always >= 1, with
-    equality exactly for isotropic Sigma.
+    equality exactly for isotropic Sigma. Computed as the product of
+    sqrt(tr(Sigma)/n) / L_ii over the Cholesky diagonal, in logs, so no
+    power or determinant leaves the float range; a ratio beyond it is inf.
     """
-    n = cov.dim
-    return (cov.trace / n) ** (n / 2.0) / math.sqrt(cov.det)
+    scale = math.sqrt(cov.trace / cov.dim)
+    return float(np.exp(np.sum(np.log(scale / np.diag(cov.chol)))))
 
 
 def example_ratio(k: float) -> float:
@@ -214,7 +212,7 @@ def example_ratio(k: float) -> float:
     sides and unbounded as k -> 0 or k -> infinity.
     """
     if k <= 0.0:
-        raise NonPositiveParameter(f"k must be positive, got {k}")
+        raise DomainError(f"k must be positive, got {k}")
     return (k + 2.0) / (2.0 * math.sqrt(k))
 
 
@@ -227,9 +225,9 @@ def ellipse_boundary(region: EllipsoidRegion, cov: Covariance, m: int) -> np.nda
     the unit circle to the same boundary set).
     """
     if region.dim != 2 or cov.dim != 2:
-        raise UnsupportedDimension("ellipse_boundary is defined for dimension 2 only")
+        raise DomainError("ellipse_boundary is defined for dimension 2 only")
     if m < 3:
-        raise NonPositiveParameter(f"need at least 3 boundary points, got {m}")
+        raise DomainError(f"need at least 3 boundary points, got {m}")
     theta = 2.0 * np.pi * np.arange(m) / m
     circle = np.stack([np.cos(theta), np.sin(theta)])
     return region.center + math.sqrt(region.threshold) * (cov.chol @ circle).T
@@ -243,7 +241,7 @@ def region_to_dict(region, cov: Covariance | None = None, delta: float | None = 
     """
     if isinstance(region, EllipsoidRegion):
         if cov is None or delta is None:
-            raise ValueError("ellipsoid serialization requires cov and delta")
+            raise DomainError("ellipsoid serialization requires cov and delta")
         return {
             "kind": "ellipsoid",
             "center": [float(v) for v in region.center],
@@ -268,7 +266,7 @@ def region_from_dict(data: dict):
         center = as_vector(data["center"], cov.dim)
         threshold = float(data["threshold"])
         if threshold <= 0.0:
-            raise NonPositiveParameter(f"threshold must be positive, got {threshold}")
+            raise DomainError(f"threshold must be positive, got {threshold}")
         return EllipsoidRegion(
             center=center, precision=invert_spd(cov), threshold=threshold
         )
@@ -276,6 +274,6 @@ def region_from_dict(data: dict):
         center = as_vector(data["center"])
         radius_sq = float(data["radius_sq"])
         if radius_sq <= 0.0:
-            raise NonPositiveParameter(f"radius_sq must be positive, got {radius_sq}")
+            raise DomainError(f"radius_sq must be positive, got {radius_sq}")
         return SphereRegion(center=center, radius_sq=radius_sq)
-    raise ValueError(f"unknown region kind: {kind!r}")
+    raise DomainError(f"unknown region kind: {kind!r}")

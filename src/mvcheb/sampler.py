@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .errors import InvalidSpec
+from .errors import DomainError, UsageError
 from .linalg import Covariance, as_vector
 from .moments import example_covariance
 
 _U64 = np.uint64
 _DOUBLE_SCALE = 2.0 ** -53
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits 4 words per counter increment
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8  # of the largest 8-byte array numpy can allocate
 
 # The tight_radial atom sits on the closed tail event {d^2 >= eps}; round-off
 # in the quadratic form would break the tie at random, so the shell radius is
@@ -46,11 +47,17 @@ _SHELL_MARGIN = 1.0 + 1e-8
 KINDS = ("gaussian", "paper_example", "tight_radial")
 
 
+def check_entries(n: int, what: str) -> None:
+    """Raise :class:`DomainError` if an array of ``n`` 8-byte entries is too large."""
+    if n > _MAX_ENTRIES:
+        raise DomainError(f"{what}: {n} array entries are more than one array can hold")
+
+
 def _key(seed: int, stream_index: int) -> np.ndarray:
     if not 0 <= seed < 2 ** 64:
-        raise InvalidSpec(f"seed must be a 64-bit unsigned integer, got {seed}")
+        raise UsageError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if not 0 <= stream_index < 2 ** 64:
-        raise InvalidSpec(f"stream_index must be a 64-bit unsigned integer, got {stream_index}")
+        raise UsageError(f"stream_index must be a 64-bit unsigned integer, got {stream_index}")
     return np.array([seed, stream_index], dtype=_U64)
 
 
@@ -105,7 +112,8 @@ def tight_radial_spec(
     """Equality-case distribution: dim alone means zero mean, identity Sigma."""
     if cov is None:
         if dim is None:
-            raise InvalidSpec("tight_radial needs either dim or cov")
+            raise UsageError("tight_radial needs either dim or cov")
+        check_entries(int(dim) ** 2, f"dim {dim}")
         cov = Covariance.from_matrix(np.eye(int(dim)))
     if mean is None:
         mean = np.zeros(cov.dim)
@@ -122,23 +130,23 @@ def tight_radial_spec(
 
 def _validated(spec: SamplerSpec) -> SamplerSpec:
     if spec.kind not in KINDS:
-        raise InvalidSpec(f"unknown sampler kind {spec.kind!r}")
+        raise UsageError(f"unknown sampler kind {spec.kind!r}")
     _key(spec.seed, 0)
     if spec.kind == "gaussian":
         if spec.mean is None or spec.cov is None:
-            raise InvalidSpec("gaussian spec needs mean and cov")
+            raise UsageError("gaussian spec needs mean and cov")
         as_vector(spec.mean, spec.cov.dim)
     elif spec.kind == "paper_example":
         if spec.sigma is None or spec.k is None:
-            raise InvalidSpec("paper_example spec needs sigma and k")
+            raise UsageError("paper_example spec needs sigma and k")
         if spec.sigma <= 0.0 or spec.k <= 0.0:
-            raise InvalidSpec("paper_example needs sigma > 0 and k > 0")
+            raise UsageError("paper_example needs sigma > 0 and k > 0")
     else:  # tight_radial
         if spec.mean is None or spec.cov is None or spec.eps is None:
-            raise InvalidSpec("tight_radial spec needs mean, cov and eps")
+            raise UsageError("tight_radial spec needs mean, cov and eps")
         n = spec.cov.dim
         if spec.eps < n:
-            raise InvalidSpec(
+            raise UsageError(
                 f"tight_radial needs eps >= dim so n/eps <= 1; got eps={spec.eps}, dim={n}"
             )
     return spec
@@ -174,17 +182,17 @@ def spec_to_dict(spec: SamplerSpec) -> dict:
 def _int_field(data: dict, key: str, default=None) -> int:
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidSpec(f"{key} must be an integer, got {value!r}")
+        raise UsageError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def _float_field(data: dict, key: str) -> float:
     try:
         value = float(data[key])
-    except (TypeError, ValueError):
-        raise InvalidSpec(f"{key} must be a number, got {data[key]!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{key} must be a number, got {data[key]!r}") from None
     if not np.isfinite(value):
-        raise InvalidSpec(f"{key} must be finite, got {value}")
+        raise UsageError(f"{key} must be finite, got {value}")
     return value
 
 
@@ -193,10 +201,10 @@ def spec_from_dict(data: dict) -> SamplerSpec:
 
     ``tight_radial`` accepts either an explicit mean/cov or just ``dim``
     (zero mean, identity covariance). A missing seed defaults to 0. Scalar
-    fields that are not numbers of the right type raise :class:`InvalidSpec`.
+    fields that are not numbers of the right type raise :class:`UsageError`.
     """
     if not isinstance(data, dict):
-        raise InvalidSpec(f"spec must be a JSON object, got {type(data).__name__}")
+        raise UsageError(f"spec must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     seed = _int_field(data, "seed", 0)
     try:
@@ -210,12 +218,14 @@ def spec_from_dict(data: dict) -> SamplerSpec:
         if kind == "tight_radial":
             cov = Covariance.from_matrix(data["cov"]) if "cov" in data else None
             dim = _int_field(data, "dim") if "dim" in data else None
+            if dim is not None and dim < 1:
+                raise UsageError(f"dim must be a positive integer, got {dim}")
             return tight_radial_spec(
                 _float_field(data, "eps"), dim=dim, mean=data.get("mean"), cov=cov, seed=seed
             )
     except KeyError as exc:
-        raise InvalidSpec(f"spec is missing required field {exc}") from None
-    raise InvalidSpec(f"unknown sampler kind {kind!r}")
+        raise UsageError(f"spec is missing required field {exc}") from None
+    raise UsageError(f"unknown sampler kind {kind!r}")
 
 
 def _words_per_sample(spec: SamplerSpec) -> int:
@@ -244,7 +254,7 @@ def draw_range(
     """
     _validated(spec)
     if not 0 <= start <= stop:
-        raise InvalidSpec(f"bad index range [{start}, {stop})")
+        raise UsageError(f"bad index range [{start}, {stop})")
     count = stop - start
     n = spec_dim(spec)
     if count == 0:
@@ -254,6 +264,7 @@ def draw_range(
     if start:
         bitgen.advance(start * blocks)
     words_total = count * blocks * _WORDS_PER_BLOCK
+    check_entries(words_total, f"{count} samples")
     raw = np.asarray(bitgen.random_raw(words_total), dtype=_U64)
     u = _to_uniform(raw).reshape(count, blocks * _WORDS_PER_BLOCK)
 
@@ -281,5 +292,5 @@ def draw(spec: SamplerSpec, n_samples: int, stream_index: int = 0) -> np.ndarray
     """n_samples rows of the spec's distribution, deterministic in
     (seed, stream_index)."""
     if n_samples < 1:
-        raise InvalidSpec(f"n_samples must be positive, got {n_samples}")
+        raise UsageError(f"n_samples must be positive, got {n_samples}")
     return draw_range(spec, 0, n_samples, stream_index=stream_index)

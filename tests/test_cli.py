@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from mvcheb import cli
+
 EXAMPLE_COV = "[[1,1],[1,26]]"
 PAPER_SPEC = '{"kind":"paper_example","sigma":1.0,"k":25.0,"seed":42}'
 
@@ -295,3 +297,64 @@ class TestUsage:
 
     def test_unknown_flag_exits_2(self):
         assert run_cli("ratio", "--covariance", "[[1]]").returncode == 2
+
+
+def run_main(*argv):
+    """Exit code of ``cli.main`` run in this process."""
+    try:
+        return cli.main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def coverage_args(spec):
+    return ("coverage", "--spec", json.dumps(spec), "--delta", "0.1", "--n", "10")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # arrays that do not convert to floats are usage errors
+        (("ratio", "--cov", '{"a":1}'), 2),
+        (("ratio", "--cov", "[[1,2],[3]]"), 2),
+        (("ratio", "--cov", '[["a","b"],["c","d"]]'), 2),
+        (("region", "--kind", "sphere", "--cov", "[[1]]", "--delta", "0.1", "--center", '{"x":1}'), 2),
+        (coverage_args({"kind": "gaussian", "mean": {"a": 1}, "cov": [[1]]}), 2),
+        (coverage_args({"kind": "tight_radial", "eps": 5.0, "dim": -1}), 2),
+        (coverage_args({"kind": "tight_radial", "eps": 5.0, "dim": 0}), 2),
+        # values beyond the float range end in a message, not a traceback
+        (("ratio", "--cov", "[[1e-170,0],[0,1e-170]]"), 0),
+        (("bound", "--classical", "--var", "1", "--eps", "1e200"), 0),
+        (("bound", "--classical", "--var", "1", "--eps", "1e-200"), 3),
+        (("bound", "--dim", "1" + "0" * 400, "--eps", "1"), 3),
+        (coverage_args({"kind": "paper_example", "sigma": 1e200, "k": 1.0}), 3),
+        # sizes beyond the largest array are refused before anything is allocated
+        (("sample", "--spec", PAPER_SPEC, "--n", str(10**20)), 3),
+        (("figure", "--points", str(10**20), "--out-prefix", "unwritten_"), 3),
+        (coverage_args({"kind": "tight_radial", "eps": 1e30, "dim": 10**10}), 3),
+    ],
+)
+def test_in_process_exit_codes(argv, code, capsys):
+    assert run_main(*argv) == code
+    assert capsys.readouterr().err.startswith("mvcheb: error: ") == (code != 0)
+
+
+def test_tiny_isotropic_ratio_is_one(capsys):
+    assert run_main("ratio", "--cov", "[[1e-170,0],[0,1e-170]]") == 0
+    assert json.loads(capsys.readouterr().out)["ratio"] == 1.0
+
+
+@pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
+def test_ridge_outside_zero_to_inf_exits_3(ridge, tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    path.write_text("x1,x2\n0.0,0.0\n1.0,2.0\n2.0,1.0\n")
+    assert run_main("estimate", "--input", str(path), f"--ridge={ridge}") == 3
+    assert "ridge must be nonnegative and finite" in capsys.readouterr().err
+
+
+def test_undecodable_input_exits_2(tmp_path):
+    path = tmp_path / "bin"
+    path.write_bytes(b"x1\n\xd0\xff\n")
+    assert run_main("estimate", "--input", str(path)) == 2
+    assert run_main("ratio", "--cov", str(path)) == 2
+    assert run_main("estimate", "--input", "a\0b") == 2

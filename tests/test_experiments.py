@@ -13,8 +13,8 @@ from scipy.stats import chi2
 
 from mvcheb import (
     Covariance,
-    EmptyGrid,
-    InvalidSpec,
+    DomainError,
+    UsageError,
     contains,
     draw,
     estimate_moments,
@@ -73,7 +73,7 @@ class TestCoverage:
 
     def test_streams_below_one_rejected(self):
         for streams in (0, -2):
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(UsageError, match="streams must be positive"):
                 run_coverage(PAPER, 0.1, 100, streams=streams)
 
     def test_standard_error_formula(self):
@@ -188,12 +188,12 @@ class TestTailCurve:
         assert np.allclose(curve.new_bound, curve.classical_bound, rtol=1e-12)
 
     def test_grid_validation(self):
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(UsageError, match="at least one value"):
             run_tail_curve(PAPER, [], 100)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="strictly ascending"):
             run_tail_curve(PAPER, [4.0, 2.0], 100)
         for bad in ([-1.0, 2.0], [2.0, np.nan], [2.0, np.inf]):
-            with pytest.raises(ValueError):
+            with pytest.raises(DomainError, match="strictly ascending"):
                 run_tail_curve(PAPER, bad, 100)
 
     def test_dict_keys(self):

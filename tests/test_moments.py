@@ -1,17 +1,15 @@
 """Moment estimation, the worked-example covariance, and the CSV format."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
 
 from mvcheb import (
     Covariance,
-    CsvFormatError,
-    EmptySampleSet,
-    InsufficientSamples,
-    NonPositiveParameter,
-    NotPositiveDefinite,
+    DomainError,
+    UsageError,
     estimate_moments,
     example_covariance,
     paper_example_spec,
@@ -31,7 +29,7 @@ class TestSampleMean:
         assert np.array_equal(sample_mean([[5.0]]), [5.0])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySampleSet):
+        with pytest.raises(UsageError, match="sample set has no rows"):
             sample_mean(np.empty((0, 2)))
 
     def test_paper_example_mean_converges(self):
@@ -52,17 +50,25 @@ class TestSampleCovariance:
         assert c.entries[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_insufficient_for_ddof(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(DomainError, match="need at least 2 rows"):
             sample_covariance([[1.0]], ddof=1)
 
     def test_degenerate_is_error(self):
         # two points in the plane span one direction only
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(DomainError, match="<= tolerance"):
             sample_covariance([[0.0, 0.0], [1.0, 1.0]], ddof=1)
 
     def test_ridge_escape_hatch(self):
         c = sample_covariance([[0.0, 0.0], [1.0, 1.0]], ddof=1, ridge=1e-6)
         assert c.det > 0
+
+    def test_ridge_outside_zero_to_inf_rejected(self):
+        x = [[0.0, 0.0], [1.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ridge in (-1.0, float("nan"), float("inf")):
+                with pytest.raises(DomainError, match="ridge must be nonnegative and finite"):
+                    sample_covariance(x, ridge=ridge)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(5)
@@ -105,10 +111,14 @@ class TestExampleCovariance:
                 assert c.trace == pytest.approx((k + 2.0) * sigma**2, rel=1e-12)
                 assert c.det == pytest.approx(k * sigma**4, rel=1e-12)
 
+    def test_sigma_square_beyond_float_range(self):
+        with pytest.raises(DomainError, match="beyond the float range"):
+            example_covariance(1e200, 1.0)
+
     def test_nonpositive_parameters(self):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(DomainError, match="sigma must be positive"):
             example_covariance(0.0, 25.0)
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(DomainError, match="k must be positive"):
             example_covariance(1.0, -1.0)
 
 
@@ -131,21 +141,21 @@ class TestCsv:
 
     def test_ragged_row_rejected(self):
         text = "x1,x2\n1.0,2.0\n3.0\n"
-        with pytest.raises(CsvFormatError, match="line 3"):
+        with pytest.raises(UsageError, match="line 3"):
             read_samples_csv(io.StringIO(text))
 
     def test_bad_header_rejected(self):
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(UsageError, match="bad header"):
             read_samples_csv(io.StringIO("a,b\n1,2\n"))
 
     def test_non_numeric_rejected(self):
-        with pytest.raises(CsvFormatError, match="line 2"):
+        with pytest.raises(UsageError, match="line 2"):
             read_samples_csv(io.StringIO("x1\nfoo\n"))
 
     def test_empty_file(self):
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(UsageError, match="empty file"):
             read_samples_csv(io.StringIO(""))
 
     def test_header_only(self):
-        with pytest.raises(EmptySampleSet):
+        with pytest.raises(UsageError, match="no data rows"):
             read_samples_csv(io.StringIO("x1,x2\n"))

@@ -11,12 +11,10 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from mvcheb import (
+    BoundValue,
     Covariance,
-    DeltaOutOfRange,
-    NonPositiveEpsilon,
-    NonPositiveParameter,
-    NonPositiveVariance,
-    UnsupportedDimension,
+    DomainError,
+    UsageError,
     chebyshev_bound,
     classical_bound,
     contains,
@@ -69,21 +67,29 @@ class TestBounds:
             assert new == pytest.approx(classic, rel=1e-12)
 
     def test_bad_inputs(self):
-        with pytest.raises(NonPositiveEpsilon):
+        with pytest.raises(UsageError, match="eps must be positive"):
             chebyshev_bound(2, 0.0)
-        with pytest.raises(NonPositiveEpsilon):
+        with pytest.raises(UsageError, match="eps must be positive"):
             classical_bound(1.0, -1.0)
-        with pytest.raises(NonPositiveVariance):
+        with pytest.raises(UsageError, match="total variance must be positive"):
             classical_bound(0.0, 1.0)
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(DomainError, match="dimension must be a positive integer"):
             chebyshev_bound(0, 1.0)
         for bad in (math.nan, math.inf):
-            with pytest.raises(NonPositiveEpsilon):
+            with pytest.raises(UsageError, match="eps must be positive"):
                 chebyshev_bound(2, bad)
-            with pytest.raises(NonPositiveEpsilon):
+            with pytest.raises(UsageError, match="eps must be positive"):
                 classical_bound(1.0, bad)
-            with pytest.raises(NonPositiveVariance):
+            with pytest.raises(UsageError, match="total variance must be positive"):
                 classical_bound(bad, 1.0)
+
+
+    def test_eps_square_beyond_float_range(self):
+        assert classical_bound(1e300, 1e200).raw == pytest.approx(1e-100, rel=1e-15)
+        assert classical_bound(1.0, 1e200).raw == 0.0
+        assert classical_bound(1.0, 1e-200) == BoundValue(raw=math.inf, clamped=1.0)
+        with pytest.raises(DomainError, match="dimension must be a positive integer"):
+            chebyshev_bound(10**400, 1.0)
 
 
 class TestMahalanobis:
@@ -132,9 +138,9 @@ class TestRegions:
 
     def test_delta_range(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(DeltaOutOfRange):
+            with pytest.raises(DomainError, match="delta must lie in"):
                 make_ellipsoid([0.0, 0.0], EXAMPLE, bad)
-            with pytest.raises(DeltaOutOfRange):
+            with pytest.raises(DomainError, match="delta must lie in"):
                 make_sphere([0.0, 0.0], EXAMPLE, bad)
 
     def test_center_membership(self):
@@ -196,7 +202,7 @@ class TestVolume:
 
     def test_ellipsoid_needs_cov(self):
         ell = make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="requires the covariance"):
             volume(ell)
 
 
@@ -213,6 +219,11 @@ class TestVolumeRatio:
     def test_diag_1_4(self):
         cov = Covariance.from_matrix(np.diag([1.0, 4.0]))
         assert volume_ratio(cov) == pytest.approx(1.25, rel=1e-12)
+
+    def test_isotropic_is_one_at_extreme_scales(self):
+        # det = prod(L_ii)^2 leaves the float range in each of these
+        for m in (1e-170 * np.eye(2), 1e300 * np.eye(3), 10.0 * np.eye(400), 0.1 * np.eye(400)):
+            assert volume_ratio(Covariance.from_matrix(m)) == pytest.approx(1.0, abs=1e-12)
 
     def test_always_at_least_one(self):
         rng = np.random.default_rng(42)
@@ -268,7 +279,7 @@ class TestExampleRatio:
         assert min(vals) >= math.sqrt(2.0) - 1e-12
 
     def test_nonpositive_k(self):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(DomainError, match="k must be positive"):
             example_ratio(0.0)
 
 
@@ -301,7 +312,7 @@ class TestEllipseBoundary:
     def test_dimension_guard(self):
         cov3 = Covariance.from_matrix(np.eye(3))
         ell3 = make_ellipsoid(np.zeros(3), cov3, 0.5)
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(DomainError, match="dimension 2 only"):
             ellipse_boundary(ell3, cov3, 8)
 
 
@@ -323,5 +334,5 @@ class TestRegionJson:
         assert back.radius_sq == sph.radius_sq
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="unknown region kind"):
             region_from_dict({"kind": "cube"})

@@ -6,7 +6,7 @@ import pytest
 
 from mvcheb import (
     Covariance,
-    InvalidSpec,
+    UsageError,
     draw,
     draw_range,
     example_covariance,
@@ -24,38 +24,42 @@ from mvcheb.sampler import blocks_per_sample
 
 class TestSpecs:
     def test_unknown_kind(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(UsageError, match="unknown sampler kind"):
             spec_from_dict({"kind": "cauchy", "seed": 0})
 
     def test_missing_fields(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(UsageError, match="missing required field"):
             spec_from_dict({"kind": "paper_example", "sigma": 1.0})
 
     def test_bad_seed(self):
         for seed in (-1, 2**64):
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(UsageError, match="seed must be a 64-bit"):
                 paper_example_spec(1.0, 25.0, seed=seed)
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(UsageError, match="seed must be a 64-bit"):
                 gaussian_spec([0.0], Covariance.from_matrix([[1.0]]), seed=seed)
 
+    BAD_SCALAR_FIELDS = [
+        ({"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": 1.7}, "seed must be an integer"),
+        ({"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": "x"}, "seed must be an integer"),
+        ({"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": True}, "seed must be an integer"),
+        ({"kind": "paper_example", "sigma": "abc", "k": 25.0}, "sigma must be a number"),
+        ({"kind": "paper_example", "sigma": None, "k": 25.0}, "sigma must be a number"),
+        ({"kind": "paper_example", "sigma": 1.0, "k": float("nan")}, "k must be finite"),
+        ({"kind": "tight_radial", "eps": 8.0, "dim": 2.5}, "dim must be an integer"),
+        ({"kind": "tight_radial", "eps": 8.0, "dim": -1}, "dim must be a positive integer"),
+        ({"kind": "tight_radial", "eps": 8.0, "dim": 0}, "dim must be a positive integer"),
+        ({"kind": "paper_example", "sigma": 10**400, "k": 25.0}, "sigma must be a number"),
+    ]
+
     @pytest.mark.parametrize(
-        "data",
-        [
-            {"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": 1.7},
-            {"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": "x"},
-            {"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": True},
-            {"kind": "paper_example", "sigma": "abc", "k": 25.0},
-            {"kind": "paper_example", "sigma": None, "k": 25.0},
-            {"kind": "paper_example", "sigma": 1.0, "k": float("nan")},
-            {"kind": "tight_radial", "eps": 8.0, "dim": 2.5},
-        ],
+        "data, match", BAD_SCALAR_FIELDS, ids=[f"data{i}" for i in range(len(BAD_SCALAR_FIELDS))]
     )
-    def test_bad_scalar_fields(self, data):
-        with pytest.raises(InvalidSpec):
+    def test_bad_scalar_fields(self, data, match):
+        with pytest.raises(UsageError, match=match):
             spec_from_dict(data)
 
     def test_tight_radial_eps_floor(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(UsageError, match="needs eps >= dim"):
             tight_radial_spec(1.5, dim=2)
 
     def test_json_round_trip(self):
