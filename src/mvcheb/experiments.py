@@ -37,7 +37,6 @@ from .sampler import (
     draw,
     draw_range,
     paper_example_spec,
-    spec_dim,
     true_moments,
 )
 
@@ -194,7 +193,7 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
         raise DomainError("eps grid must be strictly ascending, positive and finite")
     mean, cov = true_moments(spec)
-    n = spec_dim(spec)
+    n = spec.dim
     precision = invert_spd(cov)
     var_total = cov.trace
     total = _check_n_samples(n_samples)

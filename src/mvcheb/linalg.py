@@ -4,6 +4,8 @@ Everything downstream (regions, sampling, experiments) runs through the
 covariance matrix: its Cholesky factor, inverse, determinant and trace.
 The factorization is LAPACK's (``np.linalg.cholesky``) followed by an
 explicit, scale-invariant positive-definiteness test on its pivots.
+A :class:`Covariance` is checked once, when it is built, and its arrays are
+read-only, so the kernels that take one do not check it again.
 """
 
 from __future__ import annotations
@@ -66,41 +68,18 @@ def symmetrize(m, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
         raise DomainError(
             f"matrix asymmetry {gap:.3e} exceeds {rtol:.1e} relative to scale {scale:.3e}"
         )
-    return 0.5 * (a + a.T)
-
-
-def cholesky(m) -> np.ndarray:
-    """Lower-triangular L with L L^T = m for symmetric positive-definite m.
-
-    ``m`` must be symmetric within ``SYMMETRY_RTOL``. A factorization pivot
-    ``L_ii**2`` at or below ``PIVOT_RTOL * max(diagonal)`` raises
-    a :class:`DomainError`, which makes the singularity test invariant
-    under rescaling of the matrix.
-    """
-    a = symmetrize(m)
-    try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise DomainError("matrix is not positive definite") from None
-    pivots = np.diag(lower) ** 2
-    tol = PIVOT_RTOL * float(np.max(np.diag(a)))
-    bad = np.flatnonzero(pivots <= tol)
-    if bad.size:
-        i = int(bad[0])
-        raise DomainError(
-            f"pivot {pivots[i]:.6e} at row {i} is <= tolerance {tol:.6e}"
-        )
-    return lower
+    return 0.5 * a + 0.5 * a.T  # a + a.T would overflow above about 9e307
 
 
 @dataclass(frozen=True, eq=False)
 class Covariance:
     """A validated SPD covariance matrix with its derived quantities.
 
-    Construction (via :meth:`from_matrix`) symmetrizes the input, runs the
-    Cholesky factorization as the positive-definiteness test, and caches the
-    factor, determinant and trace; all downstream operations reuse them.
-    Instances are immutable.
+    The input is checked once, when :meth:`from_matrix` builds the instance:
+    it symmetrizes the matrix, runs the Cholesky factorization as the
+    positive-definiteness test, and caches the factor, determinant and
+    trace; all downstream operations reuse them. Instances are immutable
+    and their ``entries`` and ``chol`` arrays are read-only.
     """
 
     entries: np.ndarray
@@ -114,17 +93,34 @@ class Covariance:
 
     @classmethod
     def from_matrix(cls, m) -> "Covariance":
+        """Factor ``m``, symmetric within ``SYMMETRY_RTOL``; a pivot ``L_ii**2`` at
+        or below ``PIVOT_RTOL * max(diagonal)`` (scale-invariant) is rejected."""
         a = symmetrize(m)
-        lower = cholesky(a)
+        try:
+            lower = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            raise DomainError("matrix is not positive definite") from None
+        piv = np.diag(lower)
+        pivots = piv ** 2
+        tol = PIVOT_RTOL * float(np.max(np.diag(a)))
+        bad = np.flatnonzero(pivots <= tol)
+        if bad.size:
+            i = int(bad[0])
+            raise DomainError(f"pivot {pivots[i]:.6e} at row {i} is <= tolerance {tol:.6e}")
         a.setflags(write=False)
         lower.setflags(write=False)
-        piv = np.diag(lower)
         return cls(
             entries=a,
             chol=lower,
             det=float(np.prod(piv) ** 2),
             trace=float(np.trace(a)),
         )
+
+
+def cholesky(m) -> np.ndarray:
+    """Lower-triangular L with L L^T = m for symmetric positive-definite m,
+    checked as :meth:`Covariance.from_matrix` checks it; L is read-only."""
+    return Covariance.from_matrix(m).chol
 
 
 def invert_spd(c: Covariance) -> np.ndarray:
@@ -135,7 +131,7 @@ def invert_spd(c: Covariance) -> np.ndarray:
     """
     linv = np.linalg.solve(c.chol, np.eye(c.dim))
     p = linv.T @ linv
-    return 0.5 * (p + p.T)
+    return 0.5 * p + 0.5 * p.T
 
 
 def det_spd(c: Covariance) -> float:

@@ -20,6 +20,9 @@ Three generator kinds:
   R^2 = eps with probability n/eps, else 0. Its covariance is exactly the
   given Sigma, and Pr{d^2 >= eps} equals n/eps: the Mahalanobis tail bound
   holds with equality.
+
+A :class:`SamplerSpec` is checked once, when it is built, and its arrays are
+read-only, so the functions here take every spec as valid.
 """
 
 from __future__ import annotations
@@ -79,7 +82,11 @@ def _boxmuller(uniforms: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SamplerSpec:
-    """Parameters of one generator kind plus the stream seed."""
+    """Parameters of one generator kind plus the stream seed.
+
+    Checked once, when built: the kind, then the seed, then the kind's fields.
+    ``mean`` is kept as a read-only copy; the caller's array stays writable.
+    """
 
     kind: str
     seed: int = 0
@@ -89,17 +96,41 @@ class SamplerSpec:
     k: float | None = None
     eps: float | None = None
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise UsageError(f"unknown sampler kind {self.kind!r}")
+        _key(self.seed, 0)
+        if self.kind == "paper_example":
+            if self.sigma is None or self.k is None:
+                raise UsageError("paper_example spec needs sigma and k")
+            if not (0.0 < self.sigma < np.inf and 0.0 < self.k < np.inf):
+                raise UsageError("paper_example needs finite sigma > 0 and k > 0")
+            return
+        if self.kind == "gaussian":
+            if self.mean is None or self.cov is None:
+                raise UsageError("gaussian spec needs mean and cov")
+        elif self.mean is None or self.cov is None or self.eps is None:
+            raise UsageError("tight_radial spec needs mean, cov and eps")
+        mean = np.array(as_vector(self.mean, self.cov.dim))
+        mean.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        if self.kind == "tight_radial" and not self.dim <= self.eps < np.inf:
+            raise UsageError(
+                "tight_radial needs eps >= dim so n/eps <= 1, and eps finite;"
+                f" got eps={self.eps}, dim={self.dim}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return 2 if self.kind == "paper_example" else self.cov.dim
+
 
 def gaussian_spec(mean, cov: Covariance, seed: int = 0) -> SamplerSpec:
-    return _validated(
-        SamplerSpec(kind="gaussian", seed=seed, mean=as_vector(mean, cov.dim), cov=cov)
-    )
+    return SamplerSpec(kind="gaussian", seed=seed, mean=mean, cov=cov)
 
 
 def paper_example_spec(sigma: float, k: float, seed: int = 0) -> SamplerSpec:
-    return _validated(
-        SamplerSpec(kind="paper_example", seed=seed, sigma=float(sigma), k=float(k))
-    )
+    return SamplerSpec(kind="paper_example", seed=seed, sigma=float(sigma), k=float(k))
 
 
 def tight_radial_spec(
@@ -110,6 +141,8 @@ def tight_radial_spec(
     seed: int = 0,
 ) -> SamplerSpec:
     """Equality-case distribution: dim alone means zero mean, identity Sigma."""
+    if dim is not None and int(dim) < 1:
+        raise UsageError(f"dim must be a positive integer, got {dim}")
     if cov is None:
         if dim is None:
             raise UsageError("tight_radial needs either dim or cov")
@@ -117,56 +150,17 @@ def tight_radial_spec(
         cov = Covariance.from_matrix(np.eye(int(dim)))
     if mean is None:
         mean = np.zeros(cov.dim)
-    return _validated(
-        SamplerSpec(
-            kind="tight_radial",
-            seed=seed,
-            mean=as_vector(mean, cov.dim),
-            cov=cov,
-            eps=float(eps),
-        )
-    )
-
-
-def _validated(spec: SamplerSpec) -> SamplerSpec:
-    if spec.kind not in KINDS:
-        raise UsageError(f"unknown sampler kind {spec.kind!r}")
-    _key(spec.seed, 0)
-    if spec.kind == "gaussian":
-        if spec.mean is None or spec.cov is None:
-            raise UsageError("gaussian spec needs mean and cov")
-        as_vector(spec.mean, spec.cov.dim)
-    elif spec.kind == "paper_example":
-        if spec.sigma is None or spec.k is None:
-            raise UsageError("paper_example spec needs sigma and k")
-        if spec.sigma <= 0.0 or spec.k <= 0.0:
-            raise UsageError("paper_example needs sigma > 0 and k > 0")
-    else:  # tight_radial
-        if spec.mean is None or spec.cov is None or spec.eps is None:
-            raise UsageError("tight_radial spec needs mean, cov and eps")
-        n = spec.cov.dim
-        if spec.eps < n:
-            raise UsageError(
-                f"tight_radial needs eps >= dim so n/eps <= 1; got eps={spec.eps}, dim={n}"
-            )
-    return spec
-
-
-def spec_dim(spec: SamplerSpec) -> int:
-    _validated(spec)
-    return 2 if spec.kind == "paper_example" else spec.cov.dim
+    return SamplerSpec(kind="tight_radial", seed=seed, mean=mean, cov=cov, eps=float(eps))
 
 
 def true_moments(spec: SamplerSpec) -> tuple[np.ndarray, Covariance]:
     """Exact mean vector and covariance matrix of the spec's distribution."""
-    _validated(spec)
     if spec.kind == "paper_example":
         return np.zeros(2), example_covariance(spec.sigma, spec.k)
     return spec.mean.copy(), spec.cov
 
 
 def spec_to_dict(spec: SamplerSpec) -> dict:
-    _validated(spec)
     out: dict = {"kind": spec.kind, "seed": int(spec.seed)}
     if spec.kind == "paper_example":
         out["sigma"] = float(spec.sigma)
@@ -218,8 +212,6 @@ def spec_from_dict(data: dict) -> SamplerSpec:
         if kind == "tight_radial":
             cov = Covariance.from_matrix(data["cov"]) if "cov" in data else None
             dim = _int_field(data, "dim") if "dim" in data else None
-            if dim is not None and dim < 1:
-                raise UsageError(f"dim must be a positive integer, got {dim}")
             return tight_radial_spec(
                 _float_field(data, "eps"), dim=dim, mean=data.get("mean"), cov=cov, seed=seed
             )
@@ -228,18 +220,17 @@ def spec_from_dict(data: dict) -> SamplerSpec:
     raise UsageError(f"unknown sampler kind {kind!r}")
 
 
-def _words_per_sample(spec: SamplerSpec) -> int:
-    n = spec_dim(spec)
-    words = 2 * ((n + 1) // 2)  # Box-Muller pairs covering n normals
-    if spec.kind == "tight_radial":
-        words += 1  # Bernoulli word for the radial atom
-    return words
+def _layout(spec: SamplerSpec) -> tuple[int, int]:
+    """(m, blocks): a sample reads its Box-Muller pairs from words [0, m) and a
+    tight_radial atom's Bernoulli from word m, in a window of whole blocks."""
+    m = 2 * ((spec.dim + 1) // 2)
+    words = m + (spec.kind == "tight_radial")
+    return m, -(-words // _WORDS_PER_BLOCK)
 
 
 def blocks_per_sample(spec: SamplerSpec) -> int:
     """Philox counter blocks reserved per sample (fixed layout)."""
-    w = _words_per_sample(spec)
-    return -(-w // _WORDS_PER_BLOCK)
+    return _layout(spec)[1]
 
 
 def draw_range(
@@ -252,14 +243,13 @@ def draw_range(
     :func:`blocks_per_sample`. Concatenating ranges therefore reproduces
     :func:`draw` exactly, for any partition of the index range.
     """
-    _validated(spec)
     if not 0 <= start <= stop:
         raise UsageError(f"bad index range [{start}, {stop})")
     count = stop - start
-    n = spec_dim(spec)
+    n = spec.dim
     if count == 0:
         return np.empty((0, n))
-    blocks = blocks_per_sample(spec)
+    n_normal_words, blocks = _layout(spec)
     bitgen = Philox(key=_key(spec.seed, stream_index))
     if start:
         bitgen.advance(start * blocks)
@@ -268,7 +258,6 @@ def draw_range(
     raw = np.asarray(bitgen.random_raw(words_total), dtype=_U64)
     u = _to_uniform(raw).reshape(count, blocks * _WORDS_PER_BLOCK)
 
-    n_normal_words = 2 * ((n + 1) // 2)
     z = _boxmuller(u[:, :n_normal_words].reshape(-1))
     z = z.reshape(count, n_normal_words)[:, :n]
 

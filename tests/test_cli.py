@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -341,6 +342,14 @@ def test_in_process_exit_codes(argv, code, capsys):
 
 def test_tiny_isotropic_ratio_is_one(capsys):
     assert run_main("ratio", "--cov", "[[1e-170,0],[0,1e-170]]") == 0
+    assert json.loads(capsys.readouterr().out)["ratio"] == 1.0
+
+
+def test_huge_finite_entry_ratio_is_one(capsys):
+    # symmetrizing must not overflow an entry that is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main("ratio", "--cov", "[[1e308]]") == 0
     assert json.loads(capsys.readouterr().out)["ratio"] == 1.0
 
 

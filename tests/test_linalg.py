@@ -7,6 +7,7 @@ inv = [[d, -b], [-c, a]] / det, which never touch the Cholesky path.
 import numpy as np
 import pytest
 
+from mvcheb import linalg
 from mvcheb import (
     Covariance,
     DomainError,
@@ -116,6 +117,17 @@ class TestCovariance:
         with pytest.raises(ValueError):
             c.entries[0, 0] = 5.0
 
+    def test_input_symmetrized_once(self, monkeypatch):
+        calls, real = [], linalg.symmetrize
+        monkeypatch.setattr(linalg, "symmetrize", lambda m: calls.append(m) or real(m))
+        Covariance.from_matrix(EXAMPLE)
+        assert len(calls) == 1
+
+    def test_huge_finite_entries_do_not_overflow(self):
+        m = [[1e308, 0.0], [0.0, 1e308]]
+        assert np.array_equal(symmetrize(m), m)
+        assert np.array_equal(cholesky([[1e308]]), [[np.sqrt(1e308)]])
+
 
 class TestInverse:
     def test_identity(self):
@@ -131,6 +143,10 @@ class TestInverse:
     def test_scalar(self):
         c = Covariance.from_matrix([[4.0]])
         assert invert_spd(c)[0, 0] == pytest.approx(0.25, rel=1e-12)
+
+    def test_huge_precision_does_not_overflow(self):
+        c = Covariance.from_matrix(np.diag([1e-308, 2e-308]))
+        assert np.allclose(invert_spd(c), np.diag([1e308, 0.5e308]), rtol=1e-12, atol=0.0)
 
     def test_product_is_identity(self):
         rng = np.random.default_rng(4321)

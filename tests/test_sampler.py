@@ -6,6 +6,7 @@ import pytest
 
 from mvcheb import (
     Covariance,
+    SamplerSpec,
     UsageError,
     draw,
     draw_range,
@@ -61,6 +62,46 @@ class TestSpecs:
     def test_tight_radial_eps_floor(self):
         with pytest.raises(UsageError, match="needs eps >= dim"):
             tight_radial_spec(1.5, dim=2)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_tight_radial_eps_finite(self, eps):
+        with pytest.raises(UsageError, match="and eps finite"):
+            tight_radial_spec(eps, dim=2)
+
+    @pytest.mark.parametrize("dim", [-1, 0])
+    def test_tight_radial_dim_must_be_positive(self, dim):
+        with pytest.raises(UsageError, match="dim must be a positive integer"):
+            tight_radial_spec(8.0, dim=dim)
+
+    EYE2 = Covariance.from_matrix(np.eye(2))
+    BAD_FIELDS = {
+        "unknown_kind": (dict(kind="cauchy"), "unknown sampler kind"),
+        "gaussian_without_cov": (dict(kind="gaussian", mean=[0.0]), "needs mean and cov"),
+        "zero_sigma": (dict(kind="paper_example", sigma=0.0, k=1.0), "sigma > 0 and k > 0"),
+        "nan_k": (dict(kind="paper_example", sigma=1.0, k=float("nan")), "sigma > 0 and k > 0"),
+        "inf_sigma": (dict(kind="paper_example", sigma=float("inf"), k=1.0), "sigma > 0 and k > 0"),
+        "eps_below_dim": (dict(kind="tight_radial", mean=[0, 0], cov=EYE2, eps=1.5), "eps >= dim"),
+        "negative_seed": (dict(kind="paper_example", sigma=1.0, k=1.0, seed=-1), "seed must be"),
+    }
+
+    @pytest.mark.parametrize("fields, match", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+    def test_direct_construction_is_checked(self, fields, match):
+        with pytest.raises(UsageError, match=match):
+            SamplerSpec(**fields)
+
+    def test_mean_is_a_read_only_copy(self):
+        mean = np.array([1.0, 2.0])
+        cov = Covariance.from_matrix(np.eye(2))
+        for spec in (
+            SamplerSpec(kind="gaussian", mean=mean, cov=cov),
+            gaussian_spec(mean, cov),
+            tight_radial_spec(8.0, mean=mean, cov=cov),
+        ):
+            with pytest.raises(ValueError):
+                spec.mean[0] = 5.0
+            mean[0] = 5.0  # the caller's array stays writable and the spec keeps its copy
+            assert spec.mean[0] == 1.0
+            mean[0] = 1.0
 
     def test_json_round_trip(self):
         specs = [
