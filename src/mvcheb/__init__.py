@@ -50,6 +50,7 @@ from .regions import (
     contains,
     ellipse_boundary,
     example_ratio,
+    log_volume_ratio,
     mahalanobis_sq,
     make_ellipsoid,
     make_sphere,
@@ -101,6 +102,7 @@ __all__ = [
     "figure_manifest",
     "gaussian_spec",
     "invert_spd",
+    "log_volume_ratio",
     "mahalanobis_sq",
     "make_ellipsoid",
     "make_sphere",

@@ -11,6 +11,8 @@ or CSV, a ragged or non-numeric array, an unknown spec kind); 3 for a
 mathematics rejects it: a matrix that is not positive definite, delta
 outside (0, 1), ...); 4 for an output I/O error. Output files are written
 to a temp file and renamed, so a failing run never leaves partial output.
+A ``det``, ``trace`` or ``ratio`` outside (0, inf) prints as null; the
+``log_det`` and ``log_ratio`` beside it stay finite.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .moments import estimate_moments, read_samples_csv, samples_to_csv_text
 from .regions import (
     chebyshev_bound,
     classical_bound,
+    log_volume_ratio,
     make_ellipsoid,
     make_sphere,
     region_to_dict,
@@ -99,6 +102,15 @@ def _emit(text: str, out: str | None) -> None:
         atomic_write_text(out, text)
 
 
+def _in_range(x: float) -> float | None:
+    """``x``, or None (JSON null) where it is outside (0, inf)."""
+    return x if 0.0 < x < math.inf else None
+
+
+def _cov_fields(cov: Covariance) -> dict:
+    return {"trace": _in_range(cov.trace), "det": _in_range(cov.det), "log_det": cov.logdet}
+
+
 def _coverage_pair_dict(pair) -> dict:
     return {"ellipsoid": pair[0].to_dict(), "sphere": pair[1].to_dict()}
 
@@ -116,8 +128,7 @@ def _cmd_estimate(args) -> int:
             {
                 "mean": [float(v) for v in est.mean],
                 "covariance": [[float(v) for v in row] for row in est.cov.entries],
-                "trace": est.cov.trace,
-                "det": est.cov.det,
+                **_cov_fields(est.cov),
             }
         ),
         args.out,
@@ -127,10 +138,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_ratio(args) -> int:
     cov = _load_cov(args.cov)
-    _emit(
-        dump_json({"trace": cov.trace, "det": cov.det, "ratio": volume_ratio(cov)}),
-        args.out,
-    )
+    ratio = {"ratio": _in_range(volume_ratio(cov)), "log_ratio": log_volume_ratio(cov)}
+    _emit(dump_json(_cov_fields(cov) | ratio), args.out)
     return 0
 
 
@@ -156,7 +165,7 @@ def _cmd_region(args) -> int:
         region = make_ellipsoid(center, cov, args.delta)
     else:
         region = make_sphere(center, cov, args.delta)
-    _emit(dump_json(region_to_dict(region, cov=cov, delta=args.delta)), args.out)
+    _emit(dump_json(region_to_dict(region, delta=args.delta)), args.out)
     return 0
 
 

@@ -193,15 +193,20 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
         raise DomainError("eps grid must be strictly ascending, positive and finite")
     mean, cov = true_moments(spec)
-    n = spec.dim
     precision = invert_spd(cov)
     var_total = cov.trace
     total = _check_n_samples(n_samples)
+    # bounds first: they refuse a level eps * Var(X) beyond the float range
+    new_bound = np.array([chebyshev_bound(spec.dim, e).clamped for e in grid.tolist()])
+    classical = np.array(
+        [classical_bound(var_total, math.sqrt(e * var_total)).clamped for e in grid.tolist()]
+    )
+    var_levels = grid * var_total
 
     def histograms(x):
         # bin k counts the samples at or above exactly k levels of the grid
         d = x - mean
-        pairs = ((grid, quad_form(d, precision)), (grid * var_total, np.einsum("ij,ij->i", d, d)))
+        pairs = ((grid, quad_form(d, precision)), (var_levels, np.einsum("ij,ij->i", d, d)))
         return np.stack([
             np.bincount(np.searchsorted(levels, v, side="right"), minlength=grid.size + 1)
             for levels, v in pairs
@@ -213,11 +218,9 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     return TailCurve(
         eps_grid=grid,
         empirical_tail=tails[0],
-        new_bound=np.array([chebyshev_bound(n, e).clamped for e in grid]),
+        new_bound=new_bound,
         classical_tail=tails[1],
-        classical_bound=np.array(
-            [classical_bound(var_total, math.sqrt(e * var_total)).clamped for e in grid]
-        ),
+        classical_bound=classical,
     )
 
 
@@ -260,7 +263,7 @@ def export_figure(
     )
     return FigureData(
         samples=samples,
-        ellipse_boundary=ellipse_boundary(ell, cov, m),
+        ellipse_boundary=ellipse_boundary(ell, m),
         circle_boundary=circle,
         params={
             "sigma": float(sigma),

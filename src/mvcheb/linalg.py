@@ -4,13 +4,16 @@ Everything downstream (regions, sampling, experiments) runs through the
 covariance matrix: its Cholesky factor, inverse, determinant and trace.
 The factorization is LAPACK's (``np.linalg.cholesky``) followed by an
 explicit, scale-invariant positive-definiteness test on its pivots.
-A :class:`Covariance` is checked once, when it is built, and its arrays are
-read-only, so the kernels that take one do not check it again.
+A :class:`Covariance` is built from the matrix alone, which is checked once;
+its factor, log determinant and trace are derived from it, and its arrays
+are read-only, so the kernels that take one do not check it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +23,12 @@ from .errors import DomainError, UsageError
 SYMMETRY_RTOL = 1e-9
 # Cholesky pivots are compared against PIVOT_RTOL * max(diagonal).
 PIVOT_RTOL = 1e-12
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def exp_or_inf(x: float) -> float:
+    """e**x, or inf beyond the float range (where ``np.exp`` would warn)."""
+    return float(np.exp(x)) if x <= _LOG_FLOAT_MAX else math.inf
 
 
 def as_float_array(x, what: str) -> np.ndarray:
@@ -31,26 +40,17 @@ def as_float_array(x, what: str) -> np.ndarray:
         raise UsageError(f"{what} is not a numeric array: {exc}") from None
 
 
-def _as_square(m) -> np.ndarray:
-    a = as_float_array(m, "matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if a.size == 0:
-        raise DomainError("matrix must be at least 1x1")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
-    return a
-
-
 def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Validate a 1-D finite vector, optionally of a required dimension."""
-    v = as_float_array(x, "vector")
+    """A read-only copy of the 1-D finite vector ``x``, optionally of a
+    required dimension; the caller's array stays writable."""
+    v = np.array(as_float_array(x, "vector"))
     if v.ndim != 1:
         raise DomainError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DomainError(f"expected dimension {dim}, got {v.shape[0]}")
     if not np.all(np.isfinite(v)):
         raise DomainError("vector entries must be finite")
+    v.setflags(write=False)
     return v
 
 
@@ -61,7 +61,13 @@ def symmetrize(m, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     round-trip noise (e.g. from text formats) and averaged away; anything
     larger raises :class:`DomainError`.
     """
-    a = _as_square(m)
+    a = as_float_array(m, "matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise DomainError("matrix must be at least 1x1")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix entries must be finite")
     scale = float(np.max(np.abs(a)))
     gap = float(np.max(np.abs(a - a.T)))
     if gap > rtol * max(scale, 1e-300):
@@ -75,46 +81,59 @@ def symmetrize(m, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
 class Covariance:
     """A validated SPD covariance matrix with its derived quantities.
 
-    The input is checked once, when :meth:`from_matrix` builds the instance:
-    it symmetrizes the matrix, runs the Cholesky factorization as the
-    positive-definiteness test, and caches the factor, determinant and
-    trace; all downstream operations reuse them. Instances are immutable
-    and their ``entries`` and ``chol`` arrays are read-only.
+    ``Covariance(m)`` (or :meth:`from_matrix`) symmetrizes ``m`` within
+    ``SYMMETRY_RTOL`` and factors it; a pivot ``L_ii**2`` at or below
+    ``PIVOT_RTOL * max(diagonal)`` (scale-invariant) is rejected. ``chol``,
+    ``logdet = 2 sum(log L_ii)`` and ``trace`` (inf beyond the float range)
+    are derived from it, never passed in. Instances are immutable and their
+    arrays read-only.
     """
 
     entries: np.ndarray
-    chol: np.ndarray
-    det: float
-    trace: float
+    chol: np.ndarray = field(init=False)
+    logdet: float = field(init=False)
+    trace: float = field(init=False)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def from_matrix(cls, m) -> "Covariance":
-        """Factor ``m``, symmetric within ``SYMMETRY_RTOL``; a pivot ``L_ii**2`` at
-        or below ``PIVOT_RTOL * max(diagonal)`` (scale-invariant) is rejected."""
-        a = symmetrize(m)
+    def __post_init__(self):
+        a = symmetrize(self.entries)
         try:
             lower = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             raise DomainError("matrix is not positive definite") from None
-        piv = np.diag(lower)
-        pivots = piv ** 2
+        pivots = np.diag(lower) ** 2
         tol = PIVOT_RTOL * float(np.max(np.diag(a)))
         bad = np.flatnonzero(pivots <= tol)
         if bad.size:
             i = int(bad[0])
             raise DomainError(f"pivot {pivots[i]:.6e} at row {i} is <= tolerance {tol:.6e}")
+        diag = np.diag(a)
+        # where np.trace could overflow (with a warning), Python's sum gives inf
+        safe = np.max(diag) <= sys.float_info.max / diag.size
         a.setflags(write=False)
         lower.setflags(write=False)
-        return cls(
-            entries=a,
-            chol=lower,
-            det=float(np.prod(piv) ** 2),
-            trace=float(np.trace(a)),
-        )
+        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "chol", lower)
+        object.__setattr__(self, "logdet", float(2.0 * np.sum(np.log(np.diag(lower)))))
+        object.__setattr__(self, "trace", float(np.trace(a)) if safe else sum(diag.tolist()))
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def det(self) -> float:
+        """(prod L_ii)^2; exp(logdet) where that product leaves the float range,
+        which gives 0 or inf only where the determinant does."""
+        try:
+            det = math.prod(np.diag(self.chol).tolist()) ** 2
+        except OverflowError:
+            det = math.inf
+        return det if 0.0 < det < math.inf else exp_or_inf(self.logdet)
+
+    @classmethod
+    def from_matrix(cls, m) -> "Covariance":
+        """The covariance of matrix ``m``; the same as ``Covariance(m)``."""
+        return cls(m)
 
 
 def cholesky(m) -> np.ndarray:
@@ -127,15 +146,22 @@ def invert_spd(c: Covariance) -> np.ndarray:
     """Precision matrix Sigma^-1, computed from the cached Cholesky factor.
 
     With L L^T = Sigma, the inverse is L^-T L^-1; the result is symmetrized
-    exactly so the precision can be reused as a quadratic-form kernel.
+    exactly and read-only so it can be reused as a quadratic-form kernel. A
+    precision beyond the float range raises :class:`DomainError`.
     """
     linv = np.linalg.solve(c.chol, np.eye(c.dim))
-    p = linv.T @ linv
-    return 0.5 * p + 0.5 * p.T
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            p = linv.T @ linv
+    except FloatingPointError:
+        raise DomainError("the precision matrix is beyond the float range") from None
+    p = 0.5 * p + 0.5 * p.T
+    p.setflags(write=False)
+    return p
 
 
 def det_spd(c: Covariance) -> float:
-    """Determinant of the covariance, cached as (prod L_ii)^2."""
+    """Determinant of the covariance (see :attr:`Covariance.det`)."""
     return c.det
 
 
@@ -150,11 +176,11 @@ def quad_form(d, p: np.ndarray) -> float | np.ndarray:
     ``d`` may be a single vector of shape (n,) or a batch of shape (..., n);
     the result is a float or an array of the leading shape. Tiny negative
     values from round-off are clamped to zero (the form is nonnegative for
-    SPD ``p``).
+    SPD ``p``, which is not checked again).
     """
-    kernel = _as_square(p)
+    kernel = np.asarray(p, dtype=float)
     dv = np.asarray(d, dtype=float)
-    if dv.shape[-1:] != (kernel.shape[0],):
+    if dv.shape[-1:] != kernel.shape[:1]:
         raise DomainError(
             f"vector dimension {dv.shape[-1:]} does not match kernel {kernel.shape}"
         )

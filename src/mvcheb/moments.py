@@ -72,9 +72,13 @@ def moment_sums(samples) -> tuple[int, np.ndarray, np.ndarray]:
     """(row count, mean, scatter) of a sample set; the scatter matrix is
     the sum of (x - mean)(x - mean)^T over the rows."""
     a = as_samples(samples)
-    mean = a.mean(axis=0)
-    centered = a - mean
-    return a.shape[0], mean, centered.T @ centered
+    try:
+        with np.errstate(over="raise"):
+            mean = a.mean(axis=0)
+            centered = a - mean
+            return a.shape[0], mean, centered.T @ centered
+    except FloatingPointError:
+        raise DomainError("the sample moments are beyond the float range") from None
 
 
 def merge_moment_sums(a, b) -> tuple[int, np.ndarray, np.ndarray]:
@@ -117,7 +121,7 @@ def example_covariance(sigma: float, k: float) -> Covariance:
         s2 = float(sigma) ** 2
     except OverflowError:
         raise DomainError(f"sigma**2 is beyond the float range, got sigma={sigma}") from None
-    return Covariance.from_matrix([[s2, s2], [s2, (k + 1.0) * s2]])
+    return Covariance.from_matrix([[s2, s2], [s2, (float(k) + 1.0) * s2]])
 
 
 def _expected_header(dim: int) -> list[str]:

@@ -16,19 +16,21 @@ greater than 1 - delta. The ellipsoid is never larger: the volume ratio
 
 is at least 1, with equality exactly when Sigma is a positive multiple of
 the identity (AM-GM on the diagonal plus Hadamard's determinant bound).
-Both regions are closed sets: membership uses <=.
+Both regions are closed sets: membership uses <=. A region is checked once,
+when it is built (a finite center, a positive finite level), and an
+ellipsoid holds the :class:`~mvcheb.linalg.Covariance` it was built from.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_vector, invert_spd, quad_form
+from .linalg import Covariance, as_vector, exp_or_inf, invert_spd, quad_form
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,28 @@ def mahalanobis_sq(x, center, precision: np.ndarray) -> float | np.ndarray:
     return quad_form(xv - c, precision)
 
 
+def _level(name: str, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class EllipsoidRegion:
-    """Closed set { v : (v-center)^T precision (v-center) <= threshold }."""
+    """Closed set { v : (v-center)^T Sigma^-1 (v-center) <= threshold }; the
+    precision Sigma^-1 is derived from ``cov`` when the region is built."""
 
     center: np.ndarray
-    precision: np.ndarray
+    cov: Covariance
     threshold: float
+    precision: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if not isinstance(self.cov, Covariance):
+            raise UsageError(f"cov must be a Covariance, got {type(self.cov).__name__}")
+        object.__setattr__(self, "center", as_vector(self.center, self.cov.dim))
+        object.__setattr__(self, "threshold", _level("threshold", self.threshold))
+        object.__setattr__(self, "precision", invert_spd(self.cov))
 
     @property
     def dim(self) -> int:
@@ -102,6 +119,10 @@ class SphereRegion:
 
     center: np.ndarray
     radius_sq: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", as_vector(self.center))
+        object.__setattr__(self, "radius_sq", _level("radius_sq", self.radius_sq))
 
     @property
     def dim(self) -> int:
@@ -116,18 +137,12 @@ def _check_delta(delta: float) -> float:
 
 def make_ellipsoid(mean, cov: Covariance, delta: float) -> EllipsoidRegion:
     """Ellipsoid with Mahalanobis threshold n/delta: coverage > 1 - delta."""
-    d = _check_delta(delta)
-    center = as_vector(mean, cov.dim)
-    return EllipsoidRegion(
-        center=center, precision=invert_spd(cov), threshold=cov.dim / d
-    )
+    return EllipsoidRegion(mean, cov, cov.dim / _check_delta(delta))
 
 
 def make_sphere(mean, cov: Covariance, delta: float) -> SphereRegion:
     """Sphere with squared radius tr(Sigma)/delta: coverage > 1 - delta."""
-    d = _check_delta(delta)
-    center = as_vector(mean, cov.dim)
-    return SphereRegion(center=center, radius_sq=cov.trace / d)
+    return SphereRegion(as_vector(mean, cov.dim), cov.trace / _check_delta(delta))
 
 
 # Membership tie margin: a point computed to sit exactly on the closed
@@ -144,21 +159,19 @@ def contains(region, x) -> bool | np.ndarray:
     relative slack so points constructed on the boundary test as members
     despite round-off.
     """
-    if isinstance(region, EllipsoidRegion):
-        d2 = mahalanobis_sq(x, region.center, region.precision)
-        result = d2 <= region.threshold * (1.0 + _BOUNDARY_RTOL)
-    elif isinstance(region, SphereRegion):
-        xv = np.asarray(x, dtype=float)
-        if xv.shape[-1:] != region.center.shape:
-            raise DomainError(
-                f"point dimension {xv.shape[-1:]} does not match center "
-                f"{region.center.shape}"
-            )
-        diff = xv - region.center
-        sq = np.einsum("...i,...i->...", diff, diff)
-        result = sq <= region.radius_sq * (1.0 + _BOUNDARY_RTOL)
-    else:
+    if not isinstance(region, (EllipsoidRegion, SphereRegion)):
         raise TypeError(f"not a region: {type(region).__name__}")
+    xv = np.asarray(x, dtype=float)
+    if xv.shape[-1:] != region.center.shape:
+        raise DomainError(
+            f"point dimension {xv.shape[-1:]} does not match center {region.center.shape}"
+        )
+    d = xv - region.center
+    if isinstance(region, EllipsoidRegion):
+        q, level = quad_form(d, region.precision), region.threshold
+    else:
+        q, level = np.einsum("...i,...i->...", d, d), region.radius_sq
+    result = q <= level * (1.0 + _BOUNDARY_RTOL)
     return bool(result) if np.ndim(result) == 0 else result
 
 
@@ -166,42 +179,48 @@ def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1)."""
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    return volume(SphereRegion(np.zeros(n), 1.0))
 
 
-def volume(region, cov: Covariance | None = None) -> float:
-    """Lebesgue volume of a region.
+def volume(region) -> float:
+    """Lebesgue volume of a region, computed in logs (0 or inf beyond the float range).
 
-    A sphere with squared radius r2 has volume V_n * r2^(n/2); an ellipsoid
-    at Mahalanobis threshold t has volume sqrt(det(Sigma)) * V_n * t^(n/2)
-    (the linear map Sigma^(1/2) scales volumes by sqrt(det)). The covariance
-    is required for ellipsoids only.
+    A ball of squared radius r2 in R^n has volume pi^(n/2) r2^(n/2) /
+    Gamma(n/2 + 1); an ellipsoid at Mahalanobis threshold t has sqrt(det(Sigma))
+    times that at r2 = t (the linear map Sigma^(1/2) scales volumes by sqrt(det)).
     """
-    n = region.dim
-    vn = unit_ball_volume(n)
     if isinstance(region, SphereRegion):
-        return vn * region.radius_sq ** (n / 2.0)
-    if isinstance(region, EllipsoidRegion):
-        if cov is None:
-            raise DomainError("ellipsoid volume requires the covariance matrix")
-        if cov.dim != n:
-            raise DomainError(
-                f"covariance dim {cov.dim} does not match region dim {n}"
-            )
-        return math.sqrt(cov.det) * vn * region.threshold ** (n / 2.0)
-    raise TypeError(f"not a region: {type(region).__name__}")
+        log_v = math.log(region.radius_sq) * region.dim / 2.0
+    elif isinstance(region, EllipsoidRegion):
+        log_v = math.log(region.threshold) * region.dim / 2.0 + region.cov.logdet / 2.0
+    else:
+        raise TypeError(f"not a region: {type(region).__name__}")
+    n = region.dim
+    return exp_or_inf(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0) + log_v)
+
+
+def log_volume_ratio(cov: Covariance) -> float:
+    """log of :func:`volume_ratio`: the sum of log(sqrt(tr(Sigma)/n) / L_ii)
+    over the Cholesky diagonal. sqrt(tr(Sigma)/n) is finite where the trace
+    is not: it is then taken from the diagonal scaled by its largest entry."""
+    if cov.trace < math.inf:
+        scale = math.sqrt(cov.trace / cov.dim)
+    else:
+        diag = np.diag(cov.entries)
+        top = float(np.max(diag))
+        scale = math.sqrt(top) * math.sqrt(float(np.sum(diag / top)) / cov.dim)
+    return float(np.sum(np.log(scale / np.diag(cov.chol))))
 
 
 def volume_ratio(cov: Covariance) -> float:
     """vol(sphere)/vol(ellipsoid) = (tr(Sigma)/n)^(n/2) / sqrt(det(Sigma)).
 
     Independent of delta (the coverage level cancels); always >= 1, with
-    equality exactly for isotropic Sigma. Computed as the product of
-    sqrt(tr(Sigma)/n) / L_ii over the Cholesky diagonal, in logs, so no
-    power or determinant leaves the float range; a ratio beyond it is inf.
+    equality exactly for isotropic Sigma. Computed as the exp of
+    :func:`log_volume_ratio`, so no power or determinant leaves the float
+    range; a ratio beyond it is inf.
     """
-    scale = math.sqrt(cov.trace / cov.dim)
-    return float(np.exp(np.sum(np.log(scale / np.diag(cov.chol)))))
+    return exp_or_inf(log_volume_ratio(cov))
 
 
 def example_ratio(k: float) -> float:
@@ -216,36 +235,35 @@ def example_ratio(k: float) -> float:
     return (k + 2.0) / (2.0 * math.sqrt(k))
 
 
-def ellipse_boundary(region: EllipsoidRegion, cov: Covariance, m: int) -> np.ndarray:
+def ellipse_boundary(region: EllipsoidRegion, m: int) -> np.ndarray:
     """m points tracing the 2-D ellipsoid boundary, ordered by angle.
 
     Point j is center + sqrt(threshold) * L @ (cos, sin)(2 pi j / m) with L
-    the Cholesky factor of the covariance; every point has squared
+    the Cholesky factor of the region's covariance; every point has squared
     Mahalanobis distance exactly the threshold (any matrix square root maps
     the unit circle to the same boundary set).
     """
-    if region.dim != 2 or cov.dim != 2:
+    if region.dim != 2:
         raise DomainError("ellipse_boundary is defined for dimension 2 only")
     if m < 3:
         raise DomainError(f"need at least 3 boundary points, got {m}")
     theta = 2.0 * np.pi * np.arange(m) / m
     circle = np.stack([np.cos(theta), np.sin(theta)])
-    return region.center + math.sqrt(region.threshold) * (cov.chol @ circle).T
+    return region.center + math.sqrt(region.threshold) * (region.cov.chol @ circle).T
 
 
-def region_to_dict(region, cov: Covariance | None = None, delta: float | None = None) -> dict:
+def region_to_dict(region, delta: float | None = None) -> dict:
     """JSON-ready form of a region.
 
-    Ellipsoids serialize with their generating covariance and delta
-    (both required); spheres need only the squared radius.
+    An ellipsoid serializes with its covariance and the ``delta`` it was
+    built at (required for an ellipsoid); a sphere needs only its squared
+    radius.
     """
     if isinstance(region, EllipsoidRegion):
-        if cov is None or delta is None:
-            raise DomainError("ellipsoid serialization requires cov and delta")
         return {
             "kind": "ellipsoid",
             "center": [float(v) for v in region.center],
-            "cov": [[float(v) for v in row] for row in cov.entries],
+            "cov": [[float(v) for v in row] for row in region.cov.entries],
             "delta": float(delta),
             "threshold": float(region.threshold),
         }
@@ -263,17 +281,7 @@ def region_from_dict(data: dict):
     kind = data.get("kind")
     if kind == "ellipsoid":
         cov = Covariance.from_matrix(data["cov"])
-        center = as_vector(data["center"], cov.dim)
-        threshold = float(data["threshold"])
-        if threshold <= 0.0:
-            raise DomainError(f"threshold must be positive, got {threshold}")
-        return EllipsoidRegion(
-            center=center, precision=invert_spd(cov), threshold=threshold
-        )
+        return EllipsoidRegion(data["center"], cov, float(data["threshold"]))
     if kind == "sphere":
-        center = as_vector(data["center"])
-        radius_sq = float(data["radius_sq"])
-        if radius_sq <= 0.0:
-            raise DomainError(f"radius_sq must be positive, got {radius_sq}")
-        return SphereRegion(center=center, radius_sq=radius_sq)
+        return SphereRegion(data["center"], float(data["radius_sq"]))
     raise DomainError(f"unknown region kind: {kind!r}")

@@ -22,7 +22,10 @@ Three generator kinds:
   holds with equality.
 
 A :class:`SamplerSpec` is checked once, when it is built, and its arrays are
-read-only, so the functions here take every spec as valid.
+read-only, so the functions here take every spec as valid. Every spec holds
+its exact mean and :class:`~mvcheb.linalg.Covariance`; a ``paper_example``
+spec derives them from sigma and k, and is refused when that covariance is
+beyond the float range.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ class SamplerSpec:
 
     Checked once, when built: the kind, then the seed, then the kind's fields.
     ``mean`` is kept as a read-only copy; the caller's array stays writable.
+    A ``paper_example`` spec sets ``mean`` and ``cov`` to its exact moments.
     """
 
     kind: str
@@ -105,16 +109,19 @@ class SamplerSpec:
                 raise UsageError("paper_example spec needs sigma and k")
             if not (0.0 < self.sigma < np.inf and 0.0 < self.k < np.inf):
                 raise UsageError("paper_example needs finite sigma > 0 and k > 0")
-            return
-        if self.kind == "gaussian":
+            object.__setattr__(self, "cov", example_covariance(self.sigma, self.k))
+            object.__setattr__(self, "mean", np.zeros(2))
+        elif self.kind == "gaussian":
             if self.mean is None or self.cov is None:
                 raise UsageError("gaussian spec needs mean and cov")
         elif self.mean is None or self.cov is None or self.eps is None:
             raise UsageError("tight_radial spec needs mean, cov and eps")
-        mean = np.array(as_vector(self.mean, self.cov.dim))
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        if self.kind == "tight_radial" and not self.dim <= self.eps < np.inf:
+        if not isinstance(self.cov, Covariance):
+            raise UsageError(f"cov must be a Covariance, got {type(self.cov).__name__}")
+        object.__setattr__(self, "mean", as_vector(self.mean, self.cov.dim))
+        if self.kind == "tight_radial" and not (
+            self.dim <= self.eps and float(self.eps) * _SHELL_MARGIN < np.inf  # a finite shell radius
+        ):
             raise UsageError(
                 "tight_radial needs eps >= dim so n/eps <= 1, and eps finite;"
                 f" got eps={self.eps}, dim={self.dim}"
@@ -122,7 +129,7 @@ class SamplerSpec:
 
     @property
     def dim(self) -> int:
-        return 2 if self.kind == "paper_example" else self.cov.dim
+        return self.cov.dim
 
 
 def gaussian_spec(mean, cov: Covariance, seed: int = 0) -> SamplerSpec:
@@ -141,7 +148,7 @@ def tight_radial_spec(
     seed: int = 0,
 ) -> SamplerSpec:
     """Equality-case distribution: dim alone means zero mean, identity Sigma."""
-    if dim is not None and int(dim) < 1:
+    if dim is not None and not (dim >= 1 and dim % 1 == 0):  # nan and inf fail too
         raise UsageError(f"dim must be a positive integer, got {dim}")
     if cov is None:
         if dim is None:
@@ -155,8 +162,6 @@ def tight_radial_spec(
 
 def true_moments(spec: SamplerSpec) -> tuple[np.ndarray, Covariance]:
     """Exact mean vector and covariance matrix of the spec's distribution."""
-    if spec.kind == "paper_example":
-        return np.zeros(2), example_covariance(spec.sigma, spec.k)
     return spec.mean.copy(), spec.cov
 
 

@@ -99,7 +99,7 @@ def test_criterion_03_ratio_property_suite():
         center = np.zeros(n)
         for delta in (0.01, 0.1, 0.5):
             explicit = volume(make_sphere(center, cov, delta)) / volume(
-                make_ellipsoid(center, cov, delta), cov
+                make_ellipsoid(center, cov, delta)
             )
             assert explicit == pytest.approx(r, rel=1e-10)
         checked += 1

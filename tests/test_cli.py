@@ -75,6 +75,30 @@ class TestRatio:
         out = run_json("ratio", "--cov", EXAMPLE_COV)
         assert out["ratio"] == pytest.approx(2.7, rel=1e-12)
         assert out["trace"] == 27.0 and out["det"] == pytest.approx(25.0, rel=1e-12)
+        assert out["log_det"] == pytest.approx(np.log(25.0), rel=1e-12)
+        assert out["log_ratio"] == pytest.approx(np.log(2.7), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "matrix, expect",
+        [
+            (1e300 * np.eye(3), {"trace": 3e300, "det": None, "ratio": 1.0, "log_ratio": 0.0}),
+            (1e308 * np.eye(2), {"trace": None, "det": None, "ratio": 1.0, "log_ratio": 0.0}),
+            (np.diag([1e-5] * 200 + [1e5] * 200), {"det": 1.0, "ratio": None}),
+        ],
+        ids=["1e300_I3", "1e308_I2", "split_diag_400"],
+    )
+    def test_out_of_range_values_print_null_under_warnings_as_errors(self, matrix, expect, tmp_path):
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps(matrix.tolist()))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "mvcheb", "ratio", "--cov", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+        assert {key: out[key] for key in expect} == pytest.approx(expect, rel=1e-12)
+        assert np.isfinite(out["log_det"]) and np.isfinite(out["log_ratio"])
 
     def test_identity(self):
         assert run_json("ratio", "--cov", "[[1,0],[0,1]]")["ratio"] == pytest.approx(1.0)
@@ -329,6 +353,7 @@ def coverage_args(spec):
         (("bound", "--classical", "--var", "1", "--eps", "1e-200"), 3),
         (("bound", "--dim", "1" + "0" * 400, "--eps", "1"), 3),
         (coverage_args({"kind": "paper_example", "sigma": 1e200, "k": 1.0}), 3),
+        (("sample", "--spec", '{"kind":"paper_example","sigma":1e200,"k":1}', "--n", "3"), 3),
         # sizes beyond the largest array are refused before anything is allocated
         (("sample", "--spec", PAPER_SPEC, "--n", str(10**20)), 3),
         (("figure", "--points", str(10**20), "--out-prefix", "unwritten_"), 3),
@@ -338,6 +363,26 @@ def coverage_args(spec):
 def test_in_process_exit_codes(argv, code, capsys):
     assert run_main(*argv) == code
     assert capsys.readouterr().err.startswith("mvcheb: error: ") == (code != 0)
+
+
+TINY = {"kind": "gaussian", "mean": [0, 0], "cov": [[1e-310, 0], [0, 1e-310]]}
+HUGE = {"kind": "gaussian", "mean": [0, 0], "cov": [[1e308, 0], [0, 1e308]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("region", "--kind", "ellipsoid", "--cov", json.dumps(TINY["cov"]), "--delta", "0.1"),
+        coverage_args(TINY),
+        coverage_args(HUGE),
+    ],
+    ids=["region_tiny_precision", "coverage_tiny_precision", "coverage_huge_sphere"],
+)
+def test_levels_beyond_float_range_exit_3_without_warning(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main(*argv) == 3
+    assert capsys.readouterr().err.startswith("mvcheb: error: ")
 
 
 def test_tiny_isotropic_ratio_is_one(capsys):

@@ -123,6 +123,41 @@ class TestCovariance:
         Covariance.from_matrix(EXAMPLE)
         assert len(calls) == 1
 
+    def test_derived_fields_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            Covariance(entries=np.eye(2), chol=5 * np.eye(2), det=-1.0, trace=0.0)
+        with pytest.raises(TypeError):
+            Covariance(np.eye(2), 5 * np.eye(2))
+
+    def test_constructor_checks_like_from_matrix(self):
+        c = Covariance(EXAMPLE)
+        assert np.array_equal(c.chol, Covariance.from_matrix(EXAMPLE).chol)
+        with pytest.raises(DomainError, match="not positive definite"):
+            Covariance([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_logdet_matches_slogdet(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 7, 50, 200, 400):
+            m = random_spd(rng, n) / n
+            for c in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+                sign, expect = np.linalg.slogdet(c * m)
+                assert sign == 1.0
+                assert Covariance.from_matrix(c * m).logdet == pytest.approx(expect, rel=1e-12)
+
+    def test_det_and_trace_beyond_float_range(self):
+        # det = (prod L_ii)^2 and the trace leave the float range; logdet does not
+        huge = Covariance.from_matrix(1e300 * np.eye(3))
+        assert huge.det == np.inf and huge.trace == 3e300
+        assert huge.logdet == pytest.approx(3 * np.log(1e300), rel=1e-15)
+        top = Covariance.from_matrix([[1e308, 0.0], [0.0, 1e308]])
+        assert top.trace == np.inf and top.det == np.inf
+        tiny = Covariance.from_matrix(1e-200 * np.eye(2))
+        assert tiny.det == 0.0 and tiny.logdet == pytest.approx(2 * np.log(1e-200), rel=1e-15)
+        # partial products leave the range although the determinant is 1
+        split = Covariance.from_matrix(np.diag([1e-5] * 200 + [1e5] * 200))
+        assert split.det == pytest.approx(1.0, rel=1e-12)
+        assert split.logdet == pytest.approx(0.0, abs=1e-9)
+
     def test_huge_finite_entries_do_not_overflow(self):
         m = [[1e308, 0.0], [0.0, 1e308]]
         assert np.array_equal(symmetrize(m), m)
@@ -147,6 +182,14 @@ class TestInverse:
     def test_huge_precision_does_not_overflow(self):
         c = Covariance.from_matrix(np.diag([1e-308, 2e-308]))
         assert np.allclose(invert_spd(c), np.diag([1e308, 0.5e308]), rtol=1e-12, atol=0.0)
+
+    def test_precision_beyond_float_range_raises(self):
+        with pytest.raises(DomainError, match="precision matrix is beyond the float range"):
+            invert_spd(Covariance.from_matrix(1e-310 * np.eye(2)))
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            invert_spd(Covariance.from_matrix(EXAMPLE))[0, 0] = 5.0
 
     def test_product_is_identity(self):
         rng = np.random.default_rng(4321)

@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from mvcheb import regions
 from mvcheb import (
     BoundValue,
     Covariance,
     DomainError,
+    EllipsoidRegion,
+    SphereRegion,
     UsageError,
     chebyshev_bound,
     classical_bound,
@@ -22,6 +25,7 @@ from mvcheb import (
     example_covariance,
     example_ratio,
     invert_spd,
+    log_volume_ratio,
     mahalanobis_sq,
     make_ellipsoid,
     make_sphere,
@@ -178,6 +182,61 @@ class TestRegions:
         pts = np.array([[0.0, 0.0], [100.0, 0.0]])
         assert contains(ell, pts).tolist() == [True, False]
 
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.inf, math.nan])
+    def test_level_must_be_positive_and_finite(self, level):
+        with pytest.raises(DomainError, match="threshold must be positive and finite"):
+            EllipsoidRegion([0.0, 0.0], EXAMPLE, level)
+        with pytest.raises(DomainError, match="radius_sq must be positive and finite"):
+            SphereRegion([0.0, 0.0], level)
+
+    def test_center_is_checked(self):
+        with pytest.raises(DomainError, match="entries must be finite"):
+            EllipsoidRegion([math.nan, 0.0], EXAMPLE, 1.0)
+        with pytest.raises(DomainError, match="entries must be finite"):
+            SphereRegion([0.0, math.inf], 1.0)
+        with pytest.raises(DomainError, match="expected dimension 2"):
+            EllipsoidRegion([0.0, 0.0, 0.0], EXAMPLE, 1.0)
+        with pytest.raises(DomainError, match="expected dimension 2"):
+            make_sphere([0.0], EXAMPLE, 0.1)
+
+    def test_ellipsoid_needs_a_covariance(self):
+        with pytest.raises(UsageError, match="cov must be a Covariance"):
+            EllipsoidRegion([0.0, 0.0], np.eye(2), 1.0)
+
+    def test_arrays_are_read_only(self):
+        center = np.array([0.5, -1.0])
+        ell = make_ellipsoid(center, EXAMPLE, 0.1)
+        for array in (ell.center, ell.precision, make_sphere(center, EXAMPLE, 0.1).center):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+        center[0] = 7.0  # the caller's array stays writable and the region keeps its copy
+        assert ell.center[0] == 0.5
+
+    def test_precision_beyond_float_range_refused_when_built(self):
+        tiny = Covariance.from_matrix(1e-310 * np.eye(2))
+        with pytest.raises(DomainError, match="precision matrix is beyond the float range"):
+            make_ellipsoid([0.0, 0.0], tiny, 0.1)
+
+    def test_sphere_radius_beyond_float_range_refused_when_built(self):
+        huge = Covariance.from_matrix([[1e308, 0.0], [0.0, 1e308]])
+        with pytest.raises(DomainError, match="radius_sq must be positive and finite"):
+            make_sphere([0.0, 0.0], huge, 0.1)
+
+    def test_membership_does_not_recheck_the_region(self, monkeypatch):
+        ell = make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1)
+        sph = make_sphere([0.0, 0.0], EXAMPLE, 0.1)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("region re-checked")
+
+        monkeypatch.setattr(regions, "as_vector", fail)
+        monkeypatch.setattr(regions, "mahalanobis_sq", fail)
+        pts = np.array([[0.0, 0.0], [100.0, 0.0]])
+        assert contains(ell, pts).tolist() == [True, False]
+        assert contains(sph, pts).tolist() == [True, False]
+        with pytest.raises(DomainError, match="point dimension"):
+            contains(sph, np.zeros((2, 3)))
+
 
 class TestVolume:
     def test_unit_ball(self):
@@ -192,18 +251,39 @@ class TestVolume:
     def test_ellipse_area(self):
         # sqrt(det) = 5, area = 5 * 20 * pi
         ell = make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1)
-        assert volume(ell, EXAMPLE) == pytest.approx(100.0 * math.pi, rel=1e-12)
+        assert volume(ell) == pytest.approx(100.0 * math.pi, rel=1e-12)
+
+    def test_ellipsoid_uses_its_own_covariance(self):
+        # a covariance other than the worked example: det 84 by the adjugate formula
+        cov = Covariance.from_matrix([[4.0, 2.0], [2.0, 22.0]])
+        ell = make_ellipsoid([1.0, -1.0], cov, 0.2)
+        assert volume(ell) == pytest.approx(math.sqrt(84.0) * 10.0 * math.pi, rel=1e-12)
+        pts = ellipse_boundary(ell, 32)
+        lower = np.linalg.cholesky(np.array([[4.0, 2.0], [2.0, 22.0]]))
+        assert np.allclose(pts[0], [1.0, -1.0] + math.sqrt(10.0) * lower[:, 0], rtol=1e-12)
+        d = pts - ell.center
+        d2 = np.einsum("ij,ij->i", d @ np.linalg.inv(cov.entries), d)
+        assert np.allclose(d2, 10.0, rtol=1e-9)
+        assert region_to_dict(ell, delta=0.2)["cov"] == [[4.0, 2.0], [2.0, 22.0]]
+
+    def test_high_dimension_returns_a_number(self):
+        # log V_400 of the unit ball by the recursion V_n = V_(n-2) * 2 pi / n from V_0 = 1
+        log_unit = sum(math.log(math.pi / j) for j in range(1, 201))
+        cov = Covariance.from_matrix(1e-3 * np.eye(400))
+        sph, ell = make_sphere(np.zeros(400), cov, 0.1), make_ellipsoid(np.zeros(400), cov, 0.1)
+        assert math.log(volume(sph)) == pytest.approx(log_unit + 200 * math.log(4.0), rel=1e-10)
+        expect = log_unit + 200 * math.log(4000.0) + 200 * math.log(1e-3)
+        assert math.log(volume(ell)) == pytest.approx(expect, rel=1e-10)
+        big = Covariance.from_matrix(np.eye(400))
+        assert volume(make_sphere(np.zeros(400), big, 0.1)) == math.inf
+        assert volume(make_ellipsoid(np.zeros(400), big, 0.1)) == math.inf
+        assert unit_ball_volume(2000) == 0.0
 
     def test_unit_3ball(self):
         cov = Covariance.from_matrix(np.eye(3))
         sph = make_sphere(np.zeros(3), cov, 0.5)
         object.__setattr__(sph, "radius_sq", 1.0)
         assert volume(sph) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
-
-    def test_ellipsoid_needs_cov(self):
-        ell = make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1)
-        with pytest.raises(DomainError, match="requires the covariance"):
-            volume(ell)
 
 
 class TestVolumeRatio:
@@ -224,6 +304,9 @@ class TestVolumeRatio:
         # det = prod(L_ii)^2 leaves the float range in each of these
         for m in (1e-170 * np.eye(2), 1e300 * np.eye(3), 10.0 * np.eye(400), 0.1 * np.eye(400)):
             assert volume_ratio(Covariance.from_matrix(m)) == pytest.approx(1.0, abs=1e-12)
+        for c in (1e-150, 0.1, 7.0, 1e150):
+            m = c * np.eye(1000)
+            assert volume_ratio(Covariance.from_matrix(m)) == pytest.approx(1.0, abs=1e-12)
 
     def test_always_at_least_one(self):
         rng = np.random.default_rng(42)
@@ -236,9 +319,30 @@ class TestVolumeRatio:
         for _ in range(40):
             cov = random_spd_cov(rng, 3)
             r = volume_ratio(cov)
-            for c in (1e-6, 0.5, 7.0, 1e6):
+            for c in (1e-150, 1e-75, 1e-6, 0.5, 7.0, 1e6, 1e75, 1e150):
                 scaled = Covariance.from_matrix(c * cov.entries)
                 assert volume_ratio(scaled) == pytest.approx(r, rel=1e-12)
+
+    def test_at_least_one_in_hundreds_of_dimensions(self):
+        rng = np.random.default_rng(46)
+        for n in (100, 200, 300):
+            a = rng.standard_normal((n, n))
+            wide = Covariance.from_matrix(a @ a.T / n + 0.5 * np.eye(n))
+            sym = (a + a.T) / (2.0 * n)  # spectral norm about 1.4/sqrt(n): I + sym stays SPD
+            near = Covariance.from_matrix(np.eye(n) + 0.1 * sym)
+            for cov in (wide, near):
+                assert log_volume_ratio(cov) > 0.0
+                assert volume_ratio(cov) >= 1.0
+
+    def test_ratio_where_trace_or_ratio_leaves_the_float_range(self):
+        top = Covariance.from_matrix([[1e308, 0.0], [0.0, 1e308]])
+        assert top.trace == math.inf and volume_ratio(top) == 1.0
+        split = Covariance.from_matrix(np.diag([1e-5] * 200 + [1e5] * 200))
+        # sqrt(tr/n) = sqrt(50000.000005), against L_ii = sqrt(1e-5) and sqrt(1e5)
+        scale = math.sqrt(50000.000005)
+        expect = 200 * (math.log(scale / math.sqrt(1e-5)) + math.log(scale / math.sqrt(1e5)))
+        assert log_volume_ratio(split) == pytest.approx(expect, rel=1e-12)
+        assert volume_ratio(split) == math.inf
 
     def test_delta_free_and_dominance(self):
         # explicit volumes reproduce the closed form at any delta and the
@@ -251,7 +355,7 @@ class TestVolumeRatio:
                 center = np.zeros(n)
                 for delta in (0.01, 0.1, 0.5):
                     vb = volume(make_sphere(center, cov, delta))
-                    ve = volume(make_ellipsoid(center, cov, delta), cov)
+                    ve = volume(make_ellipsoid(center, cov, delta))
                     assert vb / ve == pytest.approx(r, rel=1e-12)
                     assert vb >= ve * (1.0 - 1e-12)
 
@@ -288,23 +392,23 @@ class TestEllipseBoundary:
         eye2 = Covariance.from_matrix(np.eye(2))
         ell = make_ellipsoid([0.0, 0.0], eye2, 0.5)
         object.__setattr__(ell, "threshold", 1.0)
-        pts = ellipse_boundary(ell, eye2, 4)
+        pts = ellipse_boundary(ell, 4)
         assert np.allclose(pts, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-12)
 
     def test_first_point_is_first_cholesky_column(self):
         ell = make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1)
-        pts = ellipse_boundary(ell, EXAMPLE, 8)
+        pts = ellipse_boundary(ell, 8)
         assert np.allclose(pts[0], math.sqrt(20.0) * np.array([1.0, 1.0]), rtol=1e-12)
 
     def test_points_sit_on_the_level_set(self):
         ell = make_ellipsoid([0.5, -2.0], EXAMPLE, 0.1)
-        pts = ellipse_boundary(ell, EXAMPLE, 64)
+        pts = ellipse_boundary(ell, 64)
         d2 = mahalanobis_sq(pts, ell.center, ell.precision)
         assert np.max(np.abs(d2 - ell.threshold)) <= 1e-9
 
     def test_membership_flips_just_outside(self):
         ell = make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1)
-        pts = ellipse_boundary(ell, EXAMPLE, 16)
+        pts = ellipse_boundary(ell, 16)
         for p in pts:
             assert contains(ell, p)
             assert not contains(ell, ell.center + 1.001 * (p - ell.center))
@@ -313,13 +417,13 @@ class TestEllipseBoundary:
         cov3 = Covariance.from_matrix(np.eye(3))
         ell3 = make_ellipsoid(np.zeros(3), cov3, 0.5)
         with pytest.raises(DomainError, match="dimension 2 only"):
-            ellipse_boundary(ell3, cov3, 8)
+            ellipse_boundary(ell3, 8)
 
 
 class TestRegionJson:
     def test_ellipsoid_round_trip(self):
         ell = make_ellipsoid([0.25, -1.0], EXAMPLE, 0.1)
-        d = region_to_dict(ell, cov=EXAMPLE, delta=0.1)
+        d = region_to_dict(ell, delta=0.1)
         assert d["kind"] == "ellipsoid"
         assert d["threshold"] == pytest.approx(20.0, rel=1e-15)
         back = region_from_dict(d)

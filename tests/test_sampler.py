@@ -6,6 +6,7 @@ import pytest
 
 from mvcheb import (
     Covariance,
+    DomainError,
     SamplerSpec,
     UsageError,
     draw,
@@ -63,12 +64,12 @@ class TestSpecs:
         with pytest.raises(UsageError, match="needs eps >= dim"):
             tight_radial_spec(1.5, dim=2)
 
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 1.79769313e308])
     def test_tight_radial_eps_finite(self, eps):
         with pytest.raises(UsageError, match="and eps finite"):
             tight_radial_spec(eps, dim=2)
 
-    @pytest.mark.parametrize("dim", [-1, 0])
+    @pytest.mark.parametrize("dim", [-1, 0, 2.5, float("nan"), float("inf")])
     def test_tight_radial_dim_must_be_positive(self, dim):
         with pytest.raises(UsageError, match="dim must be a positive integer"):
             tight_radial_spec(8.0, dim=dim)
@@ -82,12 +83,18 @@ class TestSpecs:
         "inf_sigma": (dict(kind="paper_example", sigma=float("inf"), k=1.0), "sigma > 0 and k > 0"),
         "eps_below_dim": (dict(kind="tight_radial", mean=[0, 0], cov=EYE2, eps=1.5), "eps >= dim"),
         "negative_seed": (dict(kind="paper_example", sigma=1.0, k=1.0, seed=-1), "seed must be"),
+        "cov_not_a_covariance": (dict(kind="gaussian", mean=[0, 0], cov=np.eye(2)), "a Covariance"),
     }
 
     @pytest.mark.parametrize("fields, match", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
     def test_direct_construction_is_checked(self, fields, match):
         with pytest.raises(UsageError, match=match):
             SamplerSpec(**fields)
+
+    @pytest.mark.parametrize("sigma, k", [(1e200, 1.0), (1e150, 1e10)])
+    def test_paper_example_beyond_float_range_refused_when_built(self, sigma, k):
+        with pytest.raises(DomainError):
+            paper_example_spec(sigma, k)
 
     def test_mean_is_a_read_only_copy(self):
         mean = np.array([1.0, 2.0])
@@ -114,9 +121,12 @@ class TestSpecs:
             assert np.array_equal(draw(spec, 16), draw(back, 16))
 
     def test_true_moments_paper_example(self):
-        mean, cov = true_moments(paper_example_spec(2.0, 1.0))
+        spec = paper_example_spec(2.0, 1.0)
+        mean, cov = true_moments(spec)
         assert np.array_equal(mean, [0.0, 0.0])
         assert np.array_equal(cov.entries, [[4.0, 4.0], [4.0, 8.0]])
+        # the spec holds its moments, checked when it was built
+        assert cov is spec.cov and spec.dim == 2
 
 
 class TestDraw:
