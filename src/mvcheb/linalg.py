@@ -100,13 +100,13 @@ class Covariance:
             lower = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             raise DomainError("matrix is not positive definite") from None
+        diag = np.diag(a)
         pivots = np.diag(lower) ** 2
-        tol = PIVOT_RTOL * float(np.max(np.diag(a)))
+        tol = PIVOT_RTOL * float(np.max(diag))
         bad = np.flatnonzero(pivots <= tol)
         if bad.size:
             i = int(bad[0])
             raise DomainError(f"pivot {pivots[i]:.6e} at row {i} is <= tolerance {tol:.6e}")
-        diag = np.diag(a)
         # where np.trace could overflow (with a warning), Python's sum gives inf
         safe = np.max(diag) <= sys.float_info.max / diag.size
         a.setflags(write=False)

@@ -71,18 +71,22 @@ def classical_bound(var_total: float, eps: float) -> BoundValue:
         return _bound(var / e / e)
 
 
+def _offsets(x, center: np.ndarray) -> np.ndarray:
+    """x - center for one point of shape (n,) or a batch of shape (N, n)."""
+    xv = np.asarray(x, dtype=float)
+    if xv.shape[-1:] != center.shape:
+        raise DomainError(
+            f"point dimension {xv.shape[-1:]} does not match center {center.shape}"
+        )
+    return xv - center
+
+
 def mahalanobis_sq(x, center, precision: np.ndarray) -> float | np.ndarray:
     """Squared Mahalanobis distance (x - center)^T Sigma^-1 (x - center).
 
     ``x`` may be one vector of shape (n,) or a batch of shape (N, n).
     """
-    c = as_vector(center)
-    xv = np.asarray(x, dtype=float)
-    if xv.shape[-1:] != c.shape:
-        raise DomainError(
-            f"point dimension {xv.shape[-1:]} does not match center {c.shape}"
-        )
-    return quad_form(xv - c, precision)
+    return quad_form(_offsets(x, as_vector(center)), precision)
 
 
 def _level(name: str, value: float) -> float:
@@ -161,12 +165,7 @@ def contains(region, x) -> bool | np.ndarray:
     """
     if not isinstance(region, (EllipsoidRegion, SphereRegion)):
         raise TypeError(f"not a region: {type(region).__name__}")
-    xv = np.asarray(x, dtype=float)
-    if xv.shape[-1:] != region.center.shape:
-        raise DomainError(
-            f"point dimension {xv.shape[-1:]} does not match center {region.center.shape}"
-        )
-    d = xv - region.center
+    d = _offsets(x, region.center)
     if isinstance(region, EllipsoidRegion):
         q, level = quad_form(d, region.precision), region.threshold
     else:
