@@ -25,19 +25,16 @@ from .experiments import (
 )
 from .linalg import (
     Covariance,
-    cholesky,
     det_spd,
     invert_spd,
     quad_form,
     symmetrize,
-    trace,
 )
 from .moments import (
     MomentEstimate,
     estimate_moments,
     example_covariance,
     read_samples_csv,
-    sample_covariance,
     sample_mean,
     write_samples_csv,
 )
@@ -56,7 +53,6 @@ from .regions import (
     make_sphere,
     region_from_dict,
     region_to_dict,
-    unit_ball_volume,
     volume,
     volume_ratio,
 )
@@ -87,7 +83,6 @@ __all__ = [
     "TailCurve",
     "UsageError",
     "chebyshev_bound",
-    "cholesky",
     "classical_bound",
     "contains",
     "det_spd",
@@ -114,16 +109,13 @@ __all__ = [
     "run_coverage",
     "run_coverage_estimated",
     "run_tail_curve",
-    "sample_covariance",
     "sample_mean",
     "spec_from_dict",
     "spec_to_dict",
     "symmetrize",
     "tight_radial_spec",
-    "trace",
     "trace_identity_check",
     "true_moments",
-    "unit_ball_volume",
     "volume",
     "volume_ratio",
     "write_samples_csv",

@@ -34,7 +34,7 @@ from .experiments import (
     run_coverage_estimated,
     run_tail_curve,
 )
-from .jsonio import atomic_write_many, atomic_write_text, dump_json
+from .jsonio import atomic_write_many, dump_json
 from .linalg import Covariance
 from .moments import estimate_moments, read_samples_csv, samples_to_csv_text
 from .regions import (
@@ -99,7 +99,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        atomic_write_text(out, text)
+        atomic_write_many({out: text})
 
 
 def _in_range(x: float) -> float | None:

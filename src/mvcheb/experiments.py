@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .regions import (
 from .sampler import (
     SamplerSpec,
     blocks_per_sample,
-    check_entries,
     draw,
     draw_range,
     paper_example_spec,
@@ -100,8 +101,15 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_chunk, streams: int = 1):
         return per_chunk(draw_range(spec, start, min(start + size, n_samples)))
 
     def results():
+        # a chunk is submitted as each result is taken, so at most
+        # 2 * streams are in flight and memory stays flat in N
+        starts = iter(range(0, n_samples, size))
         with ThreadPoolExecutor(max_workers=streams) as pool:
-            yield from pool.map(chunk, range(0, n_samples, size))
+            pending = deque(pool.submit(chunk, s) for s in islice(starts, 2 * streams))
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(chunk, s) for s in islice(starts, 1))
+                yield result
 
     return results()
 
@@ -128,15 +136,16 @@ def run_coverage(
 
 
 def run_coverage_estimated(
-    spec: SamplerSpec, delta: float, n_samples: int, ddof: int = 1, streams: int = 1
+    spec: SamplerSpec, delta: float, n_samples: int, streams: int = 1
 ) -> dict:
     """Coverage with both true and re-fitted moments on one sample set.
 
     Returns ``{"true": (ellipsoid, sphere), "estimated": (ellipsoid,
     sphere)}`` where the estimated pair rebuilds the regions from the
-    sample mean and covariance of the same draws. The first pass counts
-    the true-moment hits and merges per-chunk moment sums; the second
-    redraws each chunk and counts the hits of the fitted regions.
+    sample mean and unbiased (ddof=1) covariance of the same draws. The
+    first pass counts the true-moment hits and merges per-chunk moment
+    sums; the second redraws each chunk and counts the hits of the fitted
+    regions.
     """
     n = _check_n_samples(n_samples)
     count = _hit_counter(*true_moments(spec), delta)
@@ -144,7 +153,7 @@ def run_coverage_estimated(
         lambda a, b: (a[0] + b[0], merge_moment_sums(a[1], b[1])),
         _reduce(spec, n, lambda x: (count(x), moment_sums(x)), streams),
     )
-    fitted = moments_from_sums(sums, ddof=ddof)
+    fitted = moments_from_sums(sums)
     count_fitted = _hit_counter(fitted.mean, fitted.cov, delta)
     return {
         "true": _reports(delta, n, hits),
@@ -256,15 +265,10 @@ def export_figure(
     ell = make_ellipsoid(mean, cov, delta)
     sph = make_sphere(mean, cov, delta)
     m = int(boundary_points)
-    check_entries(2 * m, f"{m} boundary points")
-    theta = 2.0 * np.pi * np.arange(m) / m
-    circle = sph.center + math.sqrt(sph.radius_sq) * np.stack(
-        [np.cos(theta), np.sin(theta)], axis=1
-    )
     return FigureData(
         samples=samples,
         ellipse_boundary=ellipse_boundary(ell, m),
-        circle_boundary=circle,
+        circle_boundary=ellipse_boundary(sph, m),
         params={
             "sigma": float(sigma),
             "k": float(k),
@@ -277,15 +281,13 @@ def export_figure(
     )
 
 
-def figure_manifest(fig: FigureData, files: dict | None = None) -> dict:
-    out = {
+def figure_manifest(fig: FigureData, files: dict) -> dict:
+    return {
         "params": dict(fig.params),
         "threshold": fig.threshold,
         "radius_sq": fig.radius_sq,
+        "files": files,
     }
-    if files is not None:
-        out["files"] = files
-    return out
 
 
 def _xy_csv(points: np.ndarray) -> str:

@@ -19,11 +19,6 @@ def dump_json(obj) -> str:
         raise DomainError(str(exc)) from None
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write one file atomically (see :func:`atomic_write_many`)."""
-    atomic_write_many({path: text})
-
-
 def atomic_write_many(outputs: dict[str, str]) -> None:
     """Write a set of files via sibling temp files: stage every temp
     first, then rename each onto its target. Any error removes every temp

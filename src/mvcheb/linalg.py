@@ -11,6 +11,7 @@ are read-only, so the kernels that take one do not check it again.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -29,6 +30,17 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 def exp_or_inf(x: float) -> float:
     """e**x, or inf beyond the float range (where ``np.exp`` would warn)."""
     return float(np.exp(x)) if x <= _LOG_FLOAT_MAX else math.inf
+
+
+@contextlib.contextmanager
+def float_range_guard(message: str):
+    """Raise :class:`DomainError` ``message`` where numpy arithmetic in the
+    block overflows or turns invalid, instead of warning and going on."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise DomainError(message) from None
 
 
 def as_float_array(x, what: str) -> np.ndarray:
@@ -54,12 +66,12 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def symmetrize(m, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def symmetrize(m) -> np.ndarray:
     """Return (M + M^T)/2, rejecting matrices that are meaningfully asymmetric.
 
-    Asymmetry up to ``rtol`` relative to the largest entry is treated as
-    round-trip noise (e.g. from text formats) and averaged away; anything
-    larger raises :class:`DomainError`.
+    Asymmetry up to ``SYMMETRY_RTOL`` relative to the largest entry is
+    treated as round-trip noise (e.g. from text formats) and averaged away;
+    anything larger raises :class:`DomainError`.
     """
     a = as_float_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -70,9 +82,9 @@ def symmetrize(m, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
         raise DomainError("matrix entries must be finite")
     scale = float(np.max(np.abs(a)))
     gap = float(np.max(np.abs(a - a.T)))
-    if gap > rtol * max(scale, 1e-300):
+    if gap > SYMMETRY_RTOL * max(scale, 1e-300):
         raise DomainError(
-            f"matrix asymmetry {gap:.3e} exceeds {rtol:.1e} relative to scale {scale:.3e}"
+            f"matrix asymmetry {gap:.3e} exceeds {SYMMETRY_RTOL:.1e} relative to scale {scale:.3e}"
         )
     return 0.5 * a + 0.5 * a.T  # a + a.T would overflow above about 9e307
 
@@ -136,12 +148,6 @@ class Covariance:
         return cls(m)
 
 
-def cholesky(m) -> np.ndarray:
-    """Lower-triangular L with L L^T = m for symmetric positive-definite m,
-    checked as :meth:`Covariance.from_matrix` checks it; L is read-only."""
-    return Covariance.from_matrix(m).chol
-
-
 def invert_spd(c: Covariance) -> np.ndarray:
     """Precision matrix Sigma^-1, computed from the cached Cholesky factor.
 
@@ -150,11 +156,8 @@ def invert_spd(c: Covariance) -> np.ndarray:
     precision beyond the float range raises :class:`DomainError`.
     """
     linv = np.linalg.solve(c.chol, np.eye(c.dim))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            p = linv.T @ linv
-    except FloatingPointError:
-        raise DomainError("the precision matrix is beyond the float range") from None
+    with float_range_guard("the precision matrix is beyond the float range"):
+        p = linv.T @ linv
     p = 0.5 * p + 0.5 * p.T
     p.setflags(write=False)
     return p
@@ -163,11 +166,6 @@ def invert_spd(c: Covariance) -> np.ndarray:
 def det_spd(c: Covariance) -> float:
     """Determinant of the covariance (see :attr:`Covariance.det`)."""
     return c.det
-
-
-def trace(c: Covariance) -> float:
-    """Trace of the covariance, i.e. the total variance."""
-    return c.trace
 
 
 def quad_form(d, p: np.ndarray) -> float | np.ndarray:

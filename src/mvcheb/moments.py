@@ -11,12 +11,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from os import PathLike
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_float_array
+from .linalg import Covariance, as_float_array, float_range_guard
+
+_MOMENTS_RANGE = "the sample moments are beyond the float range"
 
 
 def as_samples(rows) -> np.ndarray:
@@ -38,8 +39,17 @@ def sample_mean(samples) -> np.ndarray:
     return as_samples(samples).mean(axis=0)
 
 
-def sample_covariance(samples, ddof: int = 1, ridge: float = 0.0) -> Covariance:
-    """Sample covariance matrix as a validated :class:`Covariance`.
+@dataclass(frozen=True, eq=False)
+class MomentEstimate:
+    """Estimated mean vector and covariance matrix of a sample set."""
+
+    mean: np.ndarray
+    cov: Covariance
+    ddof: int
+
+
+def estimate_moments(samples, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate:
+    """Sample mean and covariance, the latter a validated :class:`Covariance`.
 
     Parameters
     ----------
@@ -52,19 +62,6 @@ def sample_covariance(samples, ddof: int = 1, ridge: float = 0.0) -> Covariance:
         keeps the estimator exact; degeneracy then surfaces as
         :class:`DomainError`.
     """
-    return estimate_moments(samples, ddof=ddof, ridge=ridge).cov
-
-
-@dataclass(frozen=True, eq=False)
-class MomentEstimate:
-    """Estimated mean vector and covariance matrix of a sample set."""
-
-    mean: np.ndarray
-    cov: Covariance
-    ddof: int
-
-
-def estimate_moments(samples, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate:
     return moments_from_sums(moment_sums(samples), ddof=ddof, ridge=ridge)
 
 
@@ -72,22 +69,20 @@ def moment_sums(samples) -> tuple[int, np.ndarray, np.ndarray]:
     """(row count, mean, scatter) of a sample set; the scatter matrix is
     the sum of (x - mean)(x - mean)^T over the rows."""
     a = as_samples(samples)
-    try:
-        with np.errstate(over="raise"):
-            mean = a.mean(axis=0)
-            centered = a - mean
-            return a.shape[0], mean, centered.T @ centered
-    except FloatingPointError:
-        raise DomainError("the sample moments are beyond the float range") from None
+    with float_range_guard(_MOMENTS_RANGE):
+        mean = a.mean(axis=0)
+        centered = a - mean
+        return a.shape[0], mean, centered.T @ centered
 
 
 def merge_moment_sums(a, b) -> tuple[int, np.ndarray, np.ndarray]:
     """Moment sums of the union of two sample sets, from those of each part
     (the pairwise update of Chan, Golub & LeVeque, 1979)."""
     (n_a, mean_a, scatter_a), (n_b, mean_b, scatter_b) = a, b
-    n, shift = n_a + n_b, mean_b - mean_a
-    scatter = scatter_a + scatter_b + np.outer(shift, shift) * (n_a * n_b / n)
-    return n, mean_a + shift * (n_b / n), scatter
+    with float_range_guard(_MOMENTS_RANGE):
+        n, shift = n_a + n_b, mean_b - mean_a
+        scatter = scatter_a + scatter_b + np.outer(shift, shift) * (n_a * n_b / n)
+        return n, mean_a + shift * (n_b / n), scatter
 
 
 def moments_from_sums(sums, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate:
@@ -129,16 +124,13 @@ def _expected_header(dim: int) -> list[str]:
 
 
 def read_samples_csv(source) -> np.ndarray:
-    """Read a sample set from a CSV path or text stream.
+    """Read a sample set from a CSV text stream.
 
     The header must be ``x1,...,xn``; every data row must have exactly n
     numeric fields. Ragged or non-numeric rows raise :class:`UsageError`
     naming the offending line, as do a header with no data rows and text
     that does not decode or parse as CSV.
     """
-    if isinstance(source, (str, PathLike)):
-        with open(source, newline="") as fh:
-            return read_samples_csv(fh)
     try:
         return _parse_samples_csv(csv.reader(source))
     except (csv.Error, UnicodeDecodeError) as exc:
@@ -172,12 +164,9 @@ def _parse_samples_csv(reader) -> np.ndarray:
 
 
 def write_samples_csv(samples, target) -> None:
-    """Write a sample set in the CSV interchange format (lossless floats)."""
+    """Write a sample set to a text stream in the CSV interchange format
+    (lossless floats)."""
     a = as_samples(samples)
-    if isinstance(target, (str, PathLike)):
-        with open(target, "w", newline="") as fh:
-            write_samples_csv(a, fh)
-        return
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(_expected_header(a.shape[1]))
     for row in a:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .linalg import Covariance, as_vector, exp_or_inf, invert_spd, quad_form
+from .sampler import check_entries
 
 
 @dataclass(frozen=True)
@@ -174,13 +175,6 @@ def contains(region, x) -> bool | np.ndarray:
     return bool(result) if np.ndim(result) == 0 else result
 
 
-def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1)."""
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
-    return volume(SphereRegion(np.zeros(n), 1.0))
-
-
 def volume(region) -> float:
     """Lebesgue volume of a region, computed in logs (0 or inf beyond the float range).
 
@@ -234,20 +228,26 @@ def example_ratio(k: float) -> float:
     return (k + 2.0) / (2.0 * math.sqrt(k))
 
 
-def ellipse_boundary(region: EllipsoidRegion, m: int) -> np.ndarray:
-    """m points tracing the 2-D ellipsoid boundary, ordered by angle.
+def ellipse_boundary(region, m: int) -> np.ndarray:
+    """m points tracing the boundary of a 2-D region, ordered by angle.
 
-    Point j is center + sqrt(threshold) * L @ (cos, sin)(2 pi j / m) with L
-    the Cholesky factor of the region's covariance; every point has squared
-    Mahalanobis distance exactly the threshold (any matrix square root maps
-    the unit circle to the same boundary set).
+    Point j is center + sqrt(level) * L @ (cos, sin)(2 pi j / m). For an
+    ellipsoid the level is its threshold and L the Cholesky factor of its
+    covariance, so every point has squared Mahalanobis distance exactly the
+    threshold (any matrix square root maps the unit circle to the same
+    boundary set); for a sphere the level is its squared radius and L = I.
     """
+    if not isinstance(region, (EllipsoidRegion, SphereRegion)):
+        raise TypeError(f"not a region: {type(region).__name__}")
     if region.dim != 2:
         raise DomainError("ellipse_boundary is defined for dimension 2 only")
     if m < 3:
         raise DomainError(f"need at least 3 boundary points, got {m}")
+    check_entries(2 * m, f"{m} boundary points")
     theta = 2.0 * np.pi * np.arange(m) / m
     circle = np.stack([np.cos(theta), np.sin(theta)])
+    if isinstance(region, SphereRegion):
+        return region.center + math.sqrt(region.radius_sq) * circle.T
     return region.center + math.sqrt(region.threshold) * (region.cov.chol @ circle).T
 
 

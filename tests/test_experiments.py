@@ -5,7 +5,9 @@ law of d^2 for Gaussian draws gives independent expected values."""
 import contextlib
 import io
 import json
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from mvcheb import (
     UsageError,
     contains,
     draw,
+    ellipse_boundary,
     estimate_moments,
     example_covariance,
     export_figure,
@@ -338,6 +341,40 @@ class TestReducer:
         assert np.all(self._draws_per_index(calls) == 2)
         assert max(b - a for a, b in calls) <= chunk
 
+    def test_at_most_two_chunks_per_stream_in_flight(self, monkeypatch):
+        calls = self._record_draws(monkeypatch)
+        results = experiments._reduce(PAPER, self.N, len, streams=2)
+        assert next(results) == SMALL_CHUNK // blocks_per_sample(PAPER)
+        time.sleep(0.05)  # ample time for idle workers to draw whatever was submitted
+        # four submitted up front, one more as the first result was taken
+        assert len(calls) <= 5
+        results.close()
+
+    def test_peak_memory_is_flat_in_the_chunk_count(self):
+        chunk = SMALL_CHUNK // blocks_per_sample(PAPER)
+
+        def peak(n_chunks):
+            tracemalloc.start()
+            try:
+                run_coverage(PAPER, self.DELTA, n_chunks * chunk, streams=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200), peak(2000)
+        assert large <= 1.5 * small, (small, large)
+
+    def test_merged_moments_beyond_float_range_exit_3_without_warning(self, capsys):
+        # one chunk's scatter (about 64e306) is in range; the merge of many is not
+        spec = {"kind": "gaussian", "mean": [0, 0], "cov": [[1e306, 0], [0, 1e306]]}
+        argv = ["coverage", "--spec", json.dumps(spec), "--delta", "0.1",
+                "--n", "1000", "--estimated"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "mvcheb: error: the sample moments are beyond the float range\n"
+
 
 def test_coverage_peak_memory_is_flat_in_n():
     def peak(n):
@@ -406,3 +443,9 @@ class TestFigureExport:
         assert man["radius_sq"] == fig.radius_sq
         assert man["params"]["k"] == 25.0
         assert man["files"] == {"samples": "s.csv"}
+
+    def test_circle_is_the_sphere_boundary(self):
+        fig = export_figure(boundary_points=33, seed=2)
+        mean, cov = true_moments(paper_example_spec(1.0, 25.0, seed=2))
+        sph = make_sphere(mean, cov, 0.1)
+        assert np.array_equal(fig.circle_boundary, ellipse_boundary(sph, 33))

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from mvcheb.jsonio import atomic_write_many, atomic_write_text, dump_json
+from mvcheb.jsonio import atomic_write_many, dump_json
 
 
 def test_dump_json_round_trips_floats():
@@ -14,17 +14,17 @@ def test_dump_json_round_trips_floats():
     assert back["v"] == values
 
 
-def test_atomic_write_text(tmp_path):
+def test_atomic_write_many_one_file(tmp_path):
     path = tmp_path / "out.json"
-    atomic_write_text(str(path), "hello\n")
+    atomic_write_many({str(path): "hello\n"})
     assert path.read_text() == "hello\n"
     assert os.listdir(tmp_path) == ["out.json"]  # no temp litter
 
 
-def test_atomic_write_text_failure_leaves_nothing(tmp_path):
+def test_atomic_write_many_one_file_failure_leaves_nothing(tmp_path):
     missing = tmp_path / "no_such_dir" / "out.json"
     with pytest.raises(OSError):
-        atomic_write_text(str(missing), "x")
+        atomic_write_many({str(missing): "x"})
     assert not (tmp_path / "no_such_dir").exists()
 
 

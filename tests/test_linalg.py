@@ -11,12 +11,10 @@ from mvcheb import linalg
 from mvcheb import (
     Covariance,
     DomainError,
-    cholesky,
     det_spd,
     invert_spd,
     quad_form,
     symmetrize,
-    trace,
 )
 
 EXAMPLE = [[1.0, 1.0], [1.0, 26.0]]
@@ -35,22 +33,22 @@ def random_spd(rng, n):
 
 class TestCholesky:
     def test_diagonal(self):
-        assert np.allclose(cholesky([[4.0, 0.0], [0.0, 9.0]]), np.diag([2.0, 3.0]))
+        assert np.allclose(Covariance([[4.0, 0.0], [0.0, 9.0]]).chol, np.diag([2.0, 3.0]))
 
     def test_example_matrix(self):
         # hand elimination: L11=1, L21=1, L22=sqrt(26-1)=5
-        lower = cholesky(EXAMPLE)
+        lower = Covariance(EXAMPLE).chol
         assert np.allclose(lower, [[1.0, 0.0], [1.0, 5.0]])
         assert np.allclose(lower @ lower.T, EXAMPLE, rtol=1e-10)
 
     def test_indefinite_rejected(self):
         # eigenvalues 3 and -1
         with pytest.raises(DomainError, match="not positive definite"):
-            cholesky([[1.0, 2.0], [2.0, 1.0]])
+            Covariance([[1.0, 2.0], [2.0, 1.0]])
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError, match="asymmetry"):
-            cholesky([[1.0, 0.5], [0.0, 1.0]])
+            Covariance([[1.0, 0.5], [0.0, 1.0]])
 
     def test_mild_asymmetry_symmetrized(self):
         m = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]])
@@ -61,21 +59,21 @@ class TestCholesky:
         ones = np.ones((2, 2))
         for scale in (1.0, 1e-8, 1e8):
             with pytest.raises(DomainError, match="not positive definite"):
-                cholesky(scale * ones)
+                Covariance(scale * ones)
 
     def test_near_singular_rejected_scale_invariantly(self):
         # LAPACK factors this matrix; the relative pivot rule must still reject it
         near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
         for scale in (1.0, 1e-8, 1e8):
             with pytest.raises(DomainError, match="<= tolerance"):
-                cholesky(scale * near)
+                Covariance(scale * near)
 
     def test_reconstruction_random_spd(self):
         rng = np.random.default_rng(1234)
         for n in range(1, 7):
             for _ in range(50):
                 m = random_spd(rng, n)
-                lower = cholesky(m)
+                lower = Covariance(m).chol
                 assert np.allclose(lower @ lower.T, m, rtol=1e-10, atol=1e-12)
                 assert np.all(np.diag(lower) > 0)
 
@@ -161,7 +159,7 @@ class TestCovariance:
     def test_huge_finite_entries_do_not_overflow(self):
         m = [[1e308, 0.0], [0.0, 1e308]]
         assert np.array_equal(symmetrize(m), m)
-        assert np.array_equal(cholesky([[1e308]]), [[np.sqrt(1e308)]])
+        assert np.array_equal(Covariance([[1e308]]).chol, [[np.sqrt(1e308)]])
 
 
 class TestInverse:
@@ -216,8 +214,8 @@ class TestDetTrace:
         )
 
     def test_trace_examples(self):
-        assert trace(Covariance.from_matrix(np.eye(5))) == 5.0
-        assert trace(Covariance.from_matrix(EXAMPLE)) == 27.0
+        assert Covariance.from_matrix(np.eye(5)).trace == 5.0
+        assert Covariance.from_matrix(EXAMPLE).trace == 27.0
 
     def test_det_adjugate_oracle_2x2(self):
         rng = np.random.default_rng(77)

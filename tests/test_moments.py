@@ -14,10 +14,10 @@ from mvcheb import (
     example_covariance,
     paper_example_spec,
     read_samples_csv,
-    sample_covariance,
     sample_mean,
     write_samples_csv,
 )
+from mvcheb.moments import merge_moment_sums, moment_sums
 from mvcheb.sampler import draw
 
 
@@ -42,24 +42,24 @@ class TestSampleMean:
 
 class TestSampleCovariance:
     def test_pm_one_ddof0(self):
-        c = sample_covariance([[-1.0], [1.0]], ddof=0)
+        c = estimate_moments([[-1.0], [1.0]], ddof=0).cov
         assert c.entries[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_pm_one_ddof1(self):
-        c = sample_covariance([[-1.0], [1.0]], ddof=1)
+        c = estimate_moments([[-1.0], [1.0]], ddof=1).cov
         assert c.entries[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_insufficient_for_ddof(self):
         with pytest.raises(DomainError, match="need at least 2 rows"):
-            sample_covariance([[1.0]], ddof=1)
+            estimate_moments([[1.0]], ddof=1)
 
     def test_degenerate_is_error(self):
         # two points in the plane span one direction only
         with pytest.raises(DomainError, match="<= tolerance"):
-            sample_covariance([[0.0, 0.0], [1.0, 1.0]], ddof=1)
+            estimate_moments([[0.0, 0.0], [1.0, 1.0]], ddof=1)
 
     def test_ridge_escape_hatch(self):
-        c = sample_covariance([[0.0, 0.0], [1.0, 1.0]], ddof=1, ridge=1e-6)
+        c = estimate_moments([[0.0, 0.0], [1.0, 1.0]], ddof=1, ridge=1e-6).cov
         assert c.det > 0
 
     def test_ridge_outside_zero_to_inf_rejected(self):
@@ -68,22 +68,31 @@ class TestSampleCovariance:
             warnings.simplefilter("error")
             for ridge in (-1.0, float("nan"), float("inf")):
                 with pytest.raises(DomainError, match="ridge must be nonnegative and finite"):
-                    sample_covariance(x, ridge=ridge)
+                    estimate_moments(x, ridge=ridge)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((50, 4))
-        c = sample_covariance(x)
+        c = estimate_moments(x).cov
         assert np.array_equal(c.entries, c.entries.T)
 
     def test_paper_example_cov_converges(self):
         # entrywise 5-sigma check; Var(s_ij) ~ (s_ii s_jj + s_ij^2)/N for Gaussians
         n = 100_000
         x = draw(paper_example_spec(1.0, 25.0, seed=31), n)
-        c = sample_covariance(x, ddof=1)
+        c = estimate_moments(x, ddof=1).cov
         target = np.array([[1.0, 1.0], [1.0, 26.0]])
         se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n)
         assert np.all(np.abs(c.entries - target) <= 5.0 * se)
+
+    def test_merged_sums_beyond_float_range_raise(self):
+        # each part's scatter is in range; their sum is not
+        part = moment_sums([[-1e153, 0.0], [1e153, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="sample moments are beyond the float range"):
+                for _ in range(10):
+                    part = merge_moment_sums(part, part)
 
     def test_estimate_moments_bundle(self):
         x = [[0.0, 1.0], [2.0, 3.0], [1.0, 0.0]]
@@ -136,8 +145,19 @@ class TestCsv:
     def test_round_trip_via_file(self, tmp_path):
         path = tmp_path / "s.csv"
         x = np.array([[1.5, -2.25], [0.1, 1e-17]])
-        write_samples_csv(x, path)
-        assert np.array_equal(read_samples_csv(path), x)
+        with open(path, "w", newline="") as fh:
+            write_samples_csv(x, fh)
+        with open(path, newline="") as fh:
+            assert np.array_equal(read_samples_csv(fh), x)
+
+    def test_a_path_is_not_a_stream(self, tmp_path):
+        path = tmp_path / "s.csv"
+        with pytest.raises(TypeError):
+            write_samples_csv([[1.0]], str(path))
+        assert not path.exists()
+        # a string is read as the CSV text itself, never opened
+        with pytest.raises(UsageError, match="bad header"):
+            read_samples_csv("a\0b")
 
     def test_ragged_row_rejected(self):
         text = "x1,x2\n1.0,2.0\n3.0\n"

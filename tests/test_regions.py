@@ -31,12 +31,15 @@ from mvcheb import (
     make_sphere,
     region_from_dict,
     region_to_dict,
-    unit_ball_volume,
     volume,
     volume_ratio,
 )
 
 EXAMPLE = Covariance.from_matrix([[1.0, 1.0], [1.0, 26.0]])
+
+
+def unit_ball(n):
+    return SphereRegion(np.zeros(n), 1.0)
 
 
 def random_spd_cov(rng, n):
@@ -240,9 +243,9 @@ class TestRegions:
 
 class TestVolume:
     def test_unit_ball(self):
-        assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-12)
-        assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-12)
-        assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+        assert volume(unit_ball(1)) == pytest.approx(2.0, rel=1e-12)
+        assert volume(unit_ball(2)) == pytest.approx(math.pi, rel=1e-12)
+        assert volume(unit_ball(3)) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
     def test_disc_area(self):
         sph = make_sphere([0.0, 0.0], EXAMPLE, 0.1)
@@ -277,7 +280,7 @@ class TestVolume:
         big = Covariance.from_matrix(np.eye(400))
         assert volume(make_sphere(np.zeros(400), big, 0.1)) == math.inf
         assert volume(make_ellipsoid(np.zeros(400), big, 0.1)) == math.inf
-        assert unit_ball_volume(2000) == 0.0
+        assert volume(unit_ball(2000)) == 0.0
 
     def test_unit_3ball(self):
         cov = Covariance.from_matrix(np.eye(3))
@@ -418,6 +421,33 @@ class TestEllipseBoundary:
         ell3 = make_ellipsoid(np.zeros(3), cov3, 0.5)
         with pytest.raises(DomainError, match="dimension 2 only"):
             ellipse_boundary(ell3, 8)
+        with pytest.raises(DomainError, match="dimension 2 only"):
+            ellipse_boundary(make_sphere(np.zeros(3), cov3, 0.5), 8)
+        with pytest.raises(TypeError, match="not a region"):
+            ellipse_boundary(np.zeros(2), 8)
+
+    def test_too_few_or_too_many_points(self):
+        ell = make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1)
+        sph = make_sphere([0.0, 0.0], EXAMPLE, 0.1)
+        for region in (ell, sph):
+            with pytest.raises(DomainError, match="at least 3 boundary points"):
+                ellipse_boundary(region, 2)
+            # refused before numpy is asked for the angle array
+            with pytest.raises(DomainError, match="more than one array can hold"):
+                ellipse_boundary(region, 10**19)
+
+    def test_sphere_boundary_is_the_circle_bit_for_bit(self):
+        # reference: the circle traced directly as center + r (cos, sin)
+        for center, cov, delta, m in (
+            ([0.0, 0.0], EXAMPLE, 0.1, 256),
+            ([0.5, -2.0], Covariance.from_matrix([[4.0, 2.0], [2.0, 22.0]]), 0.3, 17),
+        ):
+            sph = make_sphere(center, cov, delta)
+            theta = 2.0 * np.pi * np.arange(m) / m
+            circle = sph.center + math.sqrt(sph.radius_sq) * np.stack(
+                [np.cos(theta), np.sin(theta)], axis=1
+            )
+            assert np.array_equal(ellipse_boundary(sph, m), circle)
 
 
 class TestRegionJson:
