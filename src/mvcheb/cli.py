@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: estimate, ratio, bound, region, coverage, tail, figure,
-sample. JSON goes to --out (default stdout); matrix/spec arguments accept
-either inline JSON or a path to a JSON file.
+sample. Matrix/spec arguments accept either inline JSON or a path to a
+JSON file. The CLI parses flags and formats results; every other rule
+(``--streams`` at least 1, the figure's reference setting, what a spec
+may hold) is the library's. Each handler returns its output text and
+:func:`main` writes it, to --out or else stdout; only ``figure`` writes
+its own four files.
 
 Exit codes: 0 success; 2 for a :class:`~mvcheb.errors.UsageError` (the
 input cannot be read as what the command needs: bad flags, malformed JSON
@@ -64,10 +68,6 @@ def _load_json_arg(value: str):
         raise UsageError(f"not valid JSON: {exc}") from None
 
 
-def _load_cov(value: str) -> Covariance:
-    return Covariance.from_matrix(_load_json_arg(value))
-
-
 def _load_spec(value: str, seed_flag: int | None) -> SamplerSpec:
     data = _load_json_arg(value)
     if seed_flag is not None and isinstance(data, dict):
@@ -85,23 +85,6 @@ def _eps_grid(text: str) -> list[float]:
     raise argparse.ArgumentTypeError(f"bad eps grid {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write_many({out: text})
-
-
 def _in_range(x: float) -> float | None:
     """``x``, or None (JSON null) where it is outside (0, inf)."""
     return x if 0.0 < x < math.inf else None
@@ -115,7 +98,7 @@ def _coverage_pair_dict(pair) -> dict:
     return {"ellipsoid": pair[0].to_dict(), "sphere": pair[1].to_dict()}
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> str:
     try:
         fh = open(args.input, newline="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
@@ -123,27 +106,22 @@ def _cmd_estimate(args) -> int:
     with fh:
         samples = read_samples_csv(fh)
     est = estimate_moments(samples, ddof=args.ddof, ridge=args.ridge)
-    _emit(
-        dump_json(
-            {
-                "mean": [float(v) for v in est.mean],
-                "covariance": [[float(v) for v in row] for row in est.cov.entries],
-                **_cov_fields(est.cov),
-            }
-        ),
-        args.out,
+    return dump_json(
+        {
+            "mean": [float(v) for v in est.mean],
+            "covariance": [[float(v) for v in row] for row in est.cov.entries],
+            **_cov_fields(est.cov),
+        }
     )
-    return 0
 
 
-def _cmd_ratio(args) -> int:
-    cov = _load_cov(args.cov)
+def _cmd_ratio(args) -> str:
+    cov = Covariance(_load_json_arg(args.cov))
     ratio = {"ratio": _in_range(volume_ratio(cov)), "log_ratio": log_volume_ratio(cov)}
-    _emit(dump_json(_cov_fields(cov) | ratio), args.out)
-    return 0
+    return dump_json(_cov_fields(cov) | ratio)
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> str:
     if args.classical:
         if args.var is None:
             raise UsageError("--classical requires --var")
@@ -152,12 +130,11 @@ def _cmd_bound(args) -> int:
         if args.dim is None:
             raise UsageError("either --dim or --classical --var is required")
         b = chebyshev_bound(args.dim, args.eps)
-    _emit(dump_json({"raw": b.raw, "clamped": b.clamped}), args.out)
-    return 0
+    return dump_json({"raw": b.raw, "clamped": b.clamped})
 
 
-def _cmd_region(args) -> int:
-    cov = _load_cov(args.cov)
+def _cmd_region(args) -> str:
+    cov = Covariance(_load_json_arg(args.cov))
     center = (
         np.zeros(cov.dim) if args.center is None else _load_json_arg(args.center)
     )
@@ -165,11 +142,10 @@ def _cmd_region(args) -> int:
         region = make_ellipsoid(center, cov, args.delta)
     else:
         region = make_sphere(center, cov, args.delta)
-    _emit(dump_json(region_to_dict(region, delta=args.delta)), args.out)
-    return 0
+    return dump_json(region_to_dict(region, delta=args.delta))
 
 
-def _cmd_coverage(args) -> int:
+def _cmd_coverage(args) -> str:
     spec = _load_spec(args.spec, args.seed)
     if args.estimated:
         both = run_coverage_estimated(spec, args.delta, args.n, streams=args.streams)
@@ -177,26 +153,18 @@ def _cmd_coverage(args) -> int:
         payload["estimated"] = _coverage_pair_dict(both["estimated"])
     else:
         payload = _coverage_pair_dict(run_coverage(spec, args.delta, args.n, streams=args.streams))
-    _emit(dump_json(payload), args.out)
-    return 0
+    return dump_json(payload)
 
 
-def _cmd_tail(args) -> int:
+def _cmd_tail(args) -> str:
     spec = _load_spec(args.spec, args.seed)
-    curve = run_tail_curve(spec, args.eps, args.n)
-    _emit(dump_json(curve.to_dict()), args.out)
-    return 0
+    return dump_json(run_tail_curve(spec, args.eps, args.n).to_dict())
 
 
-def _cmd_figure(args) -> int:
-    fig = export_figure(
-        sigma=args.sigma,
-        k=args.k,
-        delta=args.delta,
-        n_samples=args.n,
-        seed=args.seed if args.seed is not None else 0,
-        boundary_points=args.points,
-    )
+def _cmd_figure(args) -> None:
+    # a flag not given is None, so export_figure's defaults are the reference setting
+    skip = ("command", "func", "out_prefix")
+    fig = export_figure(**{k: v for k, v in vars(args).items() if k not in skip and v is not None})
     prefix = args.out_prefix
     csvs = figure_csv_texts(fig)
     paths = {name: f"{prefix}{name}.csv" for name in ("samples", "ellipse", "circle")}
@@ -206,13 +174,11 @@ def _cmd_figure(args) -> int:
     outputs = {paths[name]: csvs[name] for name in paths}
     outputs[f"{prefix}manifest.json"] = dump_json(figure_manifest(fig, files=basenames))
     atomic_write_many(outputs)
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> str:
     spec = _load_spec(args.spec, args.seed)
-    _emit(samples_to_csv_text(draw(spec, args.n)), args.out)
-    return 0
+    return samples_to_csv_text(draw(spec, args.n))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--streams",
-        type=_positive_int,
+        type=int,
         default=1,
         help="worker count; never changes the drawn samples or counts",
     )
@@ -287,11 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tail)
 
     p = add("figure", "export the 2-D comparison figure data", out=False, seed=True)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--k", type=float, default=25.0)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--points", type=int, default=256, help="boundary points per curve")
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--k", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--n", dest="n_samples", metavar="N", type=int)
+    p.add_argument(
+        "--points", dest="boundary_points", metavar="POINTS", type=int,
+        help="boundary points per curve",
+    )
     p.add_argument(
         "--out-prefix",
         default="figure_",
@@ -310,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        text = args.func(args)
+        if text is not None:  # figure writes its own files
+            if args.out is None:
+                sys.stdout.write(text)
+            else:
+                atomic_write_many({args.out: text})
+    except (UsageError, DomainError, OSError) as exc:
         print(f"mvcheb: error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"mvcheb: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"mvcheb: error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, UsageError) else 3 if isinstance(exc, DomainError) else 4
+    return 0
 
 
 if __name__ == "__main__":

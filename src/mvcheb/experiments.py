@@ -26,7 +26,6 @@ from .linalg import invert_spd, quad_form
 from .moments import merge_moment_sums, moment_sums, moments_from_sums
 from .regions import (
     chebyshev_bound,
-    classical_bound,
     contains,
     ellipse_boundary,
     make_ellipsoid,
@@ -35,6 +34,7 @@ from .regions import (
 from .sampler import (
     SamplerSpec,
     blocks_per_sample,
+    check_n_samples,
     draw,
     draw_range,
     paper_example_spec,
@@ -77,13 +77,6 @@ def _report(kind: str, delta: float, n_samples: int, hits: int) -> CoverageRepor
 def _reports(delta: float, n_samples: int, hits) -> tuple[CoverageReport, CoverageReport]:
     """The (ellipsoid, sphere) reports for their summed hit counts."""
     return tuple(_report(k, delta, n_samples, int(h)) for k, h in zip(("ellipsoid", "sphere"), hits))
-
-
-def _check_n_samples(n_samples: int) -> int:
-    n = int(n_samples)
-    if n < 1:
-        raise UsageError(f"n_samples must be positive, got {n_samples}")
-    return n
 
 
 def _reduce(spec: SamplerSpec, n_samples: int, per_chunk, streams: int = 1):
@@ -130,7 +123,7 @@ def run_coverage(
     the number of workers; it never changes the drawn samples or the
     counts. Returns the (ellipsoid, sphere) report pair.
     """
-    n = _check_n_samples(n_samples)
+    n = check_n_samples(n_samples)
     count = _hit_counter(*true_moments(spec), delta)
     return _reports(delta, n, sum(_reduce(spec, n, count, streams)))
 
@@ -147,7 +140,7 @@ def run_coverage_estimated(
     sums; the second redraws each chunk and counts the hits of the fitted
     regions.
     """
-    n = _check_n_samples(n_samples)
+    n = check_n_samples(n_samples)
     count = _hit_counter(*true_moments(spec), delta)
     hits, sums = functools.reduce(
         lambda a, b: (a[0] + b[0], merge_moment_sums(a[1], b[1])),
@@ -170,7 +163,7 @@ def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
     """
     mean, cov = true_moments(spec)
     precision = invert_spd(cov)
-    n = _check_n_samples(n_samples)
+    n = check_n_samples(n_samples)
     chunk_sums = _reduce(spec, n, lambda x: float(np.sum(quad_form(x - mean, precision))))
     return math.fsum(chunk_sums) / n
 
@@ -204,13 +197,14 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     mean, cov = true_moments(spec)
     precision = invert_spd(cov)
     var_total = cov.trace
-    total = _check_n_samples(n_samples)
-    # bounds first: they refuse a level eps * Var(X) beyond the float range
+    total = check_n_samples(n_samples)
+    if not var_total < math.inf:
+        raise UsageError(f"total variance must be positive and finite, got {var_total}")
     new_bound = np.array([chebyshev_bound(spec.dim, e).clamped for e in grid.tolist()])
-    classical = np.array(
-        [classical_bound(var_total, math.sqrt(e * var_total)).clamped for e in grid.tolist()]
-    )
-    var_levels = grid * var_total
+    # Var / (sqrt(eps Var))^2 is 1/eps exactly; 1/eps is below 1 only where eps > 1
+    classical = 1.0 / np.maximum(grid, 1.0)
+    with np.errstate(over="ignore"):  # a level beyond the float range is inf: no sample reaches it
+        var_levels = grid * var_total
 
     def histograms(x):
         # bin k counts the samples at or above exactly k levels of the grid
@@ -260,7 +254,7 @@ def export_figure(
     the reference setting sigma=1, k=25, delta=0.1, N=1000.
     """
     spec = paper_example_spec(sigma, k, seed=seed)
-    samples = draw(spec, int(n_samples))
+    samples = draw(spec, n_samples)
     mean, cov = true_moments(spec)
     ell = make_ellipsoid(mean, cov, delta)
     sph = make_sphere(mean, cov, delta)

@@ -50,13 +50,31 @@ _MAX_ENTRIES = np.iinfo(np.intp).max // 8  # of the largest 8-byte array numpy c
 # tolerance in use.
 _SHELL_MARGIN = 1.0 + 1e-8
 
-KINDS = ("gaussian", "paper_example", "tight_radial")
+# the fields each kind reads; a paper_example spec derives mean and cov itself
+_READS = {
+    "gaussian": ("mean", "cov"),
+    "paper_example": ("sigma", "k"),
+    "tight_radial": ("mean", "cov", "eps"),
+}
+KINDS = tuple(_READS)
 
 
 def check_entries(n: int, what: str) -> None:
     """Raise :class:`DomainError` if an array of ``n`` 8-byte entries is too large."""
     if n > _MAX_ENTRIES:
         raise DomainError(f"{what}: {n} array entries are more than one array can hold")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_n_samples(n_samples) -> int:
+    """``n_samples`` as an int; anything but a positive integer (numpy
+    integers count, bools do not) raises :class:`UsageError`."""
+    if not (_is_int(n_samples) and n_samples >= 1):
+        raise UsageError(f"n_samples must be a positive integer, got {n_samples}")
+    return int(n_samples)
 
 
 def _key(seed: int, stream_index: int) -> np.ndarray:
@@ -88,8 +106,9 @@ class SamplerSpec:
     """Parameters of one generator kind plus the stream seed.
 
     Checked once, when built: the kind, then the seed, then the kind's fields.
-    ``mean`` is kept as a read-only copy; the caller's array stays writable.
-    A ``paper_example`` spec sets ``mean`` and ``cov`` to its exact moments.
+    A field the kind does not read is refused, not ignored. ``mean`` is kept
+    as a read-only copy; the caller's array stays writable. A
+    ``paper_example`` spec sets ``mean`` and ``cov`` to its exact moments.
     """
 
     kind: str
@@ -104,18 +123,20 @@ class SamplerSpec:
         if self.kind not in KINDS:
             raise UsageError(f"unknown sampler kind {self.kind!r}")
         _key(self.seed, 0)
+        reads = _READS[self.kind]
+        unread = [
+            f for f in ("mean", "cov", "sigma", "k", "eps")
+            if f not in reads and getattr(self, f) is not None
+        ]
+        if unread:
+            raise UsageError(f"a {self.kind} spec does not read {', '.join(unread)}")
+        if any(getattr(self, f) is None for f in reads):
+            raise UsageError(f"{self.kind} spec needs {', '.join(reads[:-1])} and {reads[-1]}")
         if self.kind == "paper_example":
-            if self.sigma is None or self.k is None:
-                raise UsageError("paper_example spec needs sigma and k")
             if not (0.0 < self.sigma < np.inf and 0.0 < self.k < np.inf):
                 raise UsageError("paper_example needs finite sigma > 0 and k > 0")
             object.__setattr__(self, "cov", example_covariance(self.sigma, self.k))
             object.__setattr__(self, "mean", np.zeros(2))
-        elif self.kind == "gaussian":
-            if self.mean is None or self.cov is None:
-                raise UsageError("gaussian spec needs mean and cov")
-        elif self.mean is None or self.cov is None or self.eps is None:
-            raise UsageError("tight_radial spec needs mean, cov and eps")
         if not isinstance(self.cov, Covariance):
             raise UsageError(f"cov must be a Covariance, got {type(self.cov).__name__}")
         object.__setattr__(self, "mean", as_vector(self.mean, self.cov.dim))
@@ -147,9 +168,12 @@ def tight_radial_spec(
     cov: Covariance | None = None,
     seed: int = 0,
 ) -> SamplerSpec:
-    """Equality-case distribution: dim alone means zero mean, identity Sigma."""
+    """Equality-case distribution: dim alone means zero mean, identity Sigma.
+    Given both, ``dim`` must equal ``cov.dim``."""
     if dim is not None and not (dim >= 1 and dim % 1 == 0):  # nan and inf fail too
         raise UsageError(f"dim must be a positive integer, got {dim}")
+    if cov is not None and dim is not None and dim != cov.dim:
+        raise DomainError(f"dim {dim} does not match the {cov.dim}-dimensional cov")
     if cov is None:
         if dim is None:
             raise UsageError("tight_radial needs either dim or cov")
@@ -180,7 +204,7 @@ def spec_to_dict(spec: SamplerSpec) -> dict:
 
 def _int_field(data: dict, key: str, default=None) -> int:
     value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise UsageError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -285,6 +309,4 @@ def draw_range(
 def draw(spec: SamplerSpec, n_samples: int, stream_index: int = 0) -> np.ndarray:
     """n_samples rows of the spec's distribution, deterministic in
     (seed, stream_index)."""
-    if n_samples < 1:
-        raise UsageError(f"n_samples must be positive, got {n_samples}")
-    return draw_range(spec, 0, n_samples, stream_index=stream_index)
+    return draw_range(spec, 0, check_n_samples(n_samples), stream_index=stream_index)

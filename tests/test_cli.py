@@ -299,12 +299,24 @@ class TestSample:
     def test_invalid_kind_exits_2(self):
         assert run_cli("sample", "--spec", '{"kind":"bogus"}', "--n", "5").returncode == 2
 
-    def test_out_file_matches_stdout(self, tmp_path):
-        path = tmp_path / "s.csv"
-        to_file = run_cli("sample", "--spec", PAPER_SPEC, "--n", "20", "--out", str(path))
-        to_stdout = run_cli("sample", "--spec", PAPER_SPEC, "--n", "20")
-        assert to_file.returncode == 0
-        assert path.read_text() == to_stdout.stdout
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text("x1,x2\n0.0,0.0\n1.0,2.0\n2.0,1.0\n")
+        table = {
+            "estimate": ("--input", str(csv_path)),
+            "ratio": ("--cov", EXAMPLE_COV),
+            "bound": ("--dim", "2", "--eps", "20"),
+            "region": ("--kind", "ellipsoid", "--cov", EXAMPLE_COV, "--delta", "0.1"),
+            "coverage": ("--spec", PAPER_SPEC, "--delta", "0.1", "--n", "100"),
+            "tail": ("--spec", PAPER_SPEC, "--eps", "2,4,20", "--n", "100"),
+            "sample": ("--spec", PAPER_SPEC, "--n", "20"),
+        }
+        for command, args in table.items():
+            path = tmp_path / f"{command}.out"
+            assert cli.main([command, *args, "--out", str(path)]) == 0, command
+            assert capsys.readouterr().out == "", command
+            assert cli.main([command, *args]) == 0, command
+            assert path.read_text() == capsys.readouterr().out, command
 
 
 class TestUsage:
@@ -358,6 +370,8 @@ def coverage_args(spec):
         (("sample", "--spec", PAPER_SPEC, "--n", str(10**20)), 3),
         (("figure", "--points", str(10**20), "--out-prefix", "unwritten_"), 3),
         (coverage_args({"kind": "tight_radial", "eps": 1e30, "dim": 10**10}), 3),
+        # a spec whose dim and cov disagree
+        (coverage_args({"kind": "tight_radial", "eps": 8, "dim": 5, "cov": [[1, 0], [0, 1]]}), 3),
     ],
 )
 def test_in_process_exit_codes(argv, code, capsys):
@@ -412,3 +426,30 @@ def test_undecodable_input_exits_2(tmp_path):
     assert run_main("estimate", "--input", str(path)) == 2
     assert run_main("ratio", "--cov", str(path)) == 2
     assert run_main("estimate", "--input", "a\0b") == 2
+
+
+@pytest.mark.parametrize(
+    "command", ["estimate", "ratio", "bound", "region", "coverage", "tail", "figure", "sample"]
+)
+def test_help_exits_0(command, capsys):
+    assert run_main(command, "--help") == 0
+    assert capsys.readouterr().out.startswith(f"usage: mvcheb {command}")
+
+
+def test_out_naming_a_directory_exits_4_and_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "target"
+    target.mkdir()
+    assert run_main("ratio", "--cov", EXAMPLE_COV, "--out", str(target)) == 4
+    assert capsys.readouterr().err.startswith("mvcheb: error: ")
+    assert list(tmp_path.glob(".tmp-*~")) == [] and list(target.iterdir()) == []
+
+
+def test_tail_level_beyond_float_range_exits_0(capsys):
+    # eps * Var(X) overflows: no sample reaches that level, and 1/eps is finite
+    spec = '{"kind":"gaussian","cov":[[25.0]],"mean":[0.0]}'
+    eps = "7.190772539449264e+306"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main("tail", "--spec", spec, "--eps", eps, "--n", "1") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["classical_tail"] == [0.0] and out["classical_bound"] == [1 / float(eps)]

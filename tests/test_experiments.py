@@ -188,7 +188,7 @@ class TestTailCurve:
         spec = gaussian_spec([0.0], Covariance.from_matrix([[5.0]]), seed=18)
         curve = run_tail_curve(spec, [0.5, 1.0, 3.0, 9.0], 50_000)
         assert np.array_equal(curve.empirical_tail, curve.classical_tail)
-        assert np.allclose(curve.new_bound, curve.classical_bound, rtol=1e-12)
+        assert np.array_equal(curve.new_bound, curve.classical_bound)
 
     def test_grid_validation(self):
         with pytest.raises(UsageError, match="at least one value"):
@@ -199,6 +199,25 @@ class TestTailCurve:
             with pytest.raises(DomainError, match="strictly ascending"):
                 run_tail_curve(PAPER, bad, 100)
 
+    def test_classical_bound_is_exactly_min_one_over_eps(self):
+        grid = np.concatenate([[0.25, 0.5], np.geomspace(1.0, 400.0, 200)])
+        curve = run_tail_curve(PAPER, grid, 100)  # Var(X) = 27
+        assert np.array_equal(curve.classical_bound, np.minimum(1, 1 / grid))
+
+    def test_level_beyond_float_range_is_reached_by_no_sample(self):
+        spec = gaussian_spec([0.0], Covariance([[25.0]]))
+        eps = 7.190772539449264e306  # eps * Var(X) is beyond the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = run_tail_curve(spec, [eps], 1)
+        assert curve.classical_tail.tolist() == [0.0]
+        assert curve.classical_bound.tolist() == [1 / eps]
+
+    def test_trace_beyond_float_range_refused(self):
+        spec = gaussian_spec([0.0, 0.0], Covariance(1e308 * np.eye(2)))
+        with pytest.raises(UsageError, match="total variance must be positive and finite"):
+            run_tail_curve(spec, [2.0], 10)
+
     def test_dict_keys(self):
         curve = run_tail_curve(PAPER, [2.0, 4.0], 1000)
         assert list(curve.to_dict()) == [
@@ -208,6 +227,28 @@ class TestTailCurve:
             "classical_tail",
             "classical_bound",
         ]
+
+
+N_SAMPLES_TAKERS = {
+    "draw": lambda n: draw(PAPER, n),
+    "run_coverage": lambda n: run_coverage(PAPER, 0.1, n),
+    "run_coverage_estimated": lambda n: run_coverage_estimated(PAPER, 0.1, n),
+    "run_tail_curve": lambda n: run_tail_curve(PAPER, [2.0], n),
+    "trace_identity_check": lambda n: trace_identity_check(PAPER, n),
+}
+
+
+@pytest.mark.parametrize("n", [5.7, True, 0], ids=["float", "bool", "zero"])
+@pytest.mark.parametrize("call", N_SAMPLES_TAKERS.values(), ids=N_SAMPLES_TAKERS.keys())
+def test_n_samples_must_be_a_positive_integer(call, n):
+    with pytest.raises(UsageError, match="n_samples must be a positive integer"):
+        call(n)
+
+
+def test_numpy_integer_n_samples_accepted():
+    ell, _ = run_coverage(PAPER, 0.1, np.int64(10))
+    assert type(ell.n_samples) is int and ell.n_samples == 10
+    assert np.array_equal(draw(PAPER, np.int32(10)), draw(PAPER, 10))
 
 
 SMALL_CHUNK = 64  # Philox blocks per chunk in TestReducer: N = 5000 spans many chunks

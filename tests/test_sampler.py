@@ -74,6 +74,11 @@ class TestSpecs:
         with pytest.raises(UsageError, match="dim must be a positive integer"):
             tight_radial_spec(8.0, dim=dim)
 
+    def test_tight_radial_dim_must_match_cov(self):
+        with pytest.raises(DomainError, match="dim 3 does not match the 2-dimensional cov"):
+            tight_radial_spec(8.0, dim=3, cov=Covariance(np.eye(2)))
+        assert tight_radial_spec(8.0, dim=2, cov=Covariance(np.eye(2))).dim == 2
+
     EYE2 = Covariance.from_matrix(np.eye(2))
     BAD_FIELDS = {
         "unknown_kind": (dict(kind="cauchy"), "unknown sampler kind"),
@@ -84,6 +89,18 @@ class TestSpecs:
         "eps_below_dim": (dict(kind="tight_radial", mean=[0, 0], cov=EYE2, eps=1.5), "eps >= dim"),
         "negative_seed": (dict(kind="paper_example", sigma=1.0, k=1.0, seed=-1), "seed must be"),
         "cov_not_a_covariance": (dict(kind="gaussian", mean=[0, 0], cov=np.eye(2)), "a Covariance"),
+        "paper_example_with_mean": (
+            dict(kind="paper_example", sigma=1.0, k=25.0, mean=[5.0, 5.0]),
+            "paper_example spec does not read mean",
+        ),
+        "gaussian_with_eps": (
+            dict(kind="gaussian", mean=[0, 0], cov=EYE2, eps=-5.0),
+            "gaussian spec does not read eps",
+        ),
+        "tight_radial_with_sigma_and_k": (
+            dict(kind="tight_radial", mean=[0, 0], cov=EYE2, eps=8.0, sigma=1.0, k=2.0),
+            "tight_radial spec does not read sigma, k",
+        ),
     }
 
     @pytest.mark.parametrize("fields, match", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
