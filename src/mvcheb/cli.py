@@ -123,10 +123,12 @@ def _cmd_ratio(args) -> str:
 
 def _cmd_bound(args) -> str:
     if args.classical:
-        if args.var is None:
-            raise UsageError("--classical requires --var")
+        if args.var is None or args.dim is not None:
+            raise UsageError("--classical takes --var and not --dim")
         b = classical_bound(args.var, args.eps)
     else:
+        if args.var is not None:
+            raise UsageError("--var needs --classical")
         if args.dim is None:
             raise UsageError("either --dim or --classical --var is required")
         b = chebyshev_bound(args.dim, args.eps)

@@ -258,17 +258,16 @@ def export_figure(
     mean, cov = true_moments(spec)
     ell = make_ellipsoid(mean, cov, delta)
     sph = make_sphere(mean, cov, delta)
-    m = int(boundary_points)
     return FigureData(
         samples=samples,
-        ellipse_boundary=ellipse_boundary(ell, m),
-        circle_boundary=ellipse_boundary(sph, m),
+        ellipse_boundary=ellipse_boundary(ell, boundary_points),
+        circle_boundary=ellipse_boundary(sph, boundary_points),
         params={
-            "sigma": float(sigma),
-            "k": float(k),
+            "sigma": spec.sigma,
+            "k": spec.k,
             "delta": float(delta),
-            "seed": int(seed),
-            "N": int(n_samples),
+            "seed": int(spec.seed),
+            "N": len(samples),
         },
         threshold=ell.threshold,
         radius_sq=sph.radius_sq,

@@ -52,6 +52,14 @@ def as_float_array(x, what: str) -> np.ndarray:
         raise UsageError(f"{what} is not a numeric array: {exc}") from None
 
 
+def as_float(x, what: str) -> float:
+    """``x`` as a float; one that does not convert or overflows raises :class:`UsageError`."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{what} must be a number, got {x!r}") from None
+
+
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """A read-only copy of the 1-D finite vector ``x``, optionally of a
     required dimension; the caller's array stays writable."""

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_vector, exp_or_inf, invert_spd, quad_form
-from .sampler import check_entries
+from .linalg import Covariance, as_float, as_vector, exp_or_inf, invert_spd, quad_form
+from .sampler import _is_int, check_entries
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,10 @@ def mahalanobis_sq(x, center, precision: np.ndarray) -> float | np.ndarray:
 
 
 def _level(name: str, value: float) -> float:
+    value = as_float(value, name)
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value}")
-    return float(value)
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +224,8 @@ def example_ratio(k: float) -> float:
     minimized at k = 2 with value sqrt(2), increasing monotonically on both
     sides and unbounded as k -> 0 or k -> infinity.
     """
-    if k <= 0.0:
-        raise DomainError(f"k must be positive, got {k}")
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"k must be positive and finite, got {k}")
     return (k + 2.0) / (2.0 * math.sqrt(k))
 
 
@@ -241,9 +242,11 @@ def ellipse_boundary(region, m: int) -> np.ndarray:
         raise TypeError(f"not a region: {type(region).__name__}")
     if region.dim != 2:
         raise DomainError("ellipse_boundary is defined for dimension 2 only")
+    if not _is_int(m):
+        raise UsageError(f"the boundary point count must be an integer, got {m!r}")
     if m < 3:
         raise DomainError(f"need at least 3 boundary points, got {m}")
-    check_entries(2 * m, f"{m} boundary points")
+    check_entries(2 * int(m), f"{m} boundary points")
     theta = 2.0 * np.pi * np.arange(m) / m
     circle = np.stack([np.cos(theta), np.sin(theta)])
     if isinstance(region, SphereRegion):
@@ -277,10 +280,15 @@ def region_to_dict(region, delta: float | None = None) -> dict:
 
 def region_from_dict(data: dict):
     """Rebuild a region from its JSON form (inverse of :func:`region_to_dict`)."""
+    if not isinstance(data, dict):
+        raise UsageError(f"region must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "ellipsoid":
-        cov = Covariance.from_matrix(data["cov"])
-        return EllipsoidRegion(data["center"], cov, float(data["threshold"]))
-    if kind == "sphere":
-        return SphereRegion(data["center"], float(data["radius_sq"]))
+    try:
+        if kind == "ellipsoid":
+            cov = Covariance.from_matrix(data["cov"])
+            return EllipsoidRegion(data["center"], cov, data["threshold"])
+        if kind == "sphere":
+            return SphereRegion(data["center"], data["radius_sq"])
+    except KeyError as exc:
+        raise UsageError(f"{kind} region is missing field {exc}") from None
     raise DomainError(f"unknown region kind: {kind!r}")

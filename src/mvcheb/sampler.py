@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_vector
+from .linalg import Covariance, as_float, as_vector
 from .moments import example_covariance
 
 _U64 = np.uint64
@@ -57,6 +57,7 @@ _READS = {
     "tight_radial": ("mean", "cov", "eps"),
 }
 KINDS = tuple(_READS)
+_FIELDS = ("mean", "cov", "sigma", "k", "eps")
 
 
 def check_entries(n: int, what: str) -> None:
@@ -105,10 +106,12 @@ def _boxmuller(uniforms: np.ndarray) -> np.ndarray:
 class SamplerSpec:
     """Parameters of one generator kind plus the stream seed.
 
-    Checked once, when built: the kind, then the seed, then the kind's fields.
-    A field the kind does not read is refused, not ignored. ``mean`` is kept
-    as a read-only copy; the caller's array stays writable. A
-    ``paper_example`` spec sets ``mean`` and ``cov`` to its exact moments.
+    The one rule for a spec, built here, by a ``*_spec`` helper or from JSON.
+    Checked once: the kind, then the seed (an integer, not a bool), then the
+    kind's fields. A field the kind does not read is refused, not ignored;
+    ``sigma``, ``k`` and ``eps`` are stored as floats and ``mean`` as a
+    read-only copy. A ``paper_example`` spec sets ``mean`` and ``cov`` to its
+    exact moments.
     """
 
     kind: str
@@ -122,16 +125,18 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UsageError(f"unknown sampler kind {self.kind!r}")
+        if not _is_int(self.seed):
+            raise UsageError(f"seed must be an integer, got {self.seed!r}")
         _key(self.seed, 0)
         reads = _READS[self.kind]
-        unread = [
-            f for f in ("mean", "cov", "sigma", "k", "eps")
-            if f not in reads and getattr(self, f) is not None
-        ]
+        unread = [f for f in _FIELDS if f not in reads and getattr(self, f) is not None]
         if unread:
             raise UsageError(f"a {self.kind} spec does not read {', '.join(unread)}")
         if any(getattr(self, f) is None for f in reads):
             raise UsageError(f"{self.kind} spec needs {', '.join(reads[:-1])} and {reads[-1]}")
+        for f in ("sigma", "k", "eps"):
+            if f in reads:
+                object.__setattr__(self, f, as_float(getattr(self, f), f))
         if self.kind == "paper_example":
             if not (0.0 < self.sigma < np.inf and 0.0 < self.k < np.inf):
                 raise UsageError("paper_example needs finite sigma > 0 and k > 0")
@@ -141,7 +146,7 @@ class SamplerSpec:
             raise UsageError(f"cov must be a Covariance, got {type(self.cov).__name__}")
         object.__setattr__(self, "mean", as_vector(self.mean, self.cov.dim))
         if self.kind == "tight_radial" and not (
-            self.dim <= self.eps and float(self.eps) * _SHELL_MARGIN < np.inf  # a finite shell radius
+            self.dim <= self.eps and self.eps * _SHELL_MARGIN < np.inf  # a finite shell radius
         ):
             raise UsageError(
                 "tight_radial needs eps >= dim so n/eps <= 1, and eps finite;"
@@ -158,30 +163,31 @@ def gaussian_spec(mean, cov: Covariance, seed: int = 0) -> SamplerSpec:
 
 
 def paper_example_spec(sigma: float, k: float, seed: int = 0) -> SamplerSpec:
-    return SamplerSpec(kind="paper_example", seed=seed, sigma=float(sigma), k=float(k))
+    return SamplerSpec(kind="paper_example", seed=seed, sigma=sigma, k=k)
+
+
+def _tight_radial_moments(dim, mean, cov: Covariance | None) -> tuple:
+    # the dim shorthand of tight_radial_spec, which spec_from_dict shares
+    if dim is not None:
+        if not (_is_int(dim) and dim >= 1):
+            raise UsageError(f"dim must be a positive integer, got {dim!r}")
+        if cov is None:
+            check_entries(int(dim) ** 2, f"dim {dim}")
+            cov = Covariance.from_matrix(np.eye(int(dim)))
+        elif dim != cov.dim:
+            raise DomainError(f"dim {dim} does not match the {cov.dim}-dimensional cov")
+    if cov is None:
+        raise UsageError("tight_radial needs either dim or cov")
+    return (np.zeros(cov.dim) if mean is None else mean), cov
 
 
 def tight_radial_spec(
-    eps: float,
-    dim: int | None = None,
-    mean=None,
-    cov: Covariance | None = None,
-    seed: int = 0,
+    eps: float, dim: int | None = None, mean=None, cov: Covariance | None = None, seed: int = 0
 ) -> SamplerSpec:
-    """Equality-case distribution: dim alone means zero mean, identity Sigma.
-    Given both, ``dim`` must equal ``cov.dim``."""
-    if dim is not None and not (dim >= 1 and dim % 1 == 0):  # nan and inf fail too
-        raise UsageError(f"dim must be a positive integer, got {dim}")
-    if cov is not None and dim is not None and dim != cov.dim:
-        raise DomainError(f"dim {dim} does not match the {cov.dim}-dimensional cov")
-    if cov is None:
-        if dim is None:
-            raise UsageError("tight_radial needs either dim or cov")
-        check_entries(int(dim) ** 2, f"dim {dim}")
-        cov = Covariance.from_matrix(np.eye(int(dim)))
-    if mean is None:
-        mean = np.zeros(cov.dim)
-    return SamplerSpec(kind="tight_radial", seed=seed, mean=mean, cov=cov, eps=float(eps))
+    """Equality-case distribution: dim alone means zero mean, identity Sigma,
+    and a missing mean is zero. Given both, ``dim`` must equal ``cov.dim``."""
+    mean, cov = _tight_radial_moments(dim, mean, cov)
+    return SamplerSpec(kind="tight_radial", seed=seed, mean=mean, cov=cov, eps=eps)
 
 
 def true_moments(spec: SamplerSpec) -> tuple[np.ndarray, Covariance]:
@@ -191,62 +197,34 @@ def true_moments(spec: SamplerSpec) -> tuple[np.ndarray, Covariance]:
 
 def spec_to_dict(spec: SamplerSpec) -> dict:
     out: dict = {"kind": spec.kind, "seed": int(spec.seed)}
-    if spec.kind == "paper_example":
-        out["sigma"] = float(spec.sigma)
-        out["k"] = float(spec.k)
-        return out
-    out["mean"] = [float(v) for v in spec.mean]
-    out["cov"] = [[float(v) for v in row] for row in spec.cov.entries]
-    if spec.kind == "tight_radial":
-        out["eps"] = float(spec.eps)
+    for f in _READS[spec.kind]:
+        value = spec.cov.entries if f == "cov" else getattr(spec, f)
+        out[f] = np.asarray(value).tolist()  # Python floats, nested lists for arrays
     return out
 
 
-def _int_field(data: dict, key: str, default=None) -> int:
-    value = data.get(key, default)
-    if not _is_int(value):
-        raise UsageError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _float_field(data: dict, key: str) -> float:
-    try:
-        value = float(data[key])
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{key} must be a number, got {data[key]!r}") from None
-    if not np.isfinite(value):
-        raise UsageError(f"{key} must be finite, got {value}")
-    return value
-
-
 def spec_from_dict(data: dict) -> SamplerSpec:
-    """Build a spec from its JSON form.
+    """Build a spec from its JSON form under the rule of :class:`SamplerSpec`.
 
-    ``tight_radial`` accepts either an explicit mean/cov or just ``dim``
-    (zero mean, identity covariance). A missing seed defaults to 0. Scalar
-    fields that are not numbers of the right type raise :class:`UsageError`.
+    ``cov`` is read as a :class:`~mvcheb.linalg.Covariance`; every other key
+    goes to the constructor, and a key that is no spec field is refused.
+    ``dim``, ``mean`` and ``cov`` of a ``tight_radial`` spec mean what they
+    mean to :func:`tight_radial_spec`. A missing seed defaults to 0.
     """
     if not isinstance(data, dict):
         raise UsageError(f"spec must be a JSON object, got {type(data).__name__}")
-    kind = data.get("kind")
-    seed = _int_field(data, "seed", 0)
-    try:
-        if kind == "gaussian":
-            cov = Covariance.from_matrix(data["cov"])
-            return gaussian_spec(data["mean"], cov, seed=seed)
-        if kind == "paper_example":
-            return paper_example_spec(
-                _float_field(data, "sigma"), _float_field(data, "k"), seed=seed
-            )
-        if kind == "tight_radial":
-            cov = Covariance.from_matrix(data["cov"]) if "cov" in data else None
-            dim = _int_field(data, "dim") if "dim" in data else None
-            return tight_radial_spec(
-                _float_field(data, "eps"), dim=dim, mean=data.get("mean"), cov=cov, seed=seed
-            )
-    except KeyError as exc:
-        raise UsageError(f"spec is missing required field {exc}") from None
-    raise UsageError(f"unknown sampler kind {kind!r}")
+    fields = dict(data)
+    kind = fields.pop("kind", None)
+    if "cov" in fields:
+        fields["cov"] = Covariance.from_matrix(fields["cov"])
+    if kind == "tight_radial":
+        fields["mean"], fields["cov"] = _tight_radial_moments(
+            fields.pop("dim", None), fields.get("mean"), fields.get("cov")
+        )
+    unknown = set(fields) - {"seed", *_FIELDS}
+    if unknown:
+        raise UsageError(f"unknown spec field {', '.join(sorted(map(str, unknown)))}")
+    return SamplerSpec(kind, **fields)
 
 
 def _layout(spec: SamplerSpec) -> tuple[int, int]:

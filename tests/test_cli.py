@@ -372,6 +372,11 @@ def coverage_args(spec):
         (coverage_args({"kind": "tight_radial", "eps": 1e30, "dim": 10**10}), 3),
         # a spec whose dim and cov disagree
         (coverage_args({"kind": "tight_radial", "eps": 8, "dim": 5, "cov": [[1, 0], [0, 1]]}), 3),
+        # a flag the chosen bound does not read is refused, not ignored
+        (("bound", "--dim", "2", "--var", "5", "--eps", "3"), 2),
+        (("bound", "--classical", "--var", "27", "--dim", "2", "--eps", "3"), 2),
+        # so is a spec field its kind does not read
+        (coverage_args({"kind": "gaussian", "mean": [0], "cov": [[1]], "eps": -5}), 2),
     ],
 )
 def test_in_process_exit_codes(argv, code, capsys):

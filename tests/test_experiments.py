@@ -485,6 +485,18 @@ class TestFigureExport:
         assert man["params"]["k"] == 25.0
         assert man["files"] == {"samples": "s.csv"}
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(boundary_points=8.9), "boundary point count must be an integer"),
+            (dict(boundary_points=True), "boundary point count must be an integer"),
+            (dict(seed=1.7), "seed must be an integer"),
+        ],
+    )
+    def test_non_integer_points_or_seed_refused(self, kwargs, match):
+        with pytest.raises(UsageError, match=match):
+            export_figure(n_samples=5, **kwargs)
+
     def test_circle_is_the_sphere_boundary(self):
         fig = export_figure(boundary_points=33, seed=2)
         mean, cov = true_moments(paper_example_spec(1.0, 25.0, seed=2))

@@ -386,8 +386,9 @@ class TestExampleRatio:
         assert min(vals) >= math.sqrt(2.0) - 1e-12
 
     def test_nonpositive_k(self):
-        with pytest.raises(DomainError, match="k must be positive"):
-            example_ratio(0.0)
+        for k in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="k must be positive"):
+                example_ratio(k)
 
 
 class TestEllipseBoundary:
@@ -432,9 +433,10 @@ class TestEllipseBoundary:
         for region in (ell, sph):
             with pytest.raises(DomainError, match="at least 3 boundary points"):
                 ellipse_boundary(region, 2)
-            # refused before numpy is asked for the angle array
-            with pytest.raises(DomainError, match="more than one array can hold"):
-                ellipse_boundary(region, 10**19)
+            # refused before numpy is asked for the angle array; 2 * m must not wrap
+            for m in (10**19, np.int64(2**62)):
+                with pytest.raises(DomainError, match="more than one array can hold"):
+                    ellipse_boundary(region, m)
 
     def test_sphere_boundary_is_the_circle_bit_for_bit(self):
         # reference: the circle traced directly as center + r (cos, sin)
@@ -470,3 +472,16 @@ class TestRegionJson:
     def test_unknown_kind(self):
         with pytest.raises(DomainError, match="unknown region kind"):
             region_from_dict({"kind": "cube"})
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ([1, 2], "region must be a JSON object, got list"),
+            ({"kind": "ellipsoid", "center": [0.0], "threshold": 1.0}, "missing field 'cov'"),
+            ({"kind": "sphere", "center": [0.0], "radius_sq": "x"}, "radius_sq must be a number"),
+        ],
+        ids=["list", "ellipsoid_without_cov", "radius_sq_not_a_number"],
+    )
+    def test_malformed_input_is_a_usage_error(self, data, match):
+        with pytest.raises(UsageError, match=match):
+            region_from_dict(data)

@@ -30,14 +30,20 @@ class TestSpecs:
             spec_from_dict({"kind": "cauchy", "seed": 0})
 
     def test_missing_fields(self):
-        with pytest.raises(UsageError, match="missing required field"):
+        with pytest.raises(UsageError, match="paper_example spec needs sigma and k"):
             spec_from_dict({"kind": "paper_example", "sigma": 1.0})
 
     def test_bad_seed(self):
-        for seed in (-1, 2**64):
-            with pytest.raises(UsageError, match="seed must be a 64-bit"):
+        for seed, match in [
+            (-1, "seed must be a 64-bit"),
+            (2**64, "seed must be a 64-bit"),
+            (1.7, "seed must be an integer"),
+            (True, "seed must be an integer"),
+            ("3", "seed must be an integer"),
+        ]:
+            with pytest.raises(UsageError, match=match):
                 paper_example_spec(1.0, 25.0, seed=seed)
-            with pytest.raises(UsageError, match="seed must be a 64-bit"):
+            with pytest.raises(UsageError, match=match):
                 gaussian_spec([0.0], Covariance.from_matrix([[1.0]]), seed=seed)
 
     BAD_SCALAR_FIELDS = [
@@ -45,12 +51,15 @@ class TestSpecs:
         ({"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": "x"}, "seed must be an integer"),
         ({"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": True}, "seed must be an integer"),
         ({"kind": "paper_example", "sigma": "abc", "k": 25.0}, "sigma must be a number"),
-        ({"kind": "paper_example", "sigma": None, "k": 25.0}, "sigma must be a number"),
-        ({"kind": "paper_example", "sigma": 1.0, "k": float("nan")}, "k must be finite"),
-        ({"kind": "tight_radial", "eps": 8.0, "dim": 2.5}, "dim must be an integer"),
+        ({"kind": "paper_example", "sigma": None, "k": 25.0}, "paper_example spec needs sigma and k"),
+        ({"kind": "paper_example", "sigma": 1.0, "k": float("nan")}, "finite sigma > 0 and k > 0"),
+        ({"kind": "tight_radial", "eps": 8.0, "dim": 2.5}, "dim must be a positive integer"),
         ({"kind": "tight_radial", "eps": 8.0, "dim": -1}, "dim must be a positive integer"),
         ({"kind": "tight_radial", "eps": 8.0, "dim": 0}, "dim must be a positive integer"),
         ({"kind": "paper_example", "sigma": 10**400, "k": 25.0}, "sigma must be a number"),
+        ({"kind": "paper_example", "sigma": 1.0, "k": 25.0, "colour": "red"}, "unknown spec field colour"),
+        ({"kind": "gaussian", "mean": [0.0], "cov": [[1.0]], "dim": 1}, "unknown spec field dim"),
+        ({"kind": "tight_radial", "eps": 8.0, "dim": True}, "dim must be a positive integer"),
     ]
 
     @pytest.mark.parametrize(
@@ -105,8 +114,16 @@ class TestSpecs:
 
     @pytest.mark.parametrize("fields, match", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
     def test_direct_construction_is_checked(self, fields, match):
-        with pytest.raises(UsageError, match=match):
+        with pytest.raises(UsageError, match=match) as direct:
             SamplerSpec(**fields)
+        if isinstance(fields.get("cov"), np.ndarray):
+            return  # JSON cov is always read as a Covariance, so it cannot be a bare array
+        # the same fields as JSON, cov given as a list, meet the same rule
+        data = {k: v.entries.tolist() if k == "cov" else v for k, v in fields.items()}
+        with pytest.raises(UsageError) as from_json:
+            spec_from_dict(data)
+        assert type(from_json.value) is type(direct.value)
+        assert str(from_json.value) == str(direct.value)
 
     @pytest.mark.parametrize("sigma, k", [(1e200, 1.0), (1e150, 1e10)])
     def test_paper_example_beyond_float_range_refused_when_built(self, sigma, k):
