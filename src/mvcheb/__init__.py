@@ -17,7 +17,6 @@ from .experiments import (
     TailCurve,
     export_figure,
     figure_csv_texts,
-    figure_manifest,
     run_coverage,
     run_coverage_estimated,
     run_tail_curve,
@@ -25,7 +24,6 @@ from .experiments import (
 )
 from .linalg import (
     Covariance,
-    det_spd,
     invert_spd,
     quad_form,
     symmetrize,
@@ -35,7 +33,6 @@ from .moments import (
     estimate_moments,
     example_covariance,
     read_samples_csv,
-    sample_mean,
     write_samples_csv,
 )
 from .regions import (
@@ -48,7 +45,6 @@ from .regions import (
     ellipse_boundary,
     example_ratio,
     log_volume_ratio,
-    mahalanobis_sq,
     make_ellipsoid,
     make_sphere,
     region_from_dict,
@@ -69,54 +65,3 @@ from .sampler import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundValue",
-    "Covariance",
-    "CoverageReport",
-    "DomainError",
-    "EllipsoidRegion",
-    "FigureData",
-    "MomentEstimate",
-    "SamplerSpec",
-    "SphereRegion",
-    "TailCurve",
-    "UsageError",
-    "chebyshev_bound",
-    "classical_bound",
-    "contains",
-    "det_spd",
-    "draw",
-    "draw_range",
-    "ellipse_boundary",
-    "estimate_moments",
-    "example_covariance",
-    "example_ratio",
-    "export_figure",
-    "figure_csv_texts",
-    "figure_manifest",
-    "gaussian_spec",
-    "invert_spd",
-    "log_volume_ratio",
-    "mahalanobis_sq",
-    "make_ellipsoid",
-    "make_sphere",
-    "paper_example_spec",
-    "quad_form",
-    "read_samples_csv",
-    "region_from_dict",
-    "region_to_dict",
-    "run_coverage",
-    "run_coverage_estimated",
-    "run_tail_curve",
-    "sample_mean",
-    "spec_from_dict",
-    "spec_to_dict",
-    "symmetrize",
-    "tight_radial_spec",
-    "trace_identity_check",
-    "true_moments",
-    "volume",
-    "volume_ratio",
-    "write_samples_csv",
-]

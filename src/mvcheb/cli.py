@@ -22,6 +22,7 @@ A ``det``, ``trace`` or ``ratio`` outside (0, inf) prints as null; the
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -33,14 +34,13 @@ from .errors import DomainError, UsageError
 from .experiments import (
     export_figure,
     figure_csv_texts,
-    figure_manifest,
     run_coverage,
     run_coverage_estimated,
     run_tail_curve,
 )
 from .jsonio import atomic_write_many, dump_json
 from .linalg import Covariance
-from .moments import estimate_moments, read_samples_csv, samples_to_csv_text
+from .moments import estimate_moments, read_samples_csv, write_samples_csv
 from .regions import (
     chebyshev_bound,
     classical_bound,
@@ -174,13 +174,17 @@ def _cmd_figure(args) -> None:
     # runs in different directories stay byte-identical
     basenames = {name: os.path.basename(path) for name, path in paths.items()}
     outputs = {paths[name]: csvs[name] for name in paths}
-    outputs[f"{prefix}manifest.json"] = dump_json(figure_manifest(fig, files=basenames))
+    manifest = {"params": dict(fig.params), "threshold": fig.threshold,
+                "radius_sq": fig.radius_sq, "files": basenames}
+    outputs[f"{prefix}manifest.json"] = dump_json(manifest)
     atomic_write_many(outputs)
 
 
 def _cmd_sample(args) -> str:
     spec = _load_spec(args.spec, args.seed)
-    return samples_to_csv_text(draw(spec, args.n))
+    text = io.StringIO()
+    write_samples_csv(draw(spec, args.n), text)
+    return text.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import invert_spd, quad_form
+from .linalg import quad_form
 from .moments import merge_moment_sums, moment_sums, moments_from_sums
 from .regions import (
     chebyshev_bound,
@@ -162,9 +162,9 @@ def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
     Carlo error of the dimension.
     """
     mean, cov = true_moments(spec)
-    precision = invert_spd(cov)
+    whitener = cov.whitener
     n = check_n_samples(n_samples)
-    chunk_sums = _reduce(spec, n, lambda x: float(np.sum(quad_form(x - mean, precision))))
+    chunk_sums = _reduce(spec, n, lambda x: float(np.sum(quad_form(x - mean, whitener))))
     return math.fsum(chunk_sums) / n
 
 
@@ -195,7 +195,7 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
         raise DomainError("eps grid must be strictly ascending, positive and finite")
     mean, cov = true_moments(spec)
-    precision = invert_spd(cov)
+    whitener = cov.whitener
     var_total = cov.trace
     total = check_n_samples(n_samples)
     if not var_total < math.inf:
@@ -209,7 +209,7 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     def histograms(x):
         # bin k counts the samples at or above exactly k levels of the grid
         d = x - mean
-        pairs = ((grid, quad_form(d, precision)), (var_levels, np.einsum("ij,ij->i", d, d)))
+        pairs = ((grid, quad_form(d, whitener)), (var_levels, np.einsum("ij,ij->i", d, d)))
         return np.stack([
             np.bincount(np.searchsorted(levels, v, side="right"), minlength=grid.size + 1)
             for levels, v in pairs
@@ -272,15 +272,6 @@ def export_figure(
         threshold=ell.threshold,
         radius_sq=sph.radius_sq,
     )
-
-
-def figure_manifest(fig: FigureData, files: dict) -> dict:
-    return {
-        "params": dict(fig.params),
-        "threshold": fig.threshold,
-        "radius_sq": fig.radius_sq,
-        "files": files,
-    }
 
 
 def _xy_csv(points: np.ndarray) -> str:

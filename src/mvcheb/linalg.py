@@ -1,17 +1,21 @@
 """Dense symmetric-positive-definite kernels.
 
 Everything downstream (regions, sampling, experiments) runs through the
-covariance matrix: its Cholesky factor, inverse, determinant and trace.
+covariance matrix: its Cholesky factor, whitener, determinant and trace.
 The factorization is LAPACK's (``np.linalg.cholesky``) followed by an
 explicit, scale-invariant positive-definiteness test on its pivots.
 A :class:`Covariance` is built from the matrix alone, which is checked once;
 its factor, log determinant and trace are derived from it, and its arrays
 are read-only, so the kernels that take one do not check it again.
+Every squared Mahalanobis distance is ||W d||^2 with the whitener W = L^-1
+(:func:`quad_form`): its error grows like cond(L) = sqrt(cond(Sigma)),
+where one through an explicit Sigma^-1 would grow like cond(Sigma).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -105,8 +109,8 @@ class Covariance:
     ``SYMMETRY_RTOL`` and factors it; a pivot ``L_ii**2`` at or below
     ``PIVOT_RTOL * max(diagonal)`` (scale-invariant) is rejected. ``chol``,
     ``logdet = 2 sum(log L_ii)`` and ``trace`` (inf beyond the float range)
-    are derived from it, never passed in. Instances are immutable and their
-    arrays read-only.
+    are derived from it, never passed in; the :attr:`whitener` is derived
+    on first use. Instances are immutable and their arrays read-only.
     """
 
     entries: np.ndarray
@@ -150,6 +154,17 @@ class Covariance:
             det = math.inf
         return det if 0.0 < det < math.inf else exp_or_inf(self.logdet)
 
+    @functools.cached_property
+    def whitener(self) -> np.ndarray:
+        """W = L^-1, so that d^T Sigma^-1 d = ||W d||^2. A whitener with an
+        entry beyond the float range raises :class:`DomainError` when read;
+        the other derived quantities do not need it."""
+        w = np.linalg.solve(self.chol, np.eye(self.dim))
+        if not np.all(np.isfinite(w)):
+            raise DomainError("the whitener L^-1 is beyond the float range")
+        w.setflags(write=False)
+        return w
+
     @classmethod
     def from_matrix(cls, m) -> "Covariance":
         """The covariance of matrix ``m``; the same as ``Covariance(m)``."""
@@ -157,38 +172,38 @@ class Covariance:
 
 
 def invert_spd(c: Covariance) -> np.ndarray:
-    """Precision matrix Sigma^-1, computed from the cached Cholesky factor.
+    """Precision matrix Sigma^-1 = W^T W, from the cached whitener W = L^-1.
 
-    With L L^T = Sigma, the inverse is L^-T L^-1; the result is symmetrized
-    exactly and read-only so it can be reused as a quadratic-form kernel. A
-    precision beyond the float range raises :class:`DomainError`.
+    The result is symmetrized exactly and read-only. A precision beyond the
+    float range raises :class:`DomainError`. Distances do not go through it:
+    :func:`quad_form` takes the whitener.
     """
-    linv = np.linalg.solve(c.chol, np.eye(c.dim))
+    w = c.whitener
     with float_range_guard("the precision matrix is beyond the float range"):
-        p = linv.T @ linv
+        p = w.T @ w
     p = 0.5 * p + 0.5 * p.T
     p.setflags(write=False)
     return p
 
 
-def det_spd(c: Covariance) -> float:
-    """Determinant of the covariance (see :attr:`Covariance.det`)."""
-    return c.det
+def quad_form(d, w: np.ndarray) -> float | np.ndarray:
+    """Squared norm ||w d||^2, the one squared-distance kernel.
 
-
-def quad_form(d, p: np.ndarray) -> float | np.ndarray:
-    """Quadratic form d^T p d for an SPD kernel p.
-
-    ``d`` may be a single vector of shape (n,) or a batch of shape (..., n);
-    the result is a float or an array of the leading shape. Tiny negative
-    values from round-off are clamped to zero (the form is nonnegative for
-    SPD ``p``, which is not checked again).
+    With the whitener ``w = Covariance.whitener`` this is the squared
+    Mahalanobis distance d^T Sigma^-1 d. ``d`` may be a single vector of
+    shape (n,) or a batch of shape (..., n); the result is a float or an
+    array of the leading shape: the row sums of (d w^T)^2, from one matrix
+    product.
     """
-    kernel = np.asarray(p, dtype=float)
+    kernel = np.asarray(w, dtype=float)
     dv = np.asarray(d, dtype=float)
-    if dv.shape[-1:] != kernel.shape[:1]:
+    if dv.shape[-1:] != kernel.shape[1:]:
         raise DomainError(
             f"vector dimension {dv.shape[-1:]} does not match kernel {kernel.shape}"
         )
-    q = np.maximum(np.einsum("...i,...i->...", dv @ kernel, dv), 0.0)
+    # w^T as a C-contiguous copy, not a transposed view: a row then rounds
+    # alike alone and in a batch in more cases, though not in all (BLAS
+    # picks its summation order by shape)
+    y = dv @ np.ascontiguousarray(kernel.T)
+    q = np.einsum("...i,...i->...", y, y)
     return float(q) if q.ndim == 0 else q

@@ -8,14 +8,13 @@ comma-separated sample per line.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_float_array, float_range_guard
+from .linalg import Covariance, as_float, as_float_array, float_range_guard
 
 _MOMENTS_RANGE = "the sample moments are beyond the float range"
 
@@ -32,11 +31,6 @@ def as_samples(rows) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DomainError("sample entries must be finite")
     return a
-
-
-def sample_mean(samples) -> np.ndarray:
-    """Componentwise arithmetic mean of the rows."""
-    return as_samples(samples).mean(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,15 +102,16 @@ def example_covariance(sigma: float, k: float) -> Covariance:
     y, z with variances sigma^2 and k*sigma^2. Its trace is (k+2) sigma^2 and
     its determinant k sigma^4.
     """
+    sigma, k = as_float(sigma, "sigma"), as_float(k, "k")
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if k <= 0.0:
         raise DomainError(f"k must be positive, got {k}")
     try:
-        s2 = float(sigma) ** 2
+        s2 = sigma ** 2
     except OverflowError:
         raise DomainError(f"sigma**2 is beyond the float range, got sigma={sigma}") from None
-    return Covariance.from_matrix([[s2, s2], [s2, (float(k) + 1.0) * s2]])
+    return Covariance.from_matrix([[s2, s2], [s2, (k + 1.0) * s2]])
 
 
 def _expected_header(dim: int) -> list[str]:
@@ -171,9 +166,3 @@ def write_samples_csv(samples, target) -> None:
     writer.writerow(_expected_header(a.shape[1]))
     for row in a:
         writer.writerow([repr(float(v)) for v in row])
-
-
-def samples_to_csv_text(samples) -> str:
-    buf = io.StringIO()
-    write_samples_csv(samples, buf)
-    return buf.getvalue()

@@ -17,20 +17,23 @@ greater than 1 - delta. The ellipsoid is never larger: the volume ratio
 is at least 1, with equality exactly when Sigma is a positive multiple of
 the identity (AM-GM on the diagonal plus Hadamard's determinant bound).
 Both regions are closed sets: membership uses <=. A region is checked once,
-when it is built (a finite center, a positive finite level), and an
-ellipsoid holds the :class:`~mvcheb.linalg.Covariance` it was built from.
+when it is built (a finite center, a positive finite level, and for an
+ellipsoid a whitener within the float range), and an ellipsoid holds the
+:class:`~mvcheb.linalg.Covariance` it was built from. Ellipsoid membership
+compares ||W (v - mu)||^2, with the covariance's whitener W = L^-1, against
+the threshold (:func:`~mvcheb.linalg.quad_form`); Sigma^-1 is never formed.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_float, as_vector, exp_or_inf, invert_spd, quad_form
+from .linalg import Covariance, as_float, as_vector, exp_or_inf, quad_form
 from .sampler import _is_int, check_entries
 
 
@@ -82,14 +85,6 @@ def _offsets(x, center: np.ndarray) -> np.ndarray:
     return xv - center
 
 
-def mahalanobis_sq(x, center, precision: np.ndarray) -> float | np.ndarray:
-    """Squared Mahalanobis distance (x - center)^T Sigma^-1 (x - center).
-
-    ``x`` may be one vector of shape (n,) or a batch of shape (N, n).
-    """
-    return quad_form(_offsets(x, as_vector(center)), precision)
-
-
 def _level(name: str, value: float) -> float:
     value = as_float(value, name)
     if not 0.0 < value < math.inf:
@@ -100,19 +95,19 @@ def _level(name: str, value: float) -> float:
 @dataclass(frozen=True, eq=False)
 class EllipsoidRegion:
     """Closed set { v : (v-center)^T Sigma^-1 (v-center) <= threshold }; the
-    precision Sigma^-1 is derived from ``cov`` when the region is built."""
+    whitener of ``cov`` is derived when the region is built, so one beyond
+    the float range refuses the region then, not when it is used."""
 
     center: np.ndarray
     cov: Covariance
     threshold: float
-    precision: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.cov, Covariance):
             raise UsageError(f"cov must be a Covariance, got {type(self.cov).__name__}")
         object.__setattr__(self, "center", as_vector(self.center, self.cov.dim))
         object.__setattr__(self, "threshold", _level("threshold", self.threshold))
-        object.__setattr__(self, "precision", invert_spd(self.cov))
+        self.cov.whitener  # derived now, so a region is refused when built
 
     @property
     def dim(self) -> int:
@@ -169,7 +164,7 @@ def contains(region, x) -> bool | np.ndarray:
         raise TypeError(f"not a region: {type(region).__name__}")
     d = _offsets(x, region.center)
     if isinstance(region, EllipsoidRegion):
-        q, level = quad_form(d, region.precision), region.threshold
+        q, level = quad_form(d, region.cov.whitener), region.threshold
     else:
         q, level = np.einsum("...i,...i->...", d, d), region.radius_sq
     result = q <= level * (1.0 + _BOUNDARY_RTOL)
@@ -224,6 +219,7 @@ def example_ratio(k: float) -> float:
     minimized at k = 2 with value sqrt(2), increasing monotonically on both
     sides and unbounded as k -> 0 or k -> infinity.
     """
+    k = as_float(k, "k")
     if not 0.0 < k < math.inf:
         raise DomainError(f"k must be positive and finite, got {k}")
     return (k + 2.0) / (2.0 * math.sqrt(k))
@@ -291,4 +287,4 @@ def region_from_dict(data: dict):
             return SphereRegion(data["center"], data["radius_sq"])
     except KeyError as exc:
         raise UsageError(f"{kind} region is missing field {exc}") from None
-    raise DomainError(f"unknown region kind: {kind!r}")
+    raise UsageError(f"unknown region kind: {kind!r}")

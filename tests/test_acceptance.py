@@ -15,15 +15,14 @@ from mvcheb import (
     Covariance,
     chebyshev_bound,
     classical_bound,
-    det_spd,
     example_covariance,
     example_ratio,
     gaussian_spec,
     invert_spd,
-    mahalanobis_sq,
     make_ellipsoid,
     make_sphere,
     paper_example_spec,
+    quad_form,
     run_coverage,
     run_tail_curve,
     tight_radial_spec,
@@ -170,11 +169,11 @@ def test_criterion_07_figure_replication(tmp_path):
     samples, ellipse = read_xy("samples"), read_xy("ellipse")
     assert samples.shape == (1000, 2) and ellipse.shape == (256, 2)
 
-    precision = invert_spd(EXAMPLE)
-    d2_boundary = mahalanobis_sq(ellipse, np.zeros(2), precision)
+    whitener = EXAMPLE.whitener
+    d2_boundary = quad_form(ellipse, whitener)
     assert np.max(np.abs(d2_boundary - 20.0)) <= 1e-9
 
-    d2 = mahalanobis_sq(samples, np.zeros(2), precision)
+    d2 = quad_form(samples, whitener)
     coverage = float((d2 <= 20.0).mean())
     assert coverage >= 0.9
     assert chi2.sf(20.0, 2) == pytest.approx(math.exp(-10.0), rel=1e-12)
@@ -212,7 +211,7 @@ def test_criterion_09_linalg_oracle_equivalence():
         det_adj = a * d - b * c
         inv_adj = np.array([[d, -b], [-c, a]]) / det_adj
         cov = Covariance.from_matrix(m)
-        assert det_spd(cov) == pytest.approx(det_adj, rel=1e-12)
+        assert cov.det == pytest.approx(det_adj, rel=1e-12)
         p = invert_spd(cov)
         assert np.all(np.abs(p - inv_adj) <= 1e-12 * np.abs(inv_adj) + 1e-300)
     _pass(9, f"Cholesky-path det/inverse match adjugate oracles on {len(matrices)} matrices")

@@ -388,20 +388,39 @@ TINY = {"kind": "gaussian", "mean": [0, 0], "cov": [[1e-310, 0], [0, 1e-310]]}
 HUGE = {"kind": "gaussian", "mean": [0, 0], "cov": [[1e308, 0], [0, 1e308]]}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("region", "--kind", "ellipsoid", "--cov", json.dumps(TINY["cov"]), "--delta", "0.1"),
-        coverage_args(TINY),
-        coverage_args(HUGE),
-    ],
-    ids=["region_tiny_precision", "coverage_tiny_precision", "coverage_huge_sphere"],
-)
+@pytest.mark.parametrize("argv", [coverage_args(HUGE)], ids=["coverage_huge_sphere"])
 def test_levels_beyond_float_range_exit_3_without_warning(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_main(*argv) == 3
     assert capsys.readouterr().err.startswith("mvcheb: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("region", "--kind", "ellipsoid", "--cov", json.dumps(TINY["cov"]), "--delta", "0.1"),
+        coverage_args(TINY),
+    ],
+    ids=["region_tiny_precision", "coverage_tiny_precision"],
+)
+def test_tiny_covariance_exits_0_without_warning(argv, capsys):
+    # Sigma^-1 = 1e310 I is beyond the float range; the whitener 1e155 I is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main(*argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_tiny_covariance_hits_equal_identity_hits(capsys):
+    # a scaled covariance scales every sample and the ellipsoid alike
+    def hits(cov):
+        spec = {"kind": "gaussian", "mean": [0, 0], "cov": cov, "seed": 3}
+        argv = ("coverage", "--spec", json.dumps(spec), "--delta", "0.1", "--n", "100000")
+        assert run_main(*argv) == 0
+        return json.loads(capsys.readouterr().out)["ellipsoid"]["hits"]
+
+    assert hits(TINY["cov"]) == hits([[1, 0], [0, 1]])
 
 
 def test_tiny_isotropic_ratio_is_one(capsys):

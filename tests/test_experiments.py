@@ -11,11 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from mvcheb import (
     Covariance,
     DomainError,
+    EllipsoidRegion,
     UsageError,
     contains,
     draw,
@@ -24,16 +27,15 @@ from mvcheb import (
     example_covariance,
     export_figure,
     figure_csv_texts,
-    figure_manifest,
     gaussian_spec,
-    invert_spd,
-    mahalanobis_sq,
     make_ellipsoid,
     make_sphere,
     paper_example_spec,
+    quad_form,
     run_coverage,
     run_coverage_estimated,
     run_tail_curve,
+    spec_from_dict,
     spec_to_dict,
     tight_radial_spec,
     trace_identity_check,
@@ -341,7 +343,7 @@ class TestReducer:
         assert runs[1]["hits"] == runs[1]["true"] == _hits(x, mean, cov, self.DELTA)
         assert runs[1]["estimated"] == _hits(x, ref.mean, ref.cov, self.DELTA)
         d = x - mean
-        d2 = mahalanobis_sq(x, mean, invert_spd(cov))
+        d2 = quad_form(x - mean, cov.whitener)
         sq = np.einsum("ij,ij->i", d, d)
         grid = np.array(self.GRID)
         assert runs[1]["tails"] == (
@@ -445,7 +447,7 @@ class TestFigureExport:
     def test_boundaries_satisfy_region_equations(self):
         fig = export_figure(seed=1)
         cov = example_covariance(1.0, 25.0)
-        d2 = mahalanobis_sq(fig.ellipse_boundary, np.zeros(2), invert_spd(cov))
+        d2 = quad_form(fig.ellipse_boundary, cov.whitener)
         assert np.max(np.abs(d2 - fig.threshold)) <= 1e-9
         sq = np.einsum("ij,ij->i", fig.circle_boundary, fig.circle_boundary)
         assert np.max(np.abs(sq - fig.radius_sq)) <= 1e-9
@@ -453,7 +455,7 @@ class TestFigureExport:
     def test_most_samples_inside_ellipse(self):
         fig = export_figure(seed=7)
         cov = example_covariance(1.0, 25.0)
-        d2 = mahalanobis_sq(fig.samples, np.zeros(2), invert_spd(cov))
+        d2 = quad_form(fig.samples, cov.whitener)
         assert (d2 <= fig.threshold).mean() >= 0.9
 
     def test_deterministic(self):
@@ -477,13 +479,14 @@ class TestFigureExport:
             parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
             assert np.array_equal(parsed, arr)
 
-    def test_manifest(self):
+    def test_manifest(self, tmp_path):
         fig = export_figure(seed=4)
-        man = figure_manifest(fig, files={"samples": "s.csv"})
+        assert cli.main(["figure", "--seed", "4", "--out-prefix", str(tmp_path / "f_")]) == 0
+        man = json.loads((tmp_path / "f_manifest.json").read_text())
         assert man["threshold"] == fig.threshold
         assert man["radius_sq"] == fig.radius_sq
         assert man["params"]["k"] == 25.0
-        assert man["files"] == {"samples": "s.csv"}
+        assert man["files"] == {name: f"f_{name}.csv" for name in ("samples", "ellipse", "circle")}
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -502,3 +505,49 @@ class TestFigureExport:
         mean, cov = true_moments(paper_example_spec(1.0, 25.0, seed=2))
         sph = make_sphere(mean, cov, 0.1)
         assert np.array_equal(fig.circle_boundary, ellipse_boundary(sph, 33))
+
+
+# A rotation of diag(1, 1e-10), which Covariance accepts. Through an explicit
+# Sigma^-1 (error ~ cond(Sigma) u) 3,480 of the tight_radial atoms at
+# d^2 = eps (1 + 1e-8) computed inside the region; the whitener's error is
+# ~ sqrt(cond(Sigma)) u, far below the 1e-8 shell margin.
+ILL_CONDITIONED = {
+    "kind": "tight_radial", "eps": 20, "seed": 1,
+    "cov": [[0.9126678074635723, 0.2823212366692855], [0.2823212366692855, 0.08733219263642762]],
+}
+
+
+class TestIllConditionedCovariance:
+    """A tight_radial sample is an atom exactly where it differs from the
+    mean, so the atoms are counted without computing any distance."""
+
+    def test_every_atom_outside_the_region(self):
+        spec = spec_from_dict(ILL_CONDITIONED)
+        n = 100_000
+        atoms = int(np.count_nonzero(np.any(draw(spec, n) != spec.mean, axis=1)))
+        assert atoms == 10_088
+        ell, _ = run_coverage(spec, 0.1, n)
+        assert ell.hits == n - atoms == 89_912
+        assert run_tail_curve(spec, [10.0, 20.0], n).empirical_tail[1] == atoms / n
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(
+        n=st.integers(2, 64),
+        log_cond=st.floats(10.0, 11.0),
+        eps_per_dim=st.floats(1.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_rotations(self, n, log_cond, eps_per_dim, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eig = 10.0 ** (-log_cond * np.linspace(0.0, 1.0, n))
+        cov = Covariance((q * eig) @ q.T)
+        spec = tight_radial_spec(n * eps_per_dim, cov=cov, seed=seed)
+        x = draw(spec, 256)
+        atoms = np.any(x != spec.mean, axis=1)
+        region = EllipsoidRegion(spec.mean, cov, spec.eps)
+        assert np.array_equal(contains(region, x), ~atoms)
+        d2 = quad_form(x[atoms] - spec.mean, cov.whitener)
+        assert np.all(np.abs(d2 / spec.eps - (1.0 + 1e-8)) <= 1e-9)
+        tail = run_tail_curve(spec, [spec.eps], 256).empirical_tail[0]
+        assert tail == np.count_nonzero(atoms) / 256

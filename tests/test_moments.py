@@ -14,7 +14,6 @@ from mvcheb import (
     example_covariance,
     paper_example_spec,
     read_samples_csv,
-    sample_mean,
     write_samples_csv,
 )
 from mvcheb.moments import merge_moment_sums, moment_sums
@@ -23,21 +22,21 @@ from mvcheb.sampler import draw
 
 class TestSampleMean:
     def test_two_points(self):
-        assert np.array_equal(sample_mean([[0.0, 0.0], [2.0, 2.0]]), [1.0, 1.0])
+        assert np.array_equal(moment_sums([[0.0, 0.0], [2.0, 2.0]])[1], [1.0, 1.0])
 
     def test_single_sample(self):
-        assert np.array_equal(sample_mean([[5.0]]), [5.0])
+        assert np.array_equal(moment_sums([[5.0]])[1], [5.0])
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError, match="sample set has no rows"):
-            sample_mean(np.empty((0, 2)))
+            moment_sums(np.empty((0, 2)))
 
     def test_paper_example_mean_converges(self):
         # generator is zero-mean by construction; SE per component sqrt(var_i/N)
         n = 100_000
         x = draw(paper_example_spec(1.0, 25.0, seed=2024), n)
         se = np.sqrt(np.array([1.0, 26.0]) / n)
-        assert np.all(np.abs(sample_mean(x)) <= 5.0 * se)
+        assert np.all(np.abs(moment_sums(x)[1]) <= 5.0 * se)
 
 
 class TestSampleCovariance:
@@ -129,6 +128,11 @@ class TestExampleCovariance:
             example_covariance(0.0, 25.0)
         with pytest.raises(DomainError, match="k must be positive"):
             example_covariance(1.0, -1.0)
+
+    @pytest.mark.parametrize("sigma, k, name", [("a", 1.0, "sigma"), (1.0, None, "k")])
+    def test_parameters_not_numbers(self, sigma, k, name):
+        with pytest.raises(UsageError, match=f"{name} must be a number"):
+            example_covariance(sigma, k)
 
 
 class TestCsv:

@@ -24,11 +24,10 @@ from mvcheb import (
     ellipse_boundary,
     example_covariance,
     example_ratio,
-    invert_spd,
     log_volume_ratio,
-    mahalanobis_sq,
     make_ellipsoid,
     make_sphere,
+    quad_form,
     region_from_dict,
     region_to_dict,
     volume,
@@ -101,29 +100,28 @@ class TestBounds:
 
 class TestMahalanobis:
     def test_at_center(self):
-        p = invert_spd(EXAMPLE)
-        assert mahalanobis_sq([0.0, 0.0], [0.0, 0.0], p) == 0.0
+        assert quad_form(np.zeros(2), EXAMPLE.whitener) == 0.0
 
     def test_identity_is_euclidean(self):
-        p = np.eye(3)
+        w = np.eye(3)
         x = np.array([1.0, 2.0, 2.0])
-        assert mahalanobis_sq(x, np.zeros(3), p) == pytest.approx(9.0, rel=1e-15)
+        assert quad_form(x, w) == pytest.approx(9.0, rel=1e-15)
 
     def test_example_value(self):
-        p = invert_spd(EXAMPLE)
-        assert mahalanobis_sq([1.0, 1.0], [0.0, 0.0], p) == pytest.approx(1.0, rel=1e-12)
+        w = EXAMPLE.whitener
+        assert quad_form([1.0, 1.0], w) == pytest.approx(1.0, rel=1e-12)
 
     def test_whitening_cross_check(self):
-        # d^2 computed through the precision matrix must agree with the
-        # squared norm of the Cholesky-whitened offset
+        # d^2 computed through the cached whitener must agree with the
+        # squared norm of the offset whitened by scipy's triangular solve
         rng = np.random.default_rng(21)
         for n in (1, 2, 4, 6):
             cov = random_spd_cov(rng, n)
-            p = invert_spd(cov)
+            w = cov.whitener
             center = rng.standard_normal(n)
             for _ in range(25):
                 x = center + rng.standard_normal(n) * 3.0
-                d2 = mahalanobis_sq(x, center, p)
+                d2 = quad_form(x - center, w)
                 white = solve_triangular(cov.chol, x - center, lower=True)
                 assert d2 == pytest.approx(float(white @ white), rel=1e-9, abs=1e-12)
 
@@ -171,10 +169,10 @@ class TestRegions:
 
     def test_inside_and_outside_example(self):
         ell = make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1)
-        p = invert_spd(EXAMPLE)
+        w = EXAMPLE.whitener
         # scale a direction to d^2 just under / just over the threshold
         v = np.array([1.0, 3.0])
-        base = mahalanobis_sq(v, [0.0, 0.0], p)
+        base = quad_form(v, w)
         inside = v * math.sqrt(19.5 / base)
         outside = v * math.sqrt(20.5 / base)
         assert contains(ell, inside)
@@ -209,16 +207,28 @@ class TestRegions:
     def test_arrays_are_read_only(self):
         center = np.array([0.5, -1.0])
         ell = make_ellipsoid(center, EXAMPLE, 0.1)
-        for array in (ell.center, ell.precision, make_sphere(center, EXAMPLE, 0.1).center):
+        for array in (ell.center, ell.cov.whitener, make_sphere(center, EXAMPLE, 0.1).center):
             with pytest.raises(ValueError):
                 array[0] = 5.0
         center[0] = 7.0  # the caller's array stays writable and the region keeps its copy
         assert ell.center[0] == 0.5
 
-    def test_precision_beyond_float_range_refused_when_built(self):
+    def test_tiny_covariance_builds_an_ellipsoid(self):
+        # Sigma^-1 = 1e310 I is beyond the float range, but the whitener
+        # 1e155 I is not, and membership needs only the whitener
         tiny = Covariance.from_matrix(1e-310 * np.eye(2))
-        with pytest.raises(DomainError, match="precision matrix is beyond the float range"):
-            make_ellipsoid([0.0, 0.0], tiny, 0.1)
+        ell = make_ellipsoid([0.0, 0.0], tiny, 0.1)
+        assert contains(ell, [4e-155, 0.0]) and not contains(ell, [5e-155, 0.0])
+
+    def test_whitener_beyond_float_range_refused_when_built(self):
+        # unit lower-triangular L with -1 below the diagonal: L^-1 has
+        # entries 2^(i-j-1), beyond the float range at n = 1100
+        n = 1100
+        lower = np.eye(n) - np.tril(np.ones((n, n)), -1)
+        cov = Covariance.from_matrix(lower @ lower.T)
+        assert math.isfinite(log_volume_ratio(cov))  # the ratio needs no whitener
+        with pytest.raises(DomainError, match="whitener L\\^-1 is beyond the float range"):
+            make_ellipsoid(np.zeros(n), cov, 0.1)
 
     def test_sphere_radius_beyond_float_range_refused_when_built(self):
         huge = Covariance.from_matrix([[1e308, 0.0], [0.0, 1e308]])
@@ -233,7 +243,7 @@ class TestRegions:
             raise AssertionError("region re-checked")
 
         monkeypatch.setattr(regions, "as_vector", fail)
-        monkeypatch.setattr(regions, "mahalanobis_sq", fail)
+        monkeypatch.setattr(np.linalg, "solve", fail)  # the whitener is derived once
         pts = np.array([[0.0, 0.0], [100.0, 0.0]])
         assert contains(ell, pts).tolist() == [True, False]
         assert contains(sph, pts).tolist() == [True, False]
@@ -390,6 +400,13 @@ class TestExampleRatio:
             with pytest.raises(DomainError, match="k must be positive"):
                 example_ratio(k)
 
+    def test_k_is_read_as_a_float(self):
+        # the rule of linalg.as_float, which a spec's sigma, k and eps follow too
+        assert example_ratio("2") == example_ratio(2.0)
+        for k in ("a", None, [2.0]):
+            with pytest.raises(UsageError, match="k must be a number"):
+                example_ratio(k)
+
 
 class TestEllipseBoundary:
     def test_unit_circle_quartet(self):
@@ -407,7 +424,7 @@ class TestEllipseBoundary:
     def test_points_sit_on_the_level_set(self):
         ell = make_ellipsoid([0.5, -2.0], EXAMPLE, 0.1)
         pts = ellipse_boundary(ell, 64)
-        d2 = mahalanobis_sq(pts, ell.center, ell.precision)
+        d2 = quad_form(pts - ell.center, ell.cov.whitener)
         assert np.max(np.abs(d2 - ell.threshold)) <= 1e-9
 
     def test_membership_flips_just_outside(self):
@@ -460,7 +477,7 @@ class TestRegionJson:
         assert d["threshold"] == pytest.approx(20.0, rel=1e-15)
         back = region_from_dict(d)
         assert back.threshold == ell.threshold
-        assert np.allclose(back.precision, ell.precision)
+        assert np.allclose(back.cov.whitener, ell.cov.whitener)
 
     def test_sphere_round_trip(self):
         sph = make_sphere([0.0, 0.0], EXAMPLE, 0.1)
@@ -470,7 +487,7 @@ class TestRegionJson:
         assert back.radius_sq == sph.radius_sq
 
     def test_unknown_kind(self):
-        with pytest.raises(DomainError, match="unknown region kind"):
+        with pytest.raises(UsageError, match="unknown region kind"):
             region_from_dict({"kind": "cube"})
 
     @pytest.mark.parametrize(
