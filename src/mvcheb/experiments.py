@@ -3,11 +3,11 @@
 Coverage counts use the distribution's true moments (not estimates), so the
 experiments exercise the inequalities themselves rather than estimation
 error; an estimated-moments mode is available separately. Every experiment
-runs through one reducer: N is cut into fixed chunks (see
-:mod:`mvcheb.sampler` for why a chunk can be drawn alone), workers reduce
-chunks to small partial results, and those are combined in chunk order.
-Results are therefore identical for any worker count, and memory is one
-chunk per worker whatever N is.
+runs through one reducer: N is cut into the sampler's chunks of
+:func:`~mvcheb.sampler.chunk_size` samples, each drawn by its own
+generator, workers reduce chunks to small partial results, and those are
+combined in chunk order. Results are therefore identical for any worker
+count, and memory is one chunk per worker whatever N is.
 """
 
 from __future__ import annotations
@@ -33,17 +33,13 @@ from .regions import (
 )
 from .sampler import (
     SamplerSpec,
-    blocks_per_sample,
     check_n_samples,
+    chunk_size,
     draw,
     draw_range,
     paper_example_spec,
     true_moments,
 )
-
-# Philox counter blocks per chunk: 65,536 samples of up to 4 words each.
-_CHUNK = 1 << 16
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -82,13 +78,14 @@ def _reports(delta: float, n_samples: int, hits) -> tuple[CoverageReport, Covera
 def _reduce(spec: SamplerSpec, n_samples: int, per_chunk, streams: int = 1):
     """``per_chunk(x)`` for each chunk x of samples [0, n_samples), in chunk order.
 
-    A chunk is ``_CHUNK`` Philox blocks of samples, so its bounds depend only
-    on the spec and N. ``streams`` threads draw and reduce the chunks; callers
-    combine the results in the order yielded, so no result depends on it.
+    A chunk is the sampler's :func:`~mvcheb.sampler.chunk_size` samples, one
+    generator's draw, so its bounds depend only on the spec and N.
+    ``streams`` threads draw and reduce the chunks; callers combine the
+    results in the order yielded, so no result depends on it.
     """
     if streams < 1:
         raise UsageError(f"streams must be positive, got {streams}")
-    size = max(1, _CHUNK // blocks_per_sample(spec))
+    size = chunk_size(spec)
 
     def chunk(start: int):
         return per_chunk(draw_range(spec, start, min(start + size, n_samples)))

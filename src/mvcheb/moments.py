@@ -100,13 +100,12 @@ def example_covariance(sigma: float, k: float) -> Covariance:
 
     This is the covariance of (y, y+z) for independent zero-mean Gaussians
     y, z with variances sigma^2 and k*sigma^2. Its trace is (k+2) sigma^2 and
-    its determinant k sigma^4.
+    its determinant k sigma^4. Anything but a finite sigma > 0 and k > 0 is a
+    :class:`UsageError`.
     """
     sigma, k = as_float(sigma, "sigma"), as_float(k, "k")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if k <= 0.0:
-        raise DomainError(f"k must be positive, got {k}")
+    if not (0.0 < sigma < math.inf and 0.0 < k < math.inf):
+        raise UsageError("paper_example needs finite sigma > 0 and k > 0")
     try:
         s2 = sigma ** 2
     except OverflowError:

@@ -1,13 +1,20 @@
 """Seeded random-vector generators with counter-based addressing.
 
-All randomness comes from Philox keyed by (seed, stream_index). Uniform
-doubles are the top 53 bits of each 64-bit word; normals come from the
-Box-Muller transform on consecutive uniform pairs (both outputs used).
+All randomness comes from Philox keyed by (seed, stream_index), read
+through numpy's ``Generator`` (stream format 2). The index range is cut
+into fixed chunks of :func:`chunk_size` samples, about 2^17 normals each.
+Chunk c draws its normals, row by row, from the generator whose Philox
+counter starts at [0, 0, 0, c]; a tight_radial chunk draws its atom
+uniforms from a second generator at [0, 0, 1, c]. Chunks therefore read
+disjoint counter ranges of 2^192 blocks (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), and each is prefix-stable: its first
+r rows do not depend on how many rows are drawn after them.
 
-Sample i of a draw owns a fixed window of Philox counter blocks, so
-generating indices [a, b) yields bit-identical values no matter how the
+So generating indices [a, b) yields bit-identical values no matter how the
 index range is partitioned across workers. That property is what makes the
-parallel experiments reproduce serial results hit-for-hit.
+parallel experiments reproduce serial results hit-for-hit. Bit generators
+are stable across numpy releases but ``Generator`` methods need not be
+(NEP 19), so the values are bit-exact within one numpy version.
 
 Three generator kinds:
 
@@ -33,15 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 from .errors import DomainError, UsageError
 from .linalg import Covariance, as_float, as_vector
 from .moments import example_covariance
 
 _U64 = np.uint64
-_DOUBLE_SCALE = 2.0 ** -53
-_WORDS_PER_BLOCK = 4  # Philox-4x64 emits 4 words per counter increment
+_CHUNK_NORMALS = 1 << 17  # normals per chunk, so 65,536 samples at n=2
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8  # of the largest 8-byte array numpy can allocate
 
 # The tight_radial atom sits on the closed tail event {d^2 >= eps}; round-off
@@ -86,22 +92,6 @@ def _key(seed: int, stream_index: int) -> np.ndarray:
     return np.array([seed, stream_index], dtype=_U64)
 
 
-def _to_uniform(words: np.ndarray) -> np.ndarray:
-    # same conversion numpy uses for float64: top 53 bits, range [0, 1)
-    return (words >> _U64(11)) * _DOUBLE_SCALE
-
-
-def _boxmuller(uniforms: np.ndarray) -> np.ndarray:
-    """Map 2m uniforms to 2m normals; pair (2i, 2i+1) feeds transform i."""
-    u = uniforms.reshape(-1, 2)
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    angle = 2.0 * np.pi * u[:, 1]
-    out = np.empty(u.shape[0] * 2)
-    out[0::2] = r * np.cos(angle)
-    out[1::2] = r * np.sin(angle)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class SamplerSpec:
     """Parameters of one generator kind plus the stream seed.
@@ -138,8 +128,6 @@ class SamplerSpec:
             if f in reads:
                 object.__setattr__(self, f, as_float(getattr(self, f), f))
         if self.kind == "paper_example":
-            if not (0.0 < self.sigma < np.inf and 0.0 < self.k < np.inf):
-                raise UsageError("paper_example needs finite sigma > 0 and k > 0")
             object.__setattr__(self, "cov", example_covariance(self.sigma, self.k))
             object.__setattr__(self, "mean", np.zeros(2))
         if not isinstance(self.cov, Covariance):
@@ -227,17 +215,17 @@ def spec_from_dict(data: dict) -> SamplerSpec:
     return SamplerSpec(kind, **fields)
 
 
-def _layout(spec: SamplerSpec) -> tuple[int, int]:
-    """(m, blocks): a sample reads its Box-Muller pairs from words [0, m) and a
-    tight_radial atom's Bernoulli from word m, in a window of whole blocks."""
-    m = 2 * ((spec.dim + 1) // 2)
-    words = m + (spec.kind == "tight_radial")
-    return m, -(-words // _WORDS_PER_BLOCK)
+def chunk_size(spec: SamplerSpec) -> int:
+    """Samples per chunk: the unit of one generator and of one reducer step."""
+    return max(1, _CHUNK_NORMALS // spec.dim)
 
 
-def blocks_per_sample(spec: SamplerSpec) -> int:
-    """Philox counter blocks reserved per sample (fixed layout)."""
-    return _layout(spec)[1]
+def _fill(out: np.ndarray, method, skip: int) -> None:
+    """Fill ``out`` with the rows after the first ``skip`` of a chunk's draw."""
+    if skip:
+        out[...] = method(size=(skip + len(out), *out.shape[1:]))[skip:]
+    else:
+        method(out=out)
 
 
 def draw_range(
@@ -245,10 +233,12 @@ def draw_range(
 ) -> np.ndarray:
     """Samples with global indices [start, stop) of the spec's sequence.
 
-    Sample i is a pure function of (seed, stream_index, i): it reads only
-    the counter blocks [i*B, (i+1)*B) of the keyed Philox stream, where B =
-    :func:`blocks_per_sample`. Concatenating ranges therefore reproduces
-    :func:`draw` exactly, for any partition of the index range.
+    Sample i is a pure function of (seed, stream_index, i): it is row i mod
+    S of chunk i // S, where S = :func:`chunk_size`, and a chunk's rows are
+    prefix-stable. Each chunk that meets [start, stop) is drawn up to the
+    row before ``stop``, and the rows before ``start`` are dropped, so
+    concatenating ranges reproduces :func:`draw` exactly, for any partition
+    of the index range.
     """
     if not 0 <= start <= stop:
         raise UsageError(f"bad index range [{start}, {stop})")
@@ -256,17 +246,18 @@ def draw_range(
     n = spec.dim
     if count == 0:
         return np.empty((0, n))
-    n_normal_words, blocks = _layout(spec)
-    bitgen = Philox(key=_key(spec.seed, stream_index))
-    if start:
-        bitgen.advance(start * blocks)
-    words_total = count * blocks * _WORDS_PER_BLOCK
-    check_entries(words_total, f"{count} samples")
-    raw = np.asarray(bitgen.random_raw(words_total), dtype=_U64)
-    u = _to_uniform(raw).reshape(count, blocks * _WORDS_PER_BLOCK)
-
-    z = _boxmuller(u[:, :n_normal_words].reshape(-1))
-    z = z.reshape(count, n_normal_words)[:, :n]
+    check_entries(count * n, f"{count} samples")
+    key = _key(spec.seed, stream_index)
+    size = chunk_size(spec)
+    z = np.empty((count, n))
+    u = np.empty(count) if spec.kind == "tight_radial" else None
+    for c in range(start // size, (stop - 1) // size + 1):
+        first = c * size
+        skip = max(start - first, 0)
+        rows = slice(first + skip - start, min(first + size, stop) - start)
+        _fill(z[rows], Generator(Philox(key=key, counter=[0, 0, 0, c])).standard_normal, skip)
+        if u is not None:
+            _fill(u[rows], Generator(Philox(key=key, counter=[0, 0, 1, c])).random, skip)
 
     if spec.kind == "paper_example":
         y = spec.sigma * z[:, 0]
@@ -279,8 +270,7 @@ def draw_range(
     safe = np.where(norms == 0.0, 1.0, norms)
     direction = z / safe[:, None]
     direction[norms == 0.0] = np.eye(n)[0]
-    bern = u[:, n_normal_words]
-    radius = np.sqrt(spec.eps * _SHELL_MARGIN) * (bern < n / spec.eps)
+    radius = np.sqrt(spec.eps * _SHELL_MARGIN) * (u < n / spec.eps)
     return spec.mean + radius[:, None] * (direction @ spec.cov.chol.T)
 
 

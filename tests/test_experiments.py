@@ -41,8 +41,8 @@ from mvcheb import (
     trace_identity_check,
     true_moments,
 )
-from mvcheb import cli, experiments
-from mvcheb.sampler import blocks_per_sample
+from mvcheb import cli, experiments, sampler
+from mvcheb.sampler import chunk_size
 
 PAPER = paper_example_spec(1.0, 25.0, seed=99)
 
@@ -253,7 +253,7 @@ def test_numpy_integer_n_samples_accepted():
     assert np.array_equal(draw(PAPER, np.int32(10)), draw(PAPER, 10))
 
 
-SMALL_CHUNK = 64  # Philox blocks per chunk in TestReducer: N = 5000 spans many chunks
+SMALL_CHUNK = 128  # normals per chunk in TestReducer: N = 5000 spans many chunks
 REDUCER_SPECS = [
     paper_example_spec(1.0, 25.0, seed=41),
     gaussian_spec(np.arange(9.0), Covariance.from_matrix(np.eye(9) + 0.5), seed=42),
@@ -276,7 +276,7 @@ class TestReducer:
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_CHUNK", SMALL_CHUNK)
+        monkeypatch.setattr(sampler, "_CHUNK_NORMALS", SMALL_CHUNK)
 
     def _record_draws(self, monkeypatch) -> list:
         calls = []
@@ -323,7 +323,7 @@ class TestReducer:
 
     @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
     def test_streams_and_in_memory_reference_agree(self, monkeypatch, spec):
-        assert self.N > 10 * (SMALL_CHUNK // blocks_per_sample(spec))
+        assert self.N > 10 * chunk_size(spec)
         runs = {}
         for streams in (1, 2, 3):
             with monkeypatch.context() as m:
@@ -364,7 +364,7 @@ class TestReducer:
         assert reached != (np.sum(d2[:, None] > grid, axis=0) / self.N).tolist()
 
     def test_each_index_drawn_once_per_pass_one_chunk_at_a_time(self, monkeypatch):
-        chunk = SMALL_CHUNK // blocks_per_sample(PAPER)
+        chunk = chunk_size(PAPER)
         calls = self._record_draws(monkeypatch)
         run_coverage(PAPER, self.DELTA, self.N, streams=2)
         assert np.all(self._draws_per_index(calls) == 1)
@@ -387,14 +387,14 @@ class TestReducer:
     def test_at_most_two_chunks_per_stream_in_flight(self, monkeypatch):
         calls = self._record_draws(monkeypatch)
         results = experiments._reduce(PAPER, self.N, len, streams=2)
-        assert next(results) == SMALL_CHUNK // blocks_per_sample(PAPER)
+        assert next(results) == chunk_size(PAPER)
         time.sleep(0.05)  # ample time for idle workers to draw whatever was submitted
         # four submitted up front, one more as the first result was taken
         assert len(calls) <= 5
         results.close()
 
     def test_peak_memory_is_flat_in_the_chunk_count(self):
-        chunk = SMALL_CHUNK // blocks_per_sample(PAPER)
+        chunk = chunk_size(PAPER)
 
         def peak(n_chunks):
             tracemalloc.start()
@@ -525,9 +525,9 @@ class TestIllConditionedCovariance:
         spec = spec_from_dict(ILL_CONDITIONED)
         n = 100_000
         atoms = int(np.count_nonzero(np.any(draw(spec, n) != spec.mean, axis=1)))
-        assert atoms == 10_088
+        assert atoms == 9_956
         ell, _ = run_coverage(spec, 0.1, n)
-        assert ell.hits == n - atoms == 89_912
+        assert ell.hits == n - atoms == 90_044
         assert run_tail_curve(spec, [10.0, 20.0], n).empirical_tail[1] == atoms / n
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)

@@ -124,10 +124,10 @@ class TestExampleCovariance:
             example_covariance(1e200, 1.0)
 
     def test_nonpositive_parameters(self):
-        with pytest.raises(DomainError, match="sigma must be positive"):
-            example_covariance(0.0, 25.0)
-        with pytest.raises(DomainError, match="k must be positive"):
-            example_covariance(1.0, -1.0)
+        # the one sigma/k rule, which a paper_example spec meets through this function
+        for sigma, k in [(0.0, 25.0), (1.0, -1.0), (float("inf"), 1.0), (1.0, float("nan"))]:
+            with pytest.raises(UsageError, match="paper_example needs finite sigma > 0 and k > 0"):
+                example_covariance(sigma, k)
 
     @pytest.mark.parametrize("sigma, k, name", [("a", 1.0, "sigma"), (1.0, None, "k")])
     def test_parameters_not_numbers(self, sigma, k, name):

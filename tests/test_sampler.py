@@ -3,6 +3,8 @@ generators. Statistical assertions use 5-standard-error tolerances."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvcheb import (
     Covariance,
@@ -20,7 +22,8 @@ from mvcheb import (
     tight_radial_spec,
     true_moments,
 )
-from mvcheb.sampler import blocks_per_sample
+from mvcheb import sampler
+from mvcheb.sampler import chunk_size
 
 
 class TestSpecs:
@@ -162,6 +165,14 @@ class TestSpecs:
         assert cov is spec.cov and spec.dim == 2
 
 
+# One spec of each kind, for the chunk edge and stream format 2 tests.
+CHUNK_EDGE_SPECS = {
+    "paper_example": paper_example_spec(1.0, 25.0, seed=0),
+    "gaussian": gaussian_spec([1.0, -2.0, 0.5], Covariance(np.diag([4.0, 1.0, 0.25])), seed=0),
+    "tight_radial": tight_radial_spec(4.0, dim=2, seed=0),
+}
+
+
 class TestDraw:
     def test_bitwise_reproducible(self):
         spec = paper_example_spec(1.0, 25.0, seed=404)
@@ -183,11 +194,94 @@ class TestDraw:
         spec = paper_example_spec(1.0, 25.0, seed=11)
         assert not np.array_equal(draw(spec, 100, stream_index=0), draw(spec, 100, stream_index=1))
 
-    def test_blocks_per_sample(self):
-        assert blocks_per_sample(paper_example_spec(1.0, 1.0)) == 1
-        assert blocks_per_sample(tight_radial_spec(4.0, dim=2)) == 1
+    def test_chunk_size(self, monkeypatch):
+        # about 2^17 normals per chunk, whole samples, at least one
+        assert chunk_size(paper_example_spec(1.0, 1.0)) == 65_536
+        assert chunk_size(tight_radial_spec(4.0, dim=2)) == 65_536
         five = gaussian_spec(np.zeros(5), Covariance.from_matrix(np.eye(5)), seed=0)
-        assert blocks_per_sample(five) == 2  # 6 normal words -> 2 blocks
+        assert chunk_size(five) == 26_214
+        monkeypatch.setattr(sampler, "_CHUNK_NORMALS", 4)
+        assert chunk_size(five) == 1
+
+    def test_partition_invariance_across_real_chunk_edges(self):
+        for spec in CHUNK_EDGE_SPECS.values():
+            size = chunk_size(spec)
+            total = 2 * size + 7
+            full = draw(spec, total)
+            cuts = [0, size // 2, size + 3, 2 * size + 1, total]
+            parts = [draw_range(spec, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+            assert np.array_equal(np.vstack(parts), full)
+            assert np.array_equal(draw_range(spec, size - 2, size + 2), full[size - 2 : size + 2])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(sorted(CHUNK_EDGE_SPECS)), chunk_normals=st.integers(1, 24),
+           data=st.data())
+    def test_random_partitions_and_prefixes(self, kind, chunk_normals, data):
+        spec = CHUNK_EDGE_SPECS[kind]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sampler, "_CHUNK_NORMALS", chunk_normals)
+            size = chunk_size(spec)
+            total = data.draw(st.integers(1, 8 * size + 5), label="total")
+            cuts = data.draw(st.lists(st.integers(0, total), max_size=6), label="cuts")
+            bounds = [0, *sorted(cuts), total]
+            full = draw(spec, total)
+            parts = [draw_range(spec, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+            assert np.array_equal(np.vstack(parts), full)
+            prefix = data.draw(st.integers(1, total), label="prefix")
+            assert np.array_equal(draw(spec, prefix), full[:prefix])
+
+    def test_too_many_entries_refused_before_drawing(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(sampler, "Generator", no_generator)
+        with pytest.raises(DomainError, match="more than one array can hold"):
+            draw_range(paper_example_spec(1.0, 25.0), 0, 10**20)
+
+
+# Stream format 2: the first rows of each kind at seed 0, streams 0 and 1.
+# The gaussian's mean and power-of-two Cholesky factor and the elementwise
+# paper_example transform are exact, so any change of the stream shows.
+GOLDEN_ROWS = {
+    ("paper_example", 0): [
+        [0.15929546600623282, -8.711647138002375],
+        [1.3265118818830892, 7.350557371629667],
+        [-0.03910371209917862, -2.6362001971137965],
+    ],
+    ("paper_example", 1): [
+        [-0.7440191742693708, -0.8161422229727711],
+        [0.5053939916649247, -8.255736181875719],
+        [0.9117518902728049, 1.726346129584309],
+    ],
+    ("gaussian", 0): [
+        [1.3185909320124656, -3.7741885208017214, 1.1632559409415446],
+        [3.409618195898631, -2.0391037120991786, 0.24029035149853822],
+        [-1.226591818854557, -3.767380301540489, 0.5198838041819515],
+    ],
+    ("gaussian", 1): [
+        [-0.4880383485387416, -2.01442460974068, 0.7526969958324623],
+        [-2.5044520694162573, -1.088248109727195, 0.5814594239311505],
+        [-0.6822336796252675, -3.0333976271933922, 0.9802368793284542],
+    ],
+    ("tight_radial", 0): [
+        [0.0, 0.0],
+        [1.4804970630878809, 1.3446666821886233],
+        [-0.15014216482835344, -1.9943563799734125],
+    ],
+    ("tight_radial", 1): [
+        [-1.999624243999655, -0.038767548398227915],
+        [0.5542647839400318, -1.9216634953299991],
+        [0.0, 0.0],
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, stream", GOLDEN_ROWS, ids=[f"{k}-{s}" for k, s in GOLDEN_ROWS])
+def test_golden_rows(kind, stream):
+    x = draw(CHUNK_EDGE_SPECS[kind], 3, stream_index=stream)
+    # the tight_radial direction goes through a norm, whose summation order
+    # may differ by the last ulp between builds
+    np.testing.assert_allclose(x, GOLDEN_ROWS[kind, stream], rtol=1e-15, atol=0.0)
 
 
 def standard_normal_spec(seed):
