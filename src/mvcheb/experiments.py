@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .linalg import quad_form
 from .moments import merge_moment_sums, moment_sums, moments_from_sums
 from .regions import (
@@ -190,7 +190,7 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     if grid.size == 0:
         raise UsageError("eps grid must contain at least one value")
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
-        raise DomainError("eps grid must be strictly ascending, positive and finite")
+        raise UsageError("eps grid must be strictly ascending, positive and finite")
     mean, cov = true_moments(spec)
     whitener = cov.whitener
     var_total = cov.trace
@@ -203,18 +203,13 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     with np.errstate(over="ignore"):  # a level beyond the float range is inf: no sample reaches it
         var_levels = grid * var_total
 
-    def histograms(x):
-        # bin k counts the samples at or above exactly k levels of the grid
+    def tail_counts(x):
+        # a level's count (v >= level) is the chunk's length less its sorted v below the level
         d = x - mean
         pairs = ((grid, quad_form(d, whitener)), (var_levels, np.einsum("ij,ij->i", d, d)))
-        return np.stack([
-            np.bincount(np.searchsorted(levels, v, side="right"), minlength=grid.size + 1)
-            for levels, v in pairs
-        ])
+        return np.stack([len(v) - np.searchsorted(np.sort(v), levels) for levels, v in pairs])
 
-    # the tail at level j counts the samples in bins j+1 and up
-    counts = sum(_reduce(spec, total, histograms))
-    tails = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][:, 1:] / total
+    tails = sum(_reduce(spec, total, tail_counts)) / total
     return TailCurve(
         eps_grid=grid,
         empirical_tail=tails[0],

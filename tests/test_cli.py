@@ -377,6 +377,11 @@ def coverage_args(spec):
         (("bound", "--classical", "--var", "27", "--dim", "2", "--eps", "3"), 2),
         # so is a spec field its kind does not read
         (coverage_args({"kind": "gaussian", "mean": [0], "cov": [[1]], "eps": -5}), 2),
+        # an eps grid that is not strictly ascending and positive, as a non-positive eps in bound
+        (("bound", "--dim", "2", "--eps", "0"), 2),
+        (("tail", "--spec", PAPER_SPEC, "--eps", "0", "--n", "10"), 2),
+        (("tail", "--spec", PAPER_SPEC, "--eps=-1,2", "--n", "10"), 2),
+        (("tail", "--spec", PAPER_SPEC, "--eps", "4,2", "--n", "10"), 2),
     ],
 )
 def test_in_process_exit_codes(argv, code, capsys):

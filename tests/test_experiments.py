@@ -17,7 +17,6 @@ from scipy.stats import chi2
 
 from mvcheb import (
     Covariance,
-    DomainError,
     EllipsoidRegion,
     UsageError,
     contains,
@@ -195,10 +194,10 @@ class TestTailCurve:
     def test_grid_validation(self):
         with pytest.raises(UsageError, match="at least one value"):
             run_tail_curve(PAPER, [], 100)
-        with pytest.raises(DomainError, match="strictly ascending"):
+        with pytest.raises(UsageError, match="strictly ascending"):
             run_tail_curve(PAPER, [4.0, 2.0], 100)
-        for bad in ([-1.0, 2.0], [2.0, np.nan], [2.0, np.inf]):
-            with pytest.raises(DomainError, match="strictly ascending"):
+        for bad in ([-1.0, 2.0], [0.0], [2.0, np.nan], [2.0, np.inf]):
+            with pytest.raises(UsageError, match="strictly ascending"):
                 run_tail_curve(PAPER, bad, 100)
 
     def test_classical_bound_is_exactly_min_one_over_eps(self):
@@ -362,6 +361,35 @@ class TestReducer:
         reached = (np.sum(d2[:, None] >= grid, axis=0) / self.N).tolist()
         assert curve.empirical_tail.tolist() == curve.classical_tail.tolist() == reached
         assert reached != (np.sum(d2[:, None] > grid, axis=0) / self.N).tolist()
+
+    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
+    def test_tail_counts_at_the_edges_of_the_drawn_range(self, spec):
+        size = chunk_size(spec)
+        assert self.N % size != 0  # the last chunk is partial
+        mean, cov = true_moments(spec)
+        d = draw(spec, self.N) - mean
+        # d^2 chunk by chunk, rounded as the reducer rounds it, so levels set on it tie exactly
+        d2 = np.concatenate([quad_form(d[i:i + size], cov.whitener) for i in range(0, self.N, size)])
+        sq = np.einsum("ij,ij->i", d, d)
+        levels = np.concatenate([d2, sq / cov.trace])
+        levels = levels[levels > 0]
+        outside = np.array([levels.min() / 2, levels.max() * 2])
+        # tight_radial alone puts samples at d^2 = 0, which no positive level lies below
+        below = float(np.mean(d2 > 0))
+        assert below == 1.0 or spec.kind == "tight_radial"
+        # quantiles that are drawn values put samples exactly on the levels;
+        # tight_radial has only a few distinct d^2 > 0, so its grid is those few
+        dense = np.unique(np.quantile(d2[d2 > 0], np.linspace(0, 1, 200), method="inverted_cdf"))
+        assert len(dense) == 200 or spec.kind == "tight_radial"
+        curves = [run_tail_curve(spec, grid, self.N) for grid in (outside, dense)]
+        for grid, curve in zip((outside, dense), curves):
+            assert curve.empirical_tail.tolist() == (
+                np.sum(d2[:, None] >= grid, axis=0) / self.N
+            ).tolist()
+            assert curve.classical_tail.tolist() == (
+                np.sum(sq[:, None] >= grid * cov.trace, axis=0) / self.N
+            ).tolist()
+        assert curves[0].empirical_tail.tolist() == curves[0].classical_tail.tolist() == [below, 0.0]
 
     def test_each_index_drawn_once_per_pass_one_chunk_at_a_time(self, monkeypatch):
         chunk = chunk_size(PAPER)
