@@ -160,7 +160,7 @@ def _cmd_coverage(args) -> str:
 
 def _cmd_tail(args) -> str:
     spec = _load_spec(args.spec, args.seed)
-    return dump_json(run_tail_curve(spec, args.eps, args.n).to_dict())
+    return dump_json(run_tail_curve(spec, args.eps, args.n, streams=args.streams).to_dict())
 
 
 def _cmd_figure(args) -> None:
@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, out: bool = True, seed: bool = False):
+    def add(name: str, help_text: str, *, out: bool = True, seed: bool = False,
+            streams: bool = False):
         p = sub.add_parser(name, help=help_text)
         if out:
             p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -209,6 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="64-bit seed; overrides any seed in the spec JSON (default: "
                 "spec seed, else 0)",
             )
+        if streams:
+            p.add_argument("--streams", type=int, default=1, help="worker count; changes no result")
         return p
 
     p = add("estimate", "estimate mean/covariance from a sample CSV")
@@ -235,16 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", default=None, help="center as JSON list (default zeros)")
     p.set_defaults(func=_cmd_region)
 
-    p = add("coverage", "Monte Carlo coverage of both regions", seed=True)
+    p = add("coverage", "Monte Carlo coverage of both regions", seed=True, streams=True)
     p.add_argument("--spec", required=True, help="sampler spec as inline JSON or file path")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--streams",
-        type=int,
-        default=1,
-        help="worker count; never changes the drawn samples or counts",
-    )
     p.add_argument(
         "--estimated",
         action="store_true",
@@ -252,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_coverage)
 
-    p = add("tail", "empirical tails vs both bound curves", seed=True)
+    p = add("tail", "empirical tails vs both bound curves", seed=True, streams=True)
     p.add_argument("--spec", required=True, help="sampler spec as inline JSON or file path")
     p.add_argument("--eps", type=_eps_grid, required=True, help="comma list, ascending")
     p.add_argument("--n", type=int, required=True)

@@ -7,7 +7,8 @@ runs through one reducer: N is cut into the sampler's chunks of
 :func:`~mvcheb.sampler.chunk_size` samples, each drawn by its own
 generator, workers reduce chunks to small partial results, and those are
 combined in chunk order. Results are therefore identical for any worker
-count, and memory is one chunk per worker whatever N is.
+count. Kernels work in row tiles of a chunk, so memory is one chunk per
+worker plus tile-sized temporaries, whatever N is.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from .regions import (
 )
 from .sampler import (
     SamplerSpec,
+    _is_int,
     check_n_samples,
     chunk_size,
     draw,
     draw_range,
     paper_example_spec,
+    tiles,
     true_moments,
 )
 
@@ -83,8 +86,8 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_chunk, streams: int = 1):
     ``streams`` threads draw and reduce the chunks; callers combine the
     results in the order yielded, so no result depends on it.
     """
-    if streams < 1:
-        raise UsageError(f"streams must be positive, got {streams}")
+    if not (_is_int(streams) and streams >= 1):
+        raise UsageError(f"streams must be a positive integer, got {streams!r}")
     size = chunk_size(spec)
 
     def chunk(start: int):
@@ -184,8 +187,8 @@ class TailCurve:
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
 
-def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
-    """Evaluate both tails and both bounds on an ascending positive grid."""
+def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1) -> TailCurve:
+    """Both tails and both bounds on an ascending positive grid, from ``streams`` workers."""
     grid = np.asarray(eps_grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise UsageError("eps grid must contain at least one value")
@@ -203,13 +206,14 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int) -> TailCurve:
     with np.errstate(over="ignore"):  # a level beyond the float range is inf: no sample reaches it
         var_levels = grid * var_total
 
-    def tail_counts(x):
-        # a level's count (v >= level) is the chunk's length less its sorted v below the level
+    def tile_counts(x):
+        # a level's count (v >= level) is the tile's length less its sorted v below the level
         d = x - mean
         pairs = ((grid, quad_form(d, whitener)), (var_levels, np.einsum("ij,ij->i", d, d)))
         return np.stack([len(v) - np.searchsorted(np.sort(v), levels) for levels, v in pairs])
 
-    tails = sum(_reduce(spec, total, tail_counts)) / total
+    counts = _reduce(spec, total, lambda x: sum(tile_counts(x[t]) for t in tiles(x)), streams)
+    tails = sum(counts) / total
     return TailCurve(
         eps_grid=grid,
         empirical_tail=tails[0],

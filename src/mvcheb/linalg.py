@@ -193,7 +193,9 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
     Mahalanobis distance d^T Sigma^-1 d. ``d`` may be a single vector of
     shape (n,) or a batch of shape (..., n); the result is a float or an
     array of the leading shape: the row sums of (d w^T)^2, from one matrix
-    product.
+    product. A row's last ulp can depend on the length of its batch (see
+    below), in the experiments a tile of :func:`~mvcheb.sampler.tiles`,
+    whose layout depends only on the chunk.
     """
     kernel = np.asarray(w, dtype=float)
     dv = np.asarray(d, dtype=float)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .linalg import Covariance, as_float, as_vector, exp_or_inf, quad_form
-from .sampler import _is_int, check_entries
+from .sampler import _is_int, check_entries, tiles
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,6 @@ def classical_bound(var_total: float, eps: float) -> BoundValue:
         return _bound(var / e ** 2)
     except (OverflowError, ZeroDivisionError):  # e**2 is beyond the float range
         return _bound(var / e / e)
-
-
-def _offsets(x, center: np.ndarray) -> np.ndarray:
-    """x - center for one point of shape (n,) or a batch of shape (N, n)."""
-    xv = np.asarray(x, dtype=float)
-    if xv.shape[-1:] != center.shape:
-        raise DomainError(
-            f"point dimension {xv.shape[-1:]} does not match center {center.shape}"
-        )
-    return xv - center
 
 
 def _level(name: str, value: float) -> float:
@@ -152,23 +142,35 @@ def make_sphere(mean, cov: Covariance, delta: float) -> SphereRegion:
 _BOUNDARY_RTOL = 1e-12
 
 
-def contains(region, x) -> bool | np.ndarray:
-    """Membership test (closed regions: boundary points are members).
-
-    ``x`` may be one vector or a batch of shape (N, n); the result is a bool
-    or a boolean array accordingly. The comparison allows ``_BOUNDARY_RTOL``
-    relative slack so points constructed on the boundary test as members
-    despite round-off.
-    """
-    if not isinstance(region, (EllipsoidRegion, SphereRegion)):
-        raise TypeError(f"not a region: {type(region).__name__}")
-    d = _offsets(x, region.center)
+def _members(region, x: np.ndarray) -> np.ndarray:
+    d = x - region.center
     if isinstance(region, EllipsoidRegion):
         q, level = quad_form(d, region.cov.whitener), region.threshold
     else:
         q, level = np.einsum("...i,...i->...", d, d), region.radius_sq
-    result = q <= level * (1.0 + _BOUNDARY_RTOL)
-    return bool(result) if np.ndim(result) == 0 else result
+    return q <= level * (1.0 + _BOUNDARY_RTOL)
+
+
+def contains(region, x) -> bool | np.ndarray:
+    """Membership test (closed regions: boundary points are members).
+
+    ``x`` may be one vector or a batch of shape (N, n); the result is a bool
+    or a boolean array accordingly. A batch is tested one tile of rows at a
+    time (:func:`~mvcheb.sampler.tiles`). The comparison allows
+    ``_BOUNDARY_RTOL`` relative slack so points constructed on the boundary
+    test as members despite round-off.
+    """
+    if not isinstance(region, (EllipsoidRegion, SphereRegion)):
+        raise TypeError(f"not a region: {type(region).__name__}")
+    xv, shape = np.asarray(x, dtype=float), region.center.shape
+    if xv.shape[-1:] != shape:
+        raise DomainError(f"point dimension {xv.shape[-1:]} does not match center {shape}")
+    if xv.ndim == 1:
+        return bool(_members(region, xv))
+    result = np.empty(xv.shape[:-1], dtype=bool)
+    for rows in tiles(xv):
+        result[rows] = _members(region, xv[rows])
+    return result
 
 
 def volume(region) -> float:

@@ -48,6 +48,7 @@ from .moments import example_covariance
 
 _U64 = np.uint64
 _CHUNK_NORMALS = 1 << 17  # normals per chunk, so 65,536 samples at n=2
+_TILE_ENTRIES = 1 << 13  # entries per tile of a chunk's kernels, so 64 KB temporaries
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8  # of the largest 8-byte array numpy can allocate
 
 # The tight_radial atom sits on the closed tail event {d^2 >= eps}; round-off
@@ -220,6 +221,13 @@ def chunk_size(spec: SamplerSpec) -> int:
     return max(1, _CHUNK_NORMALS // spec.dim)
 
 
+def tiles(x: np.ndarray) -> list[slice]:
+    """Slices of ``max(1, 2**13 // n)`` rows that cover a batch ``x`` of shape
+    (rows, ..., n): the tiles of the per-chunk kernels, set by rows and n alone."""
+    step = max(1, _TILE_ENTRIES // x.shape[-1])
+    return [slice(i, i + step) for i in range(0, len(x), step)]
+
+
 def _fill(out: np.ndarray, method, skip: int) -> None:
     """Fill ``out`` with the rows after the first ``skip`` of a chunk's draw."""
     if skip:
@@ -259,19 +267,21 @@ def draw_range(
         if u is not None:
             _fill(u[rows], Generator(Philox(key=key, counter=[0, 0, 1, c])).random, skip)
 
+    # in place but for the matmul's output; the order of the operations fixes the stream's bits
     if spec.kind == "paper_example":
-        y = spec.sigma * z[:, 0]
-        w = np.sqrt(spec.k) * spec.sigma * z[:, 1]
-        return np.column_stack([y, y + w])
-    if spec.kind == "gaussian":
-        return spec.mean + z @ spec.cov.chol.T
-    # tight_radial
-    norms = np.linalg.norm(z, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    direction = z / safe[:, None]
-    direction[norms == 0.0] = np.eye(n)[0]
-    radius = np.sqrt(spec.eps * _SHELL_MARGIN) * (u < n / spec.eps)
-    return spec.mean + radius[:, None] * (direction @ spec.cov.chol.T)
+        z[:, 0] *= spec.sigma
+        z[:, 1] *= np.sqrt(spec.k) * spec.sigma
+        z[:, 1] += z[:, 0]
+        return z
+    if spec.kind == "tight_radial":
+        norms = np.linalg.norm(z, axis=1)
+        z /= np.where(norms == 0.0, 1.0, norms)[:, None]
+        z[norms == 0.0] = np.eye(n)[0]
+    x = z @ spec.cov.chol.T
+    if spec.kind == "tight_radial":
+        x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (u < n / spec.eps)[:, None]
+    x += spec.mean
+    return x
 
 
 def draw(spec: SamplerSpec, n_samples: int, stream_index: int = 0) -> np.ndarray:

@@ -246,6 +246,21 @@ class TestTail:
     def test_empty_grid_exits_2(self):
         assert run_cli("tail", "--spec", PAPER_SPEC, "--eps", ",", "--n", "10").returncode == 2
 
+    def test_streams_equal_byte_for_byte(self):
+        # N spans four chunks, so three workers reduce them out of step
+        args = ("tail", "--spec", PAPER_SPEC, "--eps", "1,2,5,10,20,40", "--n", "200000")
+        one = run_cli(*args, "--streams", "1")
+        three = run_cli(*args, "--streams", "3")
+        assert one.returncode == 0, one.stderr
+        assert one.stdout == three.stdout == run_cli(*args).stdout
+
+    @pytest.mark.parametrize("streams", ["0", "-2"])
+    def test_streams_below_one_exits_2(self, streams):
+        args = ("tail", "--spec", PAPER_SPEC, "--eps", "2", "--n", "10", "--streams", streams)
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == f"mvcheb: error: streams must be a positive integer, got {streams}\n"
+
 
 class TestFigure:
     def test_default_run_manifest(self, tmp_path):

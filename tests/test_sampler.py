@@ -230,6 +230,57 @@ class TestDraw:
             prefix = data.draw(st.integers(1, total), label="prefix")
             assert np.array_equal(draw(spec, prefix), full[:prefix])
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(kind=st.sampled_from(sampler.KINDS), n=st.integers(1, 6), data=st.data())
+    def test_in_place_transform_matches_the_out_of_place_formula(self, kind, n, data):
+        # the generators are stubbed to serve chosen normals (zero rows included)
+        # and uniforms, which the former out-of-place formula turns into x
+        rows = data.draw(st.integers(1, 12), label="rows")
+        n = 2 if kind == "paper_example" else n
+        entry = st.one_of(st.just(0.0), st.floats(-40.0, 40.0))
+        z = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                        min_size=rows, max_size=rows), label="z"))
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                        min_size=rows, max_size=rows), label="u"))
+        a = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n),
+                               label="a")).reshape(n, n)
+        cov = Covariance.from_matrix(a @ a.T + np.eye(n))
+        mean = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+        spec = {
+            "paper_example": lambda: paper_example_spec(
+                data.draw(st.floats(1e-3, 1e3)), data.draw(st.floats(1e-3, 1e3))),
+            "gaussian": lambda: gaussian_spec(mean, cov),
+            "tight_radial": lambda: tight_radial_spec(
+                data.draw(st.floats(float(n), 1e3)), mean=mean, cov=cov),
+        }[kind]()
+
+        class Served:
+            def __init__(self, bit_generator):
+                pass
+
+            def standard_normal(self, out):
+                out[...] = z
+
+            def random(self, out):
+                out[...] = u
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sampler, "Generator", Served)
+            x = draw_range(spec, 0, rows)
+        if kind == "paper_example":
+            y = spec.sigma * z[:, 0]
+            w = np.sqrt(spec.k) * spec.sigma * z[:, 1]
+            expected = np.column_stack([y, y + w])
+        elif kind == "gaussian":
+            expected = spec.mean + z @ spec.cov.chol.T
+        else:
+            norms = np.linalg.norm(z, axis=1)
+            direction = z / np.where(norms == 0.0, 1.0, norms)[:, None]
+            direction[norms == 0.0] = np.eye(n)[0]
+            radius = np.sqrt(spec.eps * sampler._SHELL_MARGIN) * (u < n / spec.eps)
+            expected = spec.mean + radius[:, None] * (direction @ spec.cov.chol.T)
+        assert x.tobytes() == expected.tobytes()
+
     def test_too_many_entries_refused_before_drawing(self, monkeypatch):
         def no_generator(*args, **kwargs):
             raise AssertionError("a chunk was drawn")
