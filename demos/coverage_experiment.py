@@ -1,4 +1,4 @@
-"""Do the regions really cover with probability > 1 - delta?
+"""Do the regions really cover with probability at least 1 - delta?
 
 Builds the sphere and ellipsoid from the true moments of two
 distributions and counts how many of N seeded draws land inside:
@@ -22,7 +22,7 @@ def show(label, spec):
         print(
             f"  {report.kind:9s} hits {report.hits:6d}  "
             f"coverage {report.empirical_coverage:.4f}  "
-            f"guaranteed > {report.guaranteed_coverage:.4f}  "
+            f"guaranteed >= {report.guaranteed_coverage:.4f}  "
             f"(SE {report.standard_error:.2e})"
         )
     print()

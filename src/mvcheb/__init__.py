@@ -2,7 +2,7 @@
 
 The classical vector Chebyshev inequality bounds Pr{||X - mu|| >= eps} by
 Var(X)/eps^2 and yields a sphere of squared radius tr(Sigma)/delta with
-coverage above 1 - delta. The Mahalanobis-form inequality bounds
+coverage at least 1 - delta. The Mahalanobis-form inequality bounds
 Pr{(X-mu)^T Sigma^-1 (X-mu) >= eps} by n/eps and yields an ellipsoid at
 threshold n/delta with the same guarantee but never more volume. This
 package builds both regions, computes the exact volume ratio

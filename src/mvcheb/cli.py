@@ -13,8 +13,9 @@ input cannot be read as what the command needs: bad flags, malformed JSON
 or CSV, a ragged or non-numeric array, an unknown spec kind); 3 for a
 :class:`~mvcheb.errors.DomainError` (the input is well formed but the
 mathematics rejects it: a matrix that is not positive definite, delta
-outside (0, 1), ...); 4 for an output I/O error. Output files are written
-to a temp file and renamed, so a failing run never leaves partial output.
+outside (0, 1), ...) or for a run larger than memory; 4 for an output I/O
+error. Output files go to a temp file that is renamed, so a failing run
+never leaves partial output.
 A ``det``, ``trace`` or ``ratio`` outside (0, inf) prints as null; the
 ``log_det`` and ``log_ratio`` beside it stay finite.
 """
@@ -288,9 +289,10 @@ def main(argv=None) -> int:
                 sys.stdout.write(text)
             else:
                 atomic_write_many({args.out: text})
-    except (UsageError, DomainError, OSError) as exc:
-        print(f"mvcheb: error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 3 if isinstance(exc, DomainError) else 4
+    except (UsageError, DomainError, MemoryError, OSError) as exc:
+        msg = f"out of memory: {exc}".removesuffix(": ") if isinstance(exc, MemoryError) else exc
+        print(f"mvcheb: error: {msg}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 4 if isinstance(exc, OSError) else 3
     return 0
 
 

@@ -7,8 +7,9 @@ runs through one reducer: N is cut into the sampler's chunks of
 :func:`~mvcheb.sampler.chunk_size` samples, each drawn by its own
 generator, workers reduce chunks to small partial results, and those are
 combined in chunk order. Results are therefore identical for any worker
-count. Kernels work in row tiles of a chunk, so memory is one chunk per
-worker plus tile-sized temporaries, whatever N is.
+count. One tiled pass per chunk gives ||W (x - mu)||^2 and ||x - mu||^2 to
+the hit counts, the tail counts and the trace check alike, so memory is one
+chunk per worker plus tile-sized temporaries, whatever N is.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ import numpy as np
 from .errors import UsageError
 from .linalg import quad_form
 from .moments import merge_moment_sums, moment_sums, moments_from_sums
-from .regions import (
-    chebyshev_bound,
-    contains,
-    ellipse_boundary,
-    make_ellipsoid,
-    make_sphere,
-)
+from .regions import chebyshev_bound, ellipse_boundary, make_ellipsoid, make_sphere, within
 from .sampler import (
     SamplerSpec,
     _is_int,
@@ -107,11 +102,24 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_chunk, streams: int = 1):
     return results()
 
 
+def _tile_distances(x: np.ndarray, mean: np.ndarray, whitener: np.ndarray):
+    d = x - mean
+    return quad_form(d, whitener), np.einsum("ij,ij->i", d, d)
+
+
+def _per_tile(mean, whitener, reduce_tile):
+    """Per-chunk sum over tiles of ``reduce_tile(m2, e2)``, the tile's squared
+    Mahalanobis and Euclidean distances about ``mean``: every experiment's one
+    distance pass. A tile's offsets are freed before ``reduce_tile`` runs."""
+    return lambda x: sum(reduce_tile(*_tile_distances(x[t], mean, whitener)) for t in tiles(x))
+
+
 def _hit_counter(mean, cov, delta: float):
     """Per-chunk (ellipsoid, sphere) hit counts for the regions at ``delta``."""
-    ell = make_ellipsoid(mean, cov, delta)
-    sph = make_sphere(mean, cov, delta)
-    return lambda x: np.array([np.count_nonzero(contains(r, x)) for r in (ell, sph)])
+    ell, sph = make_ellipsoid(mean, cov, delta), make_sphere(mean, cov, delta)
+    return _per_tile(ell.center, cov.whitener, lambda m2, e2: np.array(
+        [np.count_nonzero(within(m2, ell.threshold)), np.count_nonzero(within(e2, sph.radius_sq))]
+    ))
 
 
 def run_coverage(
@@ -162,10 +170,9 @@ def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
     Carlo error of the dimension.
     """
     mean, cov = true_moments(spec)
-    whitener = cov.whitener
     n = check_n_samples(n_samples)
-    chunk_sums = _reduce(spec, n, lambda x: float(np.sum(quad_form(x - mean, whitener))))
-    return math.fsum(chunk_sums) / n
+    chunk_sum = _per_tile(mean, cov.whitener, lambda m2, _: float(np.sum(m2)))
+    return math.fsum(_reduce(spec, n, chunk_sum)) / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +202,6 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("eps grid must be strictly ascending, positive and finite")
     mean, cov = true_moments(spec)
-    whitener = cov.whitener
     var_total = cov.trace
     total = check_n_samples(n_samples)
     if not var_total < math.inf:
@@ -206,14 +212,11 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
     with np.errstate(over="ignore"):  # a level beyond the float range is inf: no sample reaches it
         var_levels = grid * var_total
 
-    def tile_counts(x):
-        # a level's count (v >= level) is the tile's length less its sorted v below the level
-        d = x - mean
-        pairs = ((grid, quad_form(d, whitener)), (var_levels, np.einsum("ij,ij->i", d, d)))
-        return np.stack([len(v) - np.searchsorted(np.sort(v), levels) for levels, v in pairs])
-
-    counts = _reduce(spec, total, lambda x: sum(tile_counts(x[t]) for t in tiles(x)), streams)
-    tails = sum(counts) / total
+    # a level's count (v >= level) is the tile's length less its sorted v below the level
+    counts = _per_tile(mean, cov.whitener, lambda *vs: np.stack(
+        [len(v) - np.searchsorted(np.sort(v), lv) for lv, v in zip((grid, var_levels), vs)]
+    ))
+    tails = sum(_reduce(spec, total, counts, streams)) / total
     return TailCurve(
         eps_grid=grid,
         empirical_tail=tails[0],

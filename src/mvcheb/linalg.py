@@ -156,10 +156,10 @@ class Covariance:
 
     @functools.cached_property
     def whitener(self) -> np.ndarray:
-        """W = L^-1, so that d^T Sigma^-1 d = ||W d||^2. A whitener with an
-        entry beyond the float range raises :class:`DomainError` when read;
-        the other derived quantities do not need it."""
-        w = np.linalg.solve(self.chol, np.eye(self.dim))
+        """W = L^-1, so that d^T Sigma^-1 d = ||W d||^2, stored column-major so
+        that :func:`quad_form` reads W^T without a copy. One with an entry beyond
+        the float range raises :class:`DomainError` when read, not when built."""
+        w = np.asfortranarray(np.linalg.solve(self.chol, np.eye(self.dim)))
         if not np.all(np.isfinite(w)):
             raise DomainError("the whitener L^-1 is beyond the float range")
         w.setflags(write=False)
@@ -203,9 +203,9 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
         raise DomainError(
             f"vector dimension {dv.shape[-1:]} does not match kernel {kernel.shape}"
         )
-    # w^T as a C-contiguous copy, not a transposed view: a row then rounds
-    # alike alone and in a batch in more cases, though not in all (BLAS
-    # picks its summation order by shape)
+    # w^T C-contiguous (a view for the column-major whitener, else a copy):
+    # a row then rounds alike alone and in a batch in more cases, though not
+    # in all (BLAS picks its summation order by shape)
     y = dv @ np.ascontiguousarray(kernel.T)
     q = np.einsum("...i,...i->...", y, y)
     return float(q) if q.ndim == 0 else q

@@ -10,7 +10,7 @@ Sigma:
 At a miss probability delta in (0, 1) these yield, respectively, the sphere
 ``||v - mu||^2 <= tr(Sigma)/delta`` and the ellipsoid
 ``(v-mu)^T Sigma^-1 (v-mu) <= n/delta``, each covering X with probability
-greater than 1 - delta. The ellipsoid is never larger: the volume ratio
+at least 1 - delta. The ellipsoid is never larger: the volume ratio
 
     vol(sphere) / vol(ellipsoid) = (tr(Sigma)/n)^(n/2) / sqrt(det(Sigma))
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .linalg import Covariance, as_float, as_vector, exp_or_inf, quad_form
-from .sampler import _is_int, check_entries, tiles
+from .sampler import _is_int, check_entries
 
 
 @dataclass(frozen=True)
@@ -127,12 +127,12 @@ def _check_delta(delta: float) -> float:
 
 
 def make_ellipsoid(mean, cov: Covariance, delta: float) -> EllipsoidRegion:
-    """Ellipsoid with Mahalanobis threshold n/delta: coverage > 1 - delta."""
+    """Ellipsoid with Mahalanobis threshold n/delta: coverage >= 1 - delta."""
     return EllipsoidRegion(mean, cov, cov.dim / _check_delta(delta))
 
 
 def make_sphere(mean, cov: Covariance, delta: float) -> SphereRegion:
-    """Sphere with squared radius tr(Sigma)/delta: coverage > 1 - delta."""
+    """Sphere with squared radius tr(Sigma)/delta: coverage >= 1 - delta."""
     return SphereRegion(as_vector(mean, cov.dim), cov.trace / _check_delta(delta))
 
 
@@ -142,12 +142,8 @@ def make_sphere(mean, cov: Covariance, delta: float) -> SphereRegion:
 _BOUNDARY_RTOL = 1e-12
 
 
-def _members(region, x: np.ndarray) -> np.ndarray:
-    d = x - region.center
-    if isinstance(region, EllipsoidRegion):
-        q, level = quad_form(d, region.cov.whitener), region.threshold
-    else:
-        q, level = np.einsum("...i,...i->...", d, d), region.radius_sq
+def within(q, level: float):
+    """``q <= level`` for the closed region at ``level``, with ``_BOUNDARY_RTOL`` slack."""
     return q <= level * (1.0 + _BOUNDARY_RTOL)
 
 
@@ -155,22 +151,20 @@ def contains(region, x) -> bool | np.ndarray:
     """Membership test (closed regions: boundary points are members).
 
     ``x`` may be one vector or a batch of shape (N, n); the result is a bool
-    or a boolean array accordingly. A batch is tested one tile of rows at a
-    time (:func:`~mvcheb.sampler.tiles`). The comparison allows
-    ``_BOUNDARY_RTOL`` relative slack so points constructed on the boundary
-    test as members despite round-off.
+    or a boolean array accordingly. The comparison is :func:`within`, whose
+    slack keeps points constructed on the boundary members despite round-off.
     """
     if not isinstance(region, (EllipsoidRegion, SphereRegion)):
         raise TypeError(f"not a region: {type(region).__name__}")
     xv, shape = np.asarray(x, dtype=float), region.center.shape
     if xv.shape[-1:] != shape:
         raise DomainError(f"point dimension {xv.shape[-1:]} does not match center {shape}")
-    if xv.ndim == 1:
-        return bool(_members(region, xv))
-    result = np.empty(xv.shape[:-1], dtype=bool)
-    for rows in tiles(xv):
-        result[rows] = _members(region, xv[rows])
-    return result
+    d = xv - region.center
+    if isinstance(region, EllipsoidRegion):
+        inside = within(quad_form(d, region.cov.whitener), region.threshold)
+    else:
+        inside = within(np.einsum("...i,...i->...", d, d), region.radius_sq)
+    return bool(inside) if xv.ndim == 1 else inside
 
 
 def volume(region) -> float:

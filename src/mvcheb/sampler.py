@@ -48,7 +48,8 @@ from .moments import example_covariance
 
 _U64 = np.uint64
 _CHUNK_NORMALS = 1 << 17  # normals per chunk, so 65,536 samples at n=2
-_TILE_ENTRIES = 1 << 13  # entries per tile of a chunk's kernels, so 64 KB temporaries
+_TILE_ENTRIES = 1 << 13  # entries per tile of a chunk's kernels, so 64 KB temporaries at low n
+_TILE_ROWS = 256  # rows per tile at least: a matrix product on fewer rows leaves BLAS idle
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8  # of the largest 8-byte array numpy can allocate
 
 # The tight_radial atom sits on the closed tail event {d^2 >= eps}; round-off
@@ -222,9 +223,9 @@ def chunk_size(spec: SamplerSpec) -> int:
 
 
 def tiles(x: np.ndarray) -> list[slice]:
-    """Slices of ``max(1, 2**13 // n)`` rows that cover a batch ``x`` of shape
+    """Slices of ``max(256, 2**13 // n)`` rows that cover a batch ``x`` of shape
     (rows, ..., n): the tiles of the per-chunk kernels, set by rows and n alone."""
-    step = max(1, _TILE_ENTRIES // x.shape[-1])
+    step = max(_TILE_ROWS, _TILE_ENTRIES // x.shape[-1])
     return [slice(i, i + step) for i in range(0, len(x), step)]
 
 

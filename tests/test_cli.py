@@ -314,6 +314,20 @@ class TestSample:
     def test_invalid_kind_exits_2(self):
         assert run_cli("sample", "--spec", '{"kind":"bogus"}', "--n", "5").returncode == 2
 
+    @pytest.mark.parametrize("text, shown", [
+        ("Unable to allocate 1.49 GiB", "out of memory: Unable to allocate 1.49 GiB"),
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_memory_exhaustion_exits_3_without_traceback(self, monkeypatch, capsys, text, shown):
+        def exhausted(spec, n_samples, stream_index=0):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(cli, "draw", exhausted)
+        assert cli.main(["sample", "--spec", PAPER_SPEC, "--n", "100000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mvcheb: error: {shown}\n"
+
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         csv_path = tmp_path / "in.csv"
         csv_path.write_text("x1,x2\n0.0,0.0\n1.0,2.0\n2.0,1.0\n")

@@ -393,6 +393,7 @@ class TestReducer:
         assert len(sampler.tiles(chunk)) == 1  # the default tile holds a small chunk whole
         default = counts()
         monkeypatch.setattr(sampler, "_TILE_ENTRIES", entries)
+        monkeypatch.setattr(sampler, "_TILE_ROWS", 1)
         assert max(t.stop - t.start for t in sampler.tiles(chunk)) <= max(1, entries // spec.dim)
         assert len(sampler.tiles(chunk)) > 1
         assert counts() == default
@@ -506,28 +507,40 @@ def test_coverage_peak_memory_is_flat_in_n():
     assert large <= 1.5 * small, (small, large)
 
 
-# Peak traced memory per worker, in chunks of samples: one chunk plus
-# tile-sized temporaries measured 1.18 (tail) to 1.24 (coverage).
-PEAK_CHUNKS_PER_STREAM = 1.5
+# Peak traced memory per worker, in chunks of samples: one chunk plus the
+# tile temporaries, which measured 1.18 (tail) to 1.24 (coverage) chunks on
+# paper_example, whose tiles are small. At n=512 a tile is a whole chunk, so
+# the temporaries x - mu and W (x - mu) are up to a chunk each: README's
+# bound of 3 chunks per worker plus L and W, n^2 8-byte entries each (L is
+# built before the trace starts; W is derived inside it).
+PEAK_CHUNKS_PER_STREAM = {"": 1.5, "d512": 3}
+
+
+def _gaussian_d512():
+    a = np.random.default_rng(512).standard_normal((512, 512))
+    return gaussian_spec(np.zeros(512), Covariance(a @ a.T / 512 + 0.01 * np.eye(512)), seed=1)
 
 
 @pytest.mark.parametrize("streams", [1, 2])
-@pytest.mark.parametrize("experiment", ["coverage", "tail"])
+@pytest.mark.parametrize("experiment", ["coverage", "tail", "coverage_d512", "tail_d512"])
 def test_peak_memory_is_one_chunk_per_stream(experiment, streams):
-    size = chunk_size(PAPER)
+    kind, _, high = experiment.partition("_")
+    spec = _gaussian_d512() if high else PAPER
+    size = chunk_size(spec)
     n = 4 * size
     run = {
-        "coverage": lambda: run_coverage(PAPER, 0.1, n, streams=streams),
-        "tail": lambda: run_tail_curve(PAPER, np.geomspace(1, 400, 200), n, streams=streams),
-    }[experiment]
-    chunk_bytes = size * PAPER.dim * 8
+        "coverage": lambda: run_coverage(spec, 0.1, n, streams=streams),
+        "tail": lambda: run_tail_curve(spec, np.geomspace(1, 400, 200), n, streams=streams),
+    }[kind]
+    chunk_bytes = size * spec.dim * 8
     tracemalloc.start()
     try:
         run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < streams * PEAK_CHUNKS_PER_STREAM * chunk_bytes, peak / chunk_bytes
+    bound = streams * PEAK_CHUNKS_PER_STREAM[high] * chunk_bytes + 2 * spec.dim ** 2 * 8
+    assert peak < bound, peak / chunk_bytes
 
 
 class TestFigureExport:
