@@ -191,21 +191,21 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
 
     With the whitener ``w = Covariance.whitener`` this is the squared
     Mahalanobis distance d^T Sigma^-1 d. ``d`` may be a single vector of
-    shape (n,) or a batch of shape (..., n); the result is a float or an
-    array of the leading shape: the row sums of (d w^T)^2, from one matrix
-    product. A row's last ulp can depend on the length of its batch (see
-    below), in the experiments a tile of :func:`~mvcheb.sampler.tiles`,
-    whose layout depends only on the chunk.
+    shape (n,) or a batch of shape (..., n), and ``w`` is n x n; the result
+    is a float or an array of the leading shape: the row sums of (d w^T)^2,
+    from one matrix product written in the layout of ``d``. A row's last
+    ulp can depend on the length and the layout of its batch, as BLAS picks
+    its summation order by shape; in the experiments a batch is a
+    column-major tile of :func:`~mvcheb.sampler.tiles`, set by the chunk.
     """
     kernel = np.asarray(w, dtype=float)
     dv = np.asarray(d, dtype=float)
-    if dv.shape[-1:] != kernel.shape[1:]:
+    if kernel.shape != dv.shape[-1:] * 2:
         raise DomainError(
             f"vector dimension {dv.shape[-1:]} does not match kernel {kernel.shape}"
         )
     # w^T C-contiguous (a view for the column-major whitener, else a copy):
-    # a row then rounds alike alone and in a batch in more cases, though not
-    # in all (BLAS picks its summation order by shape)
-    y = dv @ np.ascontiguousarray(kernel.T)
+    # a row then rounds alike alone and in a batch in more cases
+    y = np.matmul(dv, np.ascontiguousarray(kernel.T), out=np.empty_like(dv))
     q = np.einsum("...i,...i->...", y, y)
     return float(q) if q.ndim == 0 else q

@@ -8,7 +8,8 @@ counter starts at [0, 0, 0, c]; a tight_radial chunk draws its atom
 uniforms from a second generator at [0, 0, 1, c]. Chunks therefore read
 disjoint counter ranges of 2^192 blocks (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11), and each is prefix-stable: its first
-r rows do not depend on how many rows are drawn after them.
+r rows do not depend on how many rows are drawn after them. Samples are
+returned column-major; paper_example normals reach them a tile at a time.
 
 So generating indices [a, b) yields bit-identical values no matter how the
 index range is partitioned across workers. That property is what makes the
@@ -229,12 +230,15 @@ def tiles(x: np.ndarray) -> list[slice]:
     return [slice(i, i + step) for i in range(0, len(x), step)]
 
 
-def _fill(out: np.ndarray, method, skip: int) -> None:
-    """Fill ``out`` with the rows after the first ``skip`` of a chunk's draw."""
-    if skip:
-        out[...] = method(size=(skip + len(out), *out.shape[1:]))[skip:]
-    else:
-        method(out=out)
+def _fill(out: np.ndarray, method, skip: int, step: int) -> None:
+    """Fill ``out`` with the rows after the first ``skip`` of a chunk's draw: in
+    one call, or else (same values) ``step`` rows at a time through a row-major block."""
+    if out.flags.c_contiguous and not skip:
+        return method(out=out)
+    block = np.empty((min(step, skip + len(out)), *out.shape[1:]))
+    for a in range(-skip, len(out), step):
+        method(out=block[: len(out) - a])
+        out[max(a, 0) : max(a + step, 0)] = block[max(-a, 0) : len(out) - a]
 
 
 def draw_range(
@@ -247,7 +251,10 @@ def draw_range(
     prefix-stable. Each chunk that meets [start, stop) is drawn up to the
     row before ``stop``, and the rows before ``start`` are dropped, so
     concatenating ranges reproduces :func:`draw` exactly, for any partition
-    of the index range.
+    of the index range. The result is column-major, an (n, count) buffer
+    seen as (count, n). A ``paper_example`` chunk fills it one tile of rows
+    at a time; the other kinds draw row-major into the same buffer and copy
+    ``z @ L^T`` over it.
     """
     if not 0 <= start <= stop:
         raise UsageError(f"bad index range [{start}, {stop})")
@@ -258,27 +265,30 @@ def draw_range(
     check_entries(count * n, f"{count} samples")
     key = _key(spec.seed, stream_index)
     size = chunk_size(spec)
-    z = np.empty((count, n))
+    x = np.empty((n, count)).T  # column-major, so the kernels run along columns
+    z = x if spec.kind == "paper_example" else x.T.reshape(count, n)  # x's memory, row-major
+    step = tiles(x)[0].stop  # rows per tile, and per fill block
     u = np.empty(count) if spec.kind == "tight_radial" else None
     for c in range(start // size, (stop - 1) // size + 1):
         first = c * size
         skip = max(start - first, 0)
         rows = slice(first + skip - start, min(first + size, stop) - start)
-        _fill(z[rows], Generator(Philox(key=key, counter=[0, 0, 0, c])).standard_normal, skip)
+        _fill(z[rows], Generator(Philox(key=key, counter=[0, 0, 0, c])).standard_normal, skip, step)
         if u is not None:
-            _fill(u[rows], Generator(Philox(key=key, counter=[0, 0, 1, c])).random, skip)
+            _fill(u[rows], Generator(Philox(key=key, counter=[0, 0, 1, c])).random, skip, step)
 
     # in place but for the matmul's output; the order of the operations fixes the stream's bits
     if spec.kind == "paper_example":
-        z[:, 0] *= spec.sigma
-        z[:, 1] *= np.sqrt(spec.k) * spec.sigma
-        z[:, 1] += z[:, 0]
-        return z
+        x[:, 0] *= spec.sigma
+        x[:, 1] *= np.sqrt(spec.k) * spec.sigma
+        x[:, 1] += x[:, 0]
+        return x
     if spec.kind == "tight_radial":
         norms = np.linalg.norm(z, axis=1)
         z /= np.where(norms == 0.0, 1.0, norms)[:, None]
         z[norms == 0.0] = np.eye(n)[0]
-    x = z @ spec.cov.chol.T
+    # row-major, then copied: BLAS rounds a column-major output's last rows otherwise
+    x[...] = z @ spec.cov.chol.T
     if spec.kind == "tight_radial":
         x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (u < n / spec.eps)[:, None]
     x += spec.mean

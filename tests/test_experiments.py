@@ -494,6 +494,16 @@ class TestReducer:
         assert err == "mvcheb: error: the sample moments are beyond the float range\n"
 
 
+@pytest.mark.parametrize("spec", [
+    PAPER, gaussian_spec([1.0, -2.0, 0.5], Covariance(np.eye(3) + 0.5), seed=7),
+], ids=lambda s: s.kind)
+def test_hits_equal_contains_on_the_row_major_sample(spec):
+    # the kernels run on column-major chunks; contains here on one C-order array
+    n = 2 * chunk_size(spec) + 1001
+    x = np.ascontiguousarray(draw(spec, n))
+    assert [r.hits for r in run_coverage(spec, 0.7, n, streams=2)] == _hits(x, *true_moments(spec), 0.7)
+
+
 def test_coverage_peak_memory_is_flat_in_n():
     def peak(n):
         tracemalloc.start()

@@ -243,6 +243,8 @@ class TestQuadForm:
         w = Covariance.from_matrix(EXAMPLE).whitener
         with pytest.raises(DomainError, match="does not match kernel"):
             quad_form([1.0, 2.0, 3.0], w)
+        with pytest.raises(DomainError, match="does not match kernel"):
+            quad_form([1.0, 2.0], np.ones((3, 2)))
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(55)
@@ -250,6 +252,18 @@ class TestQuadForm:
             w = Covariance.from_matrix(random_spd(rng, n)).whitener
             d = rng.standard_normal((200, n)) * rng.uniform(1e-8, 1e8)
             assert np.all(quad_form(d, w) >= 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    def test_row_and_column_major_batches_agree(self, n):
+        # the product follows the batch's layout; at n <= 2 a row sums alike in both
+        rng = np.random.default_rng(n)
+        w = Covariance.from_matrix(random_spd(rng, n)).whitener
+        d = rng.standard_normal((1000, n))
+        rows, columns = quad_form(d, w), quad_form(np.asfortranarray(d), w)
+        if n <= 2:
+            assert np.array_equal(rows, columns)
+        else:
+            np.testing.assert_allclose(columns, rows, rtol=1e-12, atol=0.0)
 
     def test_batched_matches_scalar(self):
         rng = np.random.default_rng(11)

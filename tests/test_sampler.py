@@ -190,6 +190,22 @@ class TestDraw:
                 parts = [draw_range(spec, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
                 assert np.array_equal(np.vstack(parts), full)
 
+    @pytest.mark.parametrize("spec", [paper_example_spec(1.0, 25.0, seed=3)] + [
+        make(n) for n in (1, 2, 3, 64) for make in (
+            lambda n: gaussian_spec(np.zeros(n), Covariance(np.eye(n) + 0.5), seed=3),
+            lambda n: tight_radial_spec(2.0 * n, dim=n, seed=3),
+        )
+    ], ids=lambda s: f"{s.kind}-{s.dim}")
+    def test_draws_are_column_major(self, spec):
+        # part lengths that are no multiple of 8: BLAS can round the last rows
+        # of a column-major matrix product otherwise than the row-major one
+        size = chunk_size(spec)
+        assert draw_range(spec, 0, 1).T.flags.c_contiguous
+        bounds = [0, size - 1, 2 * size + 7]
+        parts = [draw_range(spec, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert all(part.T.flags.c_contiguous for part in parts)
+        assert np.array_equal(np.vstack(parts), draw(spec, 2 * size + 7))
+
     def test_stream_index_changes_samples(self):
         spec = paper_example_spec(1.0, 25.0, seed=11)
         assert not np.array_equal(draw(spec, 100, stream_index=0), draw(spec, 100, stream_index=1))
@@ -215,11 +231,14 @@ class TestDraw:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(kind=st.sampled_from(sorted(CHUNK_EDGE_SPECS)), chunk_normals=st.integers(1, 24),
-           data=st.data())
-    def test_random_partitions_and_prefixes(self, kind, chunk_normals, data):
+           tile_rows=st.integers(1, 5), data=st.data())
+    def test_random_partitions_and_prefixes(self, kind, chunk_normals, tile_rows, data):
+        # tiles of a few rows, so the fill blocks cut chunks and skipped rows
         spec = CHUNK_EDGE_SPECS[kind]
         with pytest.MonkeyPatch.context() as m:
             m.setattr(sampler, "_CHUNK_NORMALS", chunk_normals)
+            m.setattr(sampler, "_TILE_ROWS", tile_rows)
+            m.setattr(sampler, "_TILE_ENTRIES", 1)
             size = chunk_size(spec)
             total = data.draw(st.integers(1, 8 * size + 5), label="total")
             cuts = data.draw(st.lists(st.integers(0, total), max_size=6), label="cuts")
