@@ -51,7 +51,7 @@ from .regions import (
     region_to_dict,
     volume_ratio,
 )
-from .sampler import SamplerSpec, draw, spec_from_dict
+from .sampler import STREAM_FORMAT, SamplerSpec, draw, spec_from_dict
 
 
 def _load_json_arg(value: str):
@@ -175,8 +175,8 @@ def _cmd_figure(args) -> None:
     # runs in different directories stay byte-identical
     basenames = {name: os.path.basename(path) for name, path in paths.items()}
     outputs = {paths[name]: csvs[name] for name in paths}
-    manifest = {"params": dict(fig.params), "threshold": fig.threshold,
-                "radius_sq": fig.radius_sq, "files": basenames}
+    manifest = {"params": dict(fig.params), "threshold": fig.threshold, "radius_sq": fig.radius_sq,
+                "files": basenames, "stream_format": STREAM_FORMAT}
     outputs[f"{prefix}manifest.json"] = dump_json(manifest)
     atomic_write_many(outputs)
 

@@ -1,39 +1,36 @@
-"""Seeded random-vector generators with counter-based addressing.
+"""Seeded random-vector generators, one hashed SFC64 generator per chunk.
 
-All randomness comes from Philox keyed by (seed, stream_index), read
-through numpy's ``Generator`` (stream format 2). The index range is cut
-into fixed chunks of :func:`chunk_size` samples, about 2^17 normals each.
-Chunk c draws its normals, row by row, from the generator whose Philox
-counter starts at [0, 0, 0, c]; a tight_radial chunk draws its atom
-uniforms from a second generator at [0, 0, 1, c]. Chunks therefore read
-disjoint counter ranges of 2^192 blocks (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11), and each is prefix-stable: its first
-r rows do not depend on how many rows are drawn after them. Samples are
-returned column-major; paper_example normals reach them a tile at a time.
+Stream format 3 (:data:`STREAM_FORMAT`). Stream s is cut into chunks of
+:func:`chunk_size` samples, about 2^17 normals each. Chunk c draws its
+normals row by row from ``Generator(SFC64(SeedSequence(words)))``, with
+``words`` = [seed, s, c, 0] as little-endian uint64 seen as uint32, and a
+tight_radial chunk its atom uniforms under role 1, [seed, s, c, 1]. The
+width is fixed because ``SeedSequence`` splits each int into as many 32-bit
+words as it needs and zero-pads short entropy, so int keys collide: (2^32,
+5, 0) and (0, 1, 5) hash alike. Chunks and streams are independent by that
+hashing, not disjoint by counter (numpy's "Parallel random number
+generation"). Format 1 made normals from Philox words by Box-Muller and
+format 2 gave each chunk a Philox counter.
 
-So generating indices [a, b) yields bit-identical values no matter how the
-index range is partitioned across workers. That property is what makes the
-parallel experiments reproduce serial results hit-for-hit. Bit generators
-are stable across numpy releases but ``Generator`` methods need not be
-(NEP 19), so the values are bit-exact within one numpy version.
+A fill is prefix-stable, so any partition of the index range draws the
+same normals, and paper_example's elementwise transform keeps them
+bit-identical. A gaussian or tight_radial chunk is multiplied by ``L^T`` in
+one product that BLAS rounds by shape, so a part that starts or ends inside
+a chunk can differ in the last ulp (from n of about 8 on); chunk-aligned
+partitions, which the experiments use, give the same bits for every kind.
+``Generator`` methods need not be stable across numpy releases (NEP 19), so
+values are bit-exact within one numpy version.
 
-Three generator kinds:
+Three kinds: ``gaussian``, x = mean + L z with z i.i.d. standard normal and
+L the Cholesky factor of the covariance; ``paper_example``, x = (y, y+z) for
+independent zero-mean Gaussians of variances sigma^2 and k sigma^2, so its
+covariance is [[s^2, s^2], [s^2, (k+1) s^2]]; and ``tight_radial``, x = mean
++ R L u with u uniform on the unit sphere and R^2 = eps with probability
+n/eps, else 0, whose covariance is exactly Sigma and whose Pr{d^2 >= eps} is
+n/eps: the Mahalanobis tail bound holds with equality.
 
-* ``gaussian``: x = mean + L z, with z i.i.d. standard normal and L the
-  Cholesky factor of the covariance.
-* ``paper_example``: x = (y, y+z) for independent zero-mean Gaussians with
-  variances sigma^2 and k sigma^2; its covariance is
-  [[s^2, s^2], [s^2, (k+1) s^2]].
-* ``tight_radial``: x = mean + R L u with u uniform on the unit sphere and
-  R^2 = eps with probability n/eps, else 0. Its covariance is exactly the
-  given Sigma, and Pr{d^2 >= eps} equals n/eps: the Mahalanobis tail bound
-  holds with equality.
-
-A :class:`SamplerSpec` is checked once, when it is built, and its arrays are
-read-only, so the functions here take every spec as valid. Every spec holds
-its exact mean and :class:`~mvcheb.linalg.Covariance`; a ``paper_example``
-spec derives them from sigma and k, and is refused when that covariance is
-beyond the float range.
+A :class:`SamplerSpec` is checked once, when it is built, and holds its
+exact mean and :class:`~mvcheb.linalg.Covariance` in read-only arrays.
 """
 
 from __future__ import annotations
@@ -41,13 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, Philox, SeedSequence  # Philox: bench/tracing.py binds it
 
 from .errors import DomainError, UsageError
 from .linalg import Covariance, as_float, as_vector
 from .moments import example_covariance
 
-_U64 = np.uint64
+STREAM_FORMAT = 3  # the layout of the random stream that draw_range reads
 _CHUNK_NORMALS = 1 << 17  # normals per chunk, so 65,536 samples at n=2
 _TILE_ENTRIES = 1 << 13  # entries per tile of a chunk's kernels, so 64 KB temporaries at low n
 _TILE_ROWS = 256  # rows per tile at least: a matrix product on fewer rows leaves BLAS idle
@@ -87,12 +84,12 @@ def check_n_samples(n_samples) -> int:
     return int(n_samples)
 
 
-def _key(seed: int, stream_index: int) -> np.ndarray:
+def _key(seed: int, stream_index: int) -> tuple[int, int]:
     if not 0 <= seed < 2 ** 64:
         raise UsageError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if not 0 <= stream_index < 2 ** 64:
         raise UsageError(f"stream_index must be a 64-bit unsigned integer, got {stream_index}")
-    return np.array([seed, stream_index], dtype=_U64)
+    return seed, stream_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,15 +243,13 @@ def draw_range(
 ) -> np.ndarray:
     """Samples with global indices [start, stop) of the spec's sequence.
 
-    Sample i is a pure function of (seed, stream_index, i): it is row i mod
-    S of chunk i // S, where S = :func:`chunk_size`, and a chunk's rows are
-    prefix-stable. Each chunk that meets [start, stop) is drawn up to the
-    row before ``stop``, and the rows before ``start`` are dropped, so
-    concatenating ranges reproduces :func:`draw` exactly, for any partition
-    of the index range. The result is column-major, an (n, count) buffer
-    seen as (count, n). A ``paper_example`` chunk fills it one tile of rows
-    at a time; the other kinds draw row-major into the same buffer and copy
-    ``z @ L^T`` over it.
+    Sample i, a pure function of (seed, stream_index, i), is row i mod S of
+    chunk i // S, S = :func:`chunk_size`. Each chunk that meets [start, stop)
+    is drawn up to the row before ``stop`` by its generator, keyed by the
+    fixed-width words of (seed, stream_index, chunk, role); rows before
+    ``start`` are dropped. The result is column-major, (n, count) seen as
+    (count, n): paper_example fills it a tile of rows at a time, the other
+    kinds draw row-major into it and copy each chunk's ``z @ L^T`` over it.
     """
     if not 0 <= start <= stop:
         raise UsageError(f"bad index range [{start}, {stop})")
@@ -269,13 +264,16 @@ def draw_range(
     z = x if spec.kind == "paper_example" else x.T.reshape(count, n)  # x's memory, row-major
     step = tiles(x)[0].stop  # rows per tile, and per fill block
     u = np.empty(count) if spec.kind == "tight_radial" else None
+    chunks = []  # the rows of each chunk in x
     for c in range(start // size, (stop - 1) // size + 1):
         first = c * size
         skip = max(start - first, 0)
         rows = slice(first + skip - start, min(first + size, stop) - start)
-        _fill(z[rows], Generator(Philox(key=key, counter=[0, 0, 0, c])).standard_normal, skip, step)
+        chunks.append(rows)
+        words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
+        _fill(z[rows], Generator(SFC64(SeedSequence(words[0]))).standard_normal, skip, step)
         if u is not None:
-            _fill(u[rows], Generator(Philox(key=key, counter=[0, 0, 1, c])).random, skip, step)
+            _fill(u[rows], Generator(SFC64(SeedSequence(words[1]))).random, skip, step)
 
     # in place but for the matmul's output; the order of the operations fixes the stream's bits
     if spec.kind == "paper_example":
@@ -287,8 +285,10 @@ def draw_range(
         norms = np.linalg.norm(z, axis=1)
         z /= np.where(norms == 0.0, 1.0, norms)[:, None]
         z[norms == 0.0] = np.eye(n)[0]
-    # row-major, then copied: BLAS rounds a column-major output's last rows otherwise
-    x[...] = z @ spec.cov.chol.T
+    # one row-major product per chunk, then copied: BLAS rounds by shape and by output
+    # layout, so a chunk's bits would otherwise depend on the range that holds it
+    for rows, product in zip(chunks, [z[rows] @ spec.cov.chol.T for rows in chunks]):
+        x[rows] = product
     if spec.kind == "tight_radial":
         x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (u < n / spec.eps)[:, None]
     x += spec.mean

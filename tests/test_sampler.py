@@ -3,6 +3,7 @@ generators. Statistical assertions use 5-standard-error tolerances."""
 
 import numpy as np
 import pytest
+from numpy.random import SFC64, Generator, SeedSequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,7 +166,7 @@ class TestSpecs:
         assert cov is spec.cov and spec.dim == 2
 
 
-# One spec of each kind, for the chunk edge and stream format 2 tests.
+# One spec of each kind, for the chunk edge and stream format tests.
 CHUNK_EDGE_SPECS = {
     "paper_example": paper_example_spec(1.0, 25.0, seed=0),
     "gaussian": gaussian_spec([1.0, -2.0, 0.5], Covariance(np.diag([4.0, 1.0, 0.25])), seed=0),
@@ -198,13 +199,26 @@ class TestDraw:
     ], ids=lambda s: f"{s.kind}-{s.dim}")
     def test_draws_are_column_major(self, spec):
         # part lengths that are no multiple of 8: BLAS can round the last rows
-        # of a column-major matrix product otherwise than the row-major one
+        # of a column-major matrix product otherwise than the row-major one.
+        # It rounds by shape too, so the kinds with a product are cut at a chunk edge.
         size = chunk_size(spec)
         assert draw_range(spec, 0, 1).T.flags.c_contiguous
-        bounds = [0, size - 1, 2 * size + 7]
+        bounds = [0, size - 1 if spec.kind == "paper_example" else size, 2 * size + 7]
         parts = [draw_range(spec, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         assert all(part.T.flags.c_contiguous for part in parts)
         assert np.array_equal(np.vstack(parts), draw(spec, 2 * size + 7))
+
+    @pytest.mark.parametrize("tail", [1, 5, 100, 2047])
+    def test_chunk_aligned_parts_are_the_whole_draw(self, tail):
+        # at n=64 BLAS rounds a short product otherwise than a long one, so
+        # each chunk is multiplied by L^T on its own, whatever range holds it
+        spec = gaussian_spec(np.zeros(64), Covariance(np.eye(64) + 0.5), seed=3)
+        size = chunk_size(spec)
+        total = 3 * size + tail
+        full = draw(spec, total)
+        for cuts in ([0, size, 2 * size, 3 * size, total], [0, 2 * size, total], [0, 3 * size, total]):
+            parts = [draw_range(spec, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+            assert np.vstack(parts).tobytes() == full.tobytes()
 
     def test_stream_index_changes_samples(self):
         spec = paper_example_spec(1.0, 25.0, seed=11)
@@ -309,39 +323,39 @@ class TestDraw:
             draw_range(paper_example_spec(1.0, 25.0), 0, 10**20)
 
 
-# Stream format 2: the first rows of each kind at seed 0, streams 0 and 1.
+# Stream format 3: the first rows of each kind at seed 0, streams 0 and 1.
 # The gaussian's mean and power-of-two Cholesky factor and the elementwise
 # paper_example transform are exact, so any change of the stream shows.
 GOLDEN_ROWS = {
     ("paper_example", 0): [
-        [0.15929546600623282, -8.711647138002375],
-        [1.3265118818830892, 7.350557371629667],
-        [-0.03910371209917862, -2.6362001971137965],
+        [-0.6739084659445024, 2.614354337299032],
+        [-0.371815860727009, 2.0216823206223586],
+        [-1.4758952988686023, -0.9516548819209855],
     ],
     ("paper_example", 1): [
-        [-0.7440191742693708, -0.8161422229727711],
-        [0.5053939916649247, -8.255736181875719],
-        [0.9117518902728049, 1.726346129584309],
+        [-1.0821928140859856, -7.237631931297415],
+        [-1.762391351083656, -7.402454724106303],
+        [0.9126805589152116, -6.1344535916585246],
     ],
     ("gaussian", 0): [
-        [1.3185909320124656, -3.7741885208017214, 1.1632559409415446],
-        [3.409618195898631, -2.0391037120991786, 0.24029035149853822],
-        [-1.226591818854557, -3.767380301540489, 0.5198838041819515],
+        [-0.34781693188900475, -1.342347439351293, 0.3140920696364955],
+        [1.957399272539747, -3.4758952988686023, 0.5524240416947617],
+        [1.8571165143700585, -0.38108728519246005, 0.5414535901329453],
     ],
     ("gaussian", 1): [
-        [-0.4880383485387416, -2.01442460974068, 0.7526969958324623],
-        [-2.5044520694162573, -1.088248109727195, 0.5814594239311505],
-        [-0.6822336796252675, -3.0333976271933922, 0.9802368793284542],
+        [-1.164385628171971, -3.231087823442286, -0.381195675541828],
+        [-1.2560253492090587, -1.0873194410847884, -0.20471341505737362],
+        [0.42117433363306955, -3.0522134029874053, 1.0536405565324087],
     ],
     ("tight_radial", 0): [
+        [-1.4313718487116278, 1.3968445406400298],
+        [-1.2268405198122034, 1.5795133361092342],
         [0.0, 0.0],
-        [1.4804970630878809, 1.3446666821886233],
-        [-0.15014216482835344, -1.9943563799734125],
     ],
     ("tight_radial", 1): [
-        [-1.999624243999655, -0.038767548398227915],
-        [0.5542647839400318, -1.9216634953299991],
+        [-1.3204548604306139, -1.5021314861107093],
         [0.0, 0.0],
+        [1.0870889332460052, -1.6787607605653827],
     ],
 }
 
@@ -356,6 +370,55 @@ def test_golden_rows(kind, stream):
 
 def standard_normal_spec(seed):
     return gaussian_spec([0.0], Covariance.from_matrix([[1.0]]), seed=seed)
+
+
+def chunk_generator(seed, stream, chunk, role):
+    # the documented key of stream format 3: four little-endian uint64 as eight uint32
+    words = np.array([seed, stream, chunk, role], dtype="<u8").view("<u4")
+    return Generator(SFC64(SeedSequence(words)))
+
+
+class TestStreamKeys:
+    """Each (seed, stream, chunk, role) has its own generator. x = z exactly for
+    a standard normal spec, whose mean is 0 and whose L is [[1.0]]."""
+
+    def test_normals_are_read_under_the_documented_key(self):
+        spec = standard_normal_spec(9)
+        size = chunk_size(spec)
+        x = draw_range(spec, 2 * size + 3, 2 * size + 1000, stream_index=4)[:, 0]
+        assert np.array_equal(x, chunk_generator(9, 4, 2, 0).standard_normal(1000)[3:])
+
+    def test_atoms_are_picked_under_role_1(self):
+        spec = tight_radial_spec(4.0, dim=2, seed=9)
+        size = chunk_size(spec)
+        x = draw_range(spec, size, size + 1000, stream_index=4)
+        shell = chunk_generator(9, 4, 1, 1).random(1000) < 2.0 / 4.0
+        assert np.array_equal(np.any(x != 0.0, axis=1), shell)
+        # the normals' generator, role 0, would pick other atoms
+        assert not np.array_equal(chunk_generator(9, 4, 1, 0).random(1000) < 2.0 / 4.0, shell)
+        z = chunk_generator(9, 4, 1, 0).standard_normal((1000, 2))
+        directions = z[shell] / np.linalg.norm(z[shell], axis=1)[:, None]
+        np.testing.assert_allclose(x[shell] / np.sqrt(4.0 * sampler._SHELL_MARGIN), directions, rtol=1e-14)
+
+    def test_keys_do_not_collide(self):
+        # keys given to SeedSequence as ints would: 2**32 takes two words and
+        # short entropy is zero-padded, so (seed, stream, chunk) = (2**32, 5, 0)
+        # hashes like (0, 1, 5), and (2**32, 5, 0, role) like (0, 5 * 2**32 + 1, 0, role)
+        size = chunk_size(standard_normal_spec(0))
+        a = draw_range(standard_normal_spec(2**32), 0, 64, stream_index=5)
+        b = draw_range(standard_normal_spec(0), 5 * size, 5 * size + 64, stream_index=1)
+        c = draw_range(standard_normal_spec(0), 0, 64, stream_index=5 * 2**32 + 1)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("neighbour", ["chunk", "stream"])
+    def test_neighbours_are_uncorrelated(self, neighbour):
+        spec = standard_normal_spec(31)
+        m = chunk_size(spec)
+        a = draw_range(spec, 3 * m, 4 * m, stream_index=7)[:, 0]
+        b = (draw_range(spec, 4 * m, 5 * m, stream_index=7) if neighbour == "chunk"
+             else draw_range(spec, 3 * m, 4 * m, stream_index=8))[:, 0]
+        assert abs(float(np.corrcoef(a, b)[0, 1])) <= 5.0 / np.sqrt(m)
 
 
 class TestDistributions:
