@@ -15,9 +15,10 @@ format 2 gave each chunk a Philox counter.
 A fill is prefix-stable, so any partition of the index range draws the
 same normals, and paper_example's elementwise transform keeps them
 bit-identical. A gaussian or tight_radial chunk is multiplied by ``L^T`` in
-one product that BLAS rounds by shape, so a part that starts or ends inside
-a chunk can differ in the last ulp (from n of about 8 on); chunk-aligned
-partitions, which the experiments use, give the same bits for every kind.
+one product from its first row on, and BLAS rounds by shape: a part that
+ends at a chunk edge or at the end of the range has the bits of the whole
+draw wherever it starts, one that ends inside a chunk can differ in the
+last ulp. Chunk-aligned partitions, which the experiments use, are exact.
 ``Generator`` methods need not be stable across numpy releases (NEP 19), so
 values are bit-exact within one numpy version.
 
@@ -244,12 +245,12 @@ def draw_range(
     """Samples with global indices [start, stop) of the spec's sequence.
 
     Sample i, a pure function of (seed, stream_index, i), is row i mod S of
-    chunk i // S, S = :func:`chunk_size`. Each chunk that meets [start, stop)
-    is drawn up to the row before ``stop`` by its generator, keyed by the
-    fixed-width words of (seed, stream_index, chunk, role); rows before
-    ``start`` are dropped. The result is column-major, (n, count) seen as
-    (count, n): paper_example fills it a tile of rows at a time, the other
-    kinds draw row-major into it and copy each chunk's ``z @ L^T`` over it.
+    chunk i // S, S = :func:`chunk_size`, drawn by the chunk's generators,
+    keyed by the fixed-width words of (seed, stream_index, chunk, role). The
+    result is column-major, (n, count) seen as (count, n): paper_example fills
+    it a tile of rows at a time; the other kinds draw row-major into it and
+    copy over it each chunk's ``z @ L^T``, formed from the chunk's first row
+    on, so a part that ends at a chunk edge is exact wherever it starts.
     """
     if not 0 <= start <= stop:
         raise UsageError(f"bad index range [{start}, {stop})")
@@ -264,16 +265,21 @@ def draw_range(
     z = x if spec.kind == "paper_example" else x.T.reshape(count, n)  # x's memory, row-major
     step = tiles(x)[0].stop  # rows per tile, and per fill block
     u = np.empty(count) if spec.kind == "tight_radial" else None
-    chunks = []  # the rows of each chunk in x
+    images = []  # per chunk: its rows in x, and their image z @ L^T
     for c in range(start // size, (stop - 1) // size + 1):
-        first = c * size
-        skip = max(start - first, 0)
-        rows = slice(first + skip - start, min(first + size, stop) - start)
-        chunks.append(rows)
+        skip = max(start - c * size, 0)
+        rows = slice(c * size + skip - start, min(c * size + size, stop) - start)
+        lead = skip if z is not x else 0  # rows of a product before the range's first row
+        normals = np.empty((lead + rows.stop - rows.start, n)) if lead else z[rows]
         words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
-        _fill(z[rows], Generator(SFC64(SeedSequence(words[0]))).standard_normal, skip, step)
+        _fill(normals, Generator(SFC64(SeedSequence(words[0]))).standard_normal, skip - lead, step)
         if u is not None:
             _fill(u[rows], Generator(SFC64(SeedSequence(words[1]))).random, skip, step)
+            norms = np.linalg.norm(normals, axis=1)
+            normals /= np.where(norms == 0.0, 1.0, norms)[:, None]
+            normals[norms == 0.0] = np.eye(1, n)
+        if z is not x:  # row-major, from the chunk's first row: BLAS rounds by layout and shape
+            images.append((rows, (normals @ spec.cov.chol.T)[lead:]))
 
     # in place but for the matmul's output; the order of the operations fixes the stream's bits
     if spec.kind == "paper_example":
@@ -281,14 +287,8 @@ def draw_range(
         x[:, 1] *= np.sqrt(spec.k) * spec.sigma
         x[:, 1] += x[:, 0]
         return x
-    if spec.kind == "tight_radial":
-        norms = np.linalg.norm(z, axis=1)
-        z /= np.where(norms == 0.0, 1.0, norms)[:, None]
-        z[norms == 0.0] = np.eye(n)[0]
-    # one row-major product per chunk, then copied: BLAS rounds by shape and by output
-    # layout, so a chunk's bits would otherwise depend on the range that holds it
-    for rows, product in zip(chunks, [z[rows] @ spec.cov.chol.T for rows in chunks]):
-        x[rows] = product
+    for rows, image in images:  # copied only now, as a chunk's rows in x hold later normals
+        x[rows] = image
     if spec.kind == "tight_radial":
         x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (u < n / spec.eps)[:, None]
     x += spec.mean
