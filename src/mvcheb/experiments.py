@@ -36,7 +36,6 @@ from .sampler import (
     draw_range,
     paper_example_spec,
     tiles,
-    true_moments,
 )
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def run_coverage(
     counts. Returns the (ellipsoid, sphere) report pair.
     """
     n = check_n_samples(n_samples)
-    count = _hit_counter(*true_moments(spec), delta)
+    count = _hit_counter(spec.mean, spec.cov, delta)
     return _reports(delta, n, sum(_reduce(spec, n, count, streams)))
 
 
@@ -149,7 +148,7 @@ def run_coverage_estimated(
     regions.
     """
     n = check_n_samples(n_samples)
-    count = _hit_counter(*true_moments(spec), delta)
+    count = _hit_counter(spec.mean, spec.cov, delta)
     hits, sums = functools.reduce(
         lambda a, b: (a[0] + b[0], merge_moment_sums(a[1], b[1])),
         _reduce(spec, n, lambda x: (count(x), moment_sums(x)), streams),
@@ -169,9 +168,8 @@ def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
     with finite covariance, so the returned mean should sit within Monte
     Carlo error of the dimension.
     """
-    mean, cov = true_moments(spec)
     n = check_n_samples(n_samples)
-    chunk_sum = _per_tile(mean, cov.whitener, lambda m2, _: float(np.sum(m2)))
+    chunk_sum = _per_tile(spec.mean, spec.cov.whitener, lambda m2, _: float(np.sum(m2)))
     return math.fsum(_reduce(spec, n, chunk_sum)) / n
 
 
@@ -201,7 +199,7 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
         raise UsageError("eps grid must contain at least one value")
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("eps grid must be strictly ascending, positive and finite")
-    mean, cov = true_moments(spec)
+    mean, cov = spec.mean, spec.cov
     var_total = cov.trace
     total = check_n_samples(n_samples)
     if not var_total < math.inf:
@@ -254,9 +252,8 @@ def export_figure(
     """
     spec = paper_example_spec(sigma, k, seed=seed)
     samples = draw(spec, n_samples)
-    mean, cov = true_moments(spec)
-    ell = make_ellipsoid(mean, cov, delta)
-    sph = make_sphere(mean, cov, delta)
+    ell = make_ellipsoid(spec.mean, spec.cov, delta)
+    sph = make_sphere(spec.mean, spec.cov, delta)
     return FigureData(
         samples=samples,
         ellipse_boundary=ellipse_boundary(ell, boundary_points),

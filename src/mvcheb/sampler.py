@@ -12,15 +12,18 @@ hashing, not disjoint by counter (numpy's "Parallel random number
 generation"). Format 1 made normals from Philox words by Box-Muller and
 format 2 gave each chunk a Philox counter.
 
-A fill is prefix-stable, so any partition of the index range draws the
-same normals, and paper_example's elementwise transform keeps them
-bit-identical. A gaussian or tight_radial chunk is multiplied by ``L^T`` in
-one product from its first row on, and BLAS rounds by shape: a part that
-ends at a chunk edge or at the end of the range has the bits of the whole
-draw wherever it starts, one that ends inside a chunk can differ in the
-last ulp. Chunk-aligned partitions, which the experiments use, are exact.
-``Generator`` methods need not be stable across numpy releases (NEP 19), so
-values are bit-exact within one numpy version.
+Chunk c of stream s is defined by :func:`_chunk` alone; :func:`draw_range`
+slices whole chunks from it, so a part that starts inside a chunk draws and
+drops the chunk's rows before its start. A fill is prefix-stable, and
+paper_example's elementwise transform keeps every part bit-identical. A
+gaussian or tight_radial chunk is multiplied by ``L^T`` in one product from
+its first row on, and BLAS rounds by shape: a part that ends at a chunk edge
+or at the end of the range has the bits of the whole draw wherever it
+starts, one that ends inside a chunk can differ in the last ulp.
+Chunk-aligned partitions, which the experiments use, are exact.
+``Generator`` methods need not be stable across numpy releases (NEP 19), and
+that product's bits can change with the BLAS build and its thread count, so
+values are bit-exact within one numpy version and BLAS setting.
 
 Three kinds: ``gaussian``, x = mean + L z with z i.i.d. standard normal and
 L the Cholesky factor of the covariance; ``paper_example``, x = (y, y+z) for
@@ -86,10 +89,9 @@ def check_n_samples(n_samples) -> int:
 
 
 def _key(seed: int, stream_index: int) -> tuple[int, int]:
-    if not 0 <= seed < 2 ** 64:
-        raise UsageError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if not 0 <= stream_index < 2 ** 64:
-        raise UsageError(f"stream_index must be a 64-bit unsigned integer, got {stream_index}")
+    for name, value in (("seed", seed), ("stream_index", stream_index)):
+        if not (_is_int(value) and 0 <= value < 2 ** 64):
+            raise UsageError(f"{name} must be a 64-bit unsigned integer, got {value}")
     return seed, stream_index
 
 
@@ -228,15 +230,39 @@ def tiles(x: np.ndarray) -> list[slice]:
     return [slice(i, i + step) for i in range(0, len(x), step)]
 
 
-def _fill(out: np.ndarray, method, skip: int, step: int) -> None:
-    """Fill ``out`` with the rows after the first ``skip`` of a chunk's draw: in
-    one call, or else (same values) ``step`` rows at a time through a row-major block."""
-    if out.flags.c_contiguous and not skip:
-        return method(out=out)
-    block = np.empty((min(step, skip + len(out)), *out.shape[1:]))
-    for a in range(-skip, len(out), step):
-        method(out=block[: len(out) - a])
-        out[max(a, 0) : max(a + step, 0)] = block[max(-a, 0) : len(out) - a]
+def _chunk(spec: SamplerSpec, key: tuple[int, int], c: int, rows: int) -> np.ndarray:
+    """The first ``rows`` samples of chunk ``c`` of the stream keyed ``key``,
+    column-major, (n, rows) seen as (rows, n): paper_example fills it through
+    one row-major block; the other kinds draw row-major into its memory and
+    copy over it their image ``z @ L^T``, formed from the chunk's first row."""
+    n = spec.dim
+    words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
+    normals = Generator(SFC64(SeedSequence(words[0]))).standard_normal
+    x = np.empty((n, rows)).T  # column-major, so the kernels run along columns
+
+    # in place but for the matmul's output; the order of the operations fixes the stream's bits
+    if spec.kind == "paper_example":
+        block = np.empty((min(tiles(x)[0].stop, rows), n))  # the chunk's one fill block
+        for t in tiles(x):
+            normals(out=block[: len(x[t])])
+            x[t] = block[: len(x[t])]
+        x[:, 0] *= spec.sigma
+        x[:, 1] *= np.sqrt(spec.k) * spec.sigma
+        x[:, 1] += x[:, 0]
+        return x
+    z = x.T.reshape(rows, n)  # x's memory, row-major: BLAS rounds a product by layout and shape
+    normals(out=z)
+    if spec.kind == "tight_radial":
+        u = np.empty(rows)
+        Generator(SFC64(SeedSequence(words[1]))).random(out=u)
+        norms = np.linalg.norm(z, axis=1)
+        z /= np.where(norms == 0.0, 1.0, norms)[:, None]
+        z[norms == 0.0] = np.eye(1, n)
+    x[...] = z @ spec.cov.chol.T  # the image is whole before it is copied over z
+    if spec.kind == "tight_radial":
+        x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (u < n / spec.eps)[:, None]
+    x += spec.mean
+    return x
 
 
 def draw_range(
@@ -245,15 +271,13 @@ def draw_range(
     """Samples with global indices [start, stop) of the spec's sequence.
 
     Sample i, a pure function of (seed, stream_index, i), is row i mod S of
-    chunk i // S, S = :func:`chunk_size`, drawn by the chunk's generators,
-    keyed by the fixed-width words of (seed, stream_index, chunk, role). The
-    result is column-major, (n, count) seen as (count, n): paper_example fills
-    it a tile of rows at a time; the other kinds draw row-major into it and
-    copy over it each chunk's ``z @ L^T``, formed from the chunk's first row
-    on, so a part that ends at a chunk edge is exact wherever it starts.
+    chunk i // S, S = :func:`chunk_size`, as :func:`_chunk` draws it. A range
+    that is one chunk from its first row is that chunk's array; any other is
+    copied a chunk at a time into a column-major result, and a part that
+    starts inside a chunk draws and drops the chunk's rows before it.
     """
-    if not 0 <= start <= stop:
-        raise UsageError(f"bad index range [{start}, {stop})")
+    if not (_is_int(start) and _is_int(stop) and 0 <= start <= stop):
+        raise UsageError(f"bad index range [{start}, {stop}): integers 0 <= start <= stop")
     count = stop - start
     n = spec.dim
     if count == 0:
@@ -261,37 +285,13 @@ def draw_range(
     check_entries(count * n, f"{count} samples")
     key = _key(spec.seed, stream_index)
     size = chunk_size(spec)
-    x = np.empty((n, count)).T  # column-major, so the kernels run along columns
-    z = x if spec.kind == "paper_example" else x.T.reshape(count, n)  # x's memory, row-major
-    step = tiles(x)[0].stop  # rows per tile, and per fill block
-    u = np.empty(count) if spec.kind == "tight_radial" else None
-    images = []  # per chunk: its rows in x, and their image z @ L^T
-    for c in range(start // size, (stop - 1) // size + 1):
-        skip = max(start - c * size, 0)
-        rows = slice(c * size + skip - start, min(c * size + size, stop) - start)
-        lead = skip if z is not x else 0  # rows of a product before the range's first row
-        normals = np.empty((lead + rows.stop - rows.start, n)) if lead else z[rows]
-        words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
-        _fill(normals, Generator(SFC64(SeedSequence(words[0]))).standard_normal, skip - lead, step)
-        if u is not None:
-            _fill(u[rows], Generator(SFC64(SeedSequence(words[1]))).random, skip, step)
-            norms = np.linalg.norm(normals, axis=1)
-            normals /= np.where(norms == 0.0, 1.0, norms)[:, None]
-            normals[norms == 0.0] = np.eye(1, n)
-        if z is not x:  # row-major, from the chunk's first row: BLAS rounds by layout and shape
-            images.append((rows, (normals @ spec.cov.chol.T)[lead:]))
-
-    # in place but for the matmul's output; the order of the operations fixes the stream's bits
-    if spec.kind == "paper_example":
-        x[:, 0] *= spec.sigma
-        x[:, 1] *= np.sqrt(spec.k) * spec.sigma
-        x[:, 1] += x[:, 0]
-        return x
-    for rows, image in images:  # copied only now, as a chunk's rows in x hold later normals
-        x[rows] = image
-    if spec.kind == "tight_radial":
-        x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (u < n / spec.eps)[:, None]
-    x += spec.mean
+    chunks = range(start // size, (stop - 1) // size + 1)
+    if start % size == 0 and len(chunks) == 1:  # the reducer's call: no copy
+        return _chunk(spec, key, chunks[0], count)
+    x = np.empty((n, count)).T
+    for c in chunks:
+        lo, hi = max(start, c * size), min(stop, c * size + size)
+        x[lo - start : hi - start] = _chunk(spec, key, c, hi - c * size)[lo - c * size :]
     return x
 
 

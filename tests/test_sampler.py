@@ -1,6 +1,8 @@
 """Determinism, stream addressing, and distributional checks for the
 generators. Statistical assertions use 5-standard-error tolerances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import SFC64, Generator, SeedSequence
@@ -246,7 +248,8 @@ class TestDraw:
     @given(kind=st.sampled_from(sorted(CHUNK_EDGE_SPECS)), chunk_normals=st.integers(1, 24),
            tile_rows=st.integers(1, 5), data=st.data())
     def test_random_partitions_and_prefixes(self, kind, chunk_normals, tile_rows, data):
-        # tiles of a few rows, so the fill blocks cut chunks and skipped rows
+        # chunks and tiles of a few rows, so parts start and end inside chunks and
+        # paper_example's fill block takes several tiles of a chunk
         spec = CHUNK_EDGE_SPECS[kind]
         with pytest.MonkeyPatch.context() as m:
             m.setattr(sampler, "_CHUNK_NORMALS", chunk_normals)
@@ -312,6 +315,38 @@ class TestDraw:
             radius = np.sqrt(spec.eps * sampler._SHELL_MARGIN) * (u < n / spec.eps)
             expected = spec.mean + radius[:, None] * (direction @ spec.cov.chol.T)
         assert x.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("start, stop, stream_index, match", [
+        (0, 3, 1.5, "stream_index must be"),
+        (0, 3, np.float64(1.9), "stream_index must be"),
+        (0, 3, True, "stream_index must be"),
+        (0.5, 3, 0, "bad index range"),
+        (0, 3.0, 0, "bad index range"),
+    ], ids=["float_stream", "numpy_float_stream", "bool_stream", "float_start", "float_stop"])
+    def test_non_integer_indices_refused(self, start, stop, stream_index, match):
+        # truncating 1.5 to stream 1 would give a plausible wrong draw
+        with pytest.raises(UsageError, match=match):
+            draw_range(paper_example_spec(1.0, 25.0), start, stop, stream_index=stream_index)
+
+    @pytest.mark.parametrize("spec", [
+        paper_example_spec(1.0, 25.0, seed=3),
+        gaussian_spec(np.zeros(3), Covariance(np.eye(3) + 0.5), seed=3),
+        tight_radial_spec(6.0, dim=3, seed=3),
+    ], ids=lambda s: s.kind)
+    def test_memory_does_not_grow_with_the_chunk_count(self, spec):
+        # the result, plus one chunk and its image (and tight_radial's
+        # per-row uniforms and norms), however many chunks it spans
+        size = chunk_size(spec)
+        chunk_bytes = size * spec.dim * 8
+        for k in (4, 16):
+            tracemalloc.start()
+            try:
+                x = draw(spec, k * size + 7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - x.nbytes <= 4 * chunk_bytes, (k, (peak - x.nbytes) / chunk_bytes)
+            del x
 
     def test_too_many_entries_refused_before_drawing(self, monkeypatch):
         def no_generator(*args, **kwargs):
