@@ -5,12 +5,13 @@ Sweeps the anisotropy parameter k of the worked-example covariance
 vol(sphere)/vol(ellipsoid) next to its closed form (k+2)/(2 sqrt(k)).
 The ratio bottoms out at sqrt(2) at k = 2 and grows without bound in
 either direction: the more anisotropic the covariance, the more the
-classical sphere overshoots.
+classical sphere overshoots. An isotropic covariance c*I gives exactly 1.0
+at any dimension and scale, as the last lines show.
 """
 
 import numpy as np
 
-from mvcheb import example_covariance, example_ratio, volume_ratio
+from mvcheb import Covariance, example_covariance, example_ratio, volume_ratio
 
 print(f"{'k':>10} {'volume ratio':>14} {'closed form':>14}")
 for k in np.geomspace(0.01, 100.0, 13):
@@ -20,3 +21,6 @@ for k in np.geomspace(0.01, 100.0, 13):
 print()
 print(f"minimum at k=2: ratio = {example_ratio(2.0):.12f} (sqrt(2) = {np.sqrt(2):.12f})")
 print(f"figure setting k=25: ratio = {example_ratio(25.0)} (27/10)")
+
+for c, n in ((1e-5, 37), (4.274858436817779e81, 31)):
+    print(f"isotropic {c!r} * I_{n}: ratio = {volume_ratio(Covariance(c * np.eye(n)))!r}")

@@ -15,7 +15,8 @@ at least 1 - delta. The ellipsoid is never larger: the volume ratio
     vol(sphere) / vol(ellipsoid) = (tr(Sigma)/n)^(n/2) / sqrt(det(Sigma))
 
 is at least 1, with equality exactly when Sigma is a positive multiple of
-the identity (AM-GM on the diagonal plus Hadamard's determinant bound).
+the identity (AM-GM on the diagonal plus Hadamard's determinant bound). In
+floats it is exactly 1 for c*I and never below 1 (:func:`log_volume_ratio`).
 Both regions are closed sets: membership uses <=. A region is checked once,
 when it is built (a finite center, a positive finite level, and for an
 ellipsoid a whitener within the float range), and an ellipsoid holds the
@@ -185,25 +186,25 @@ def volume(region) -> float:
 
 
 def log_volume_ratio(cov: Covariance) -> float:
-    """log of :func:`volume_ratio`: the sum of log(sqrt(tr(Sigma)/n) / L_ii)
-    over the Cholesky diagonal. sqrt(tr(Sigma)/n) is finite where the trace
-    is not: it is then taken from the diagonal scaled by its largest entry."""
-    if cov.trace < math.inf:
-        scale = math.sqrt(cov.trace / cov.dim)
-    else:
-        diag = np.diag(cov.entries)
-        top = float(np.max(diag))
-        scale = math.sqrt(top) * math.sqrt(float(np.sum(diag / top)) / cov.dim)
-    return float(np.sum(np.log(scale / np.diag(cov.chol))))
+    """log of :func:`volume_ratio`, clamped at 0: the sum of log(s / L_ii) over
+    the Cholesky diagonal, where s = sqrt(tr(Sigma)/n) is formed as sqrt(low) *
+    sqrt(sum(a_ii / low) / n) with low = min a_ii. The pivot rule gives a_ii >=
+    L_ii^2 > PIVOT_RTOL max a_ii, so a_ii / low < 1e12 and no step overflows,
+    even where tr(Sigma) is inf. For c*I, s = sqrt(c) = L_ii: the sum is exactly
+    0 at every n and scale. A near-isotropic Sigma whose log ratio is below the
+    rounding error (order n ulp) reads 0 too: equality iff isotropic up to that."""
+    diag = np.diag(cov.entries)
+    low = float(np.min(diag))
+    scale = math.sqrt(low) * math.sqrt(float(np.sum(diag / low)) / cov.dim)
+    return max(0.0, float(np.sum(np.log(scale / np.diag(cov.chol)))))
 
 
 def volume_ratio(cov: Covariance) -> float:
     """vol(sphere)/vol(ellipsoid) = (tr(Sigma)/n)^(n/2) / sqrt(det(Sigma)).
 
-    Independent of delta (the coverage level cancels); always >= 1, with
-    equality exactly for isotropic Sigma. Computed as the exp of
-    :func:`log_volume_ratio`, so no power or determinant leaves the float
-    range; a ratio beyond it is inf.
+    Independent of delta (the coverage level cancels). The exp of
+    :func:`log_volume_ratio`: exactly 1.0 for c*I, never below 1.0, and inf
+    beyond the float range; no power or determinant is formed.
     """
     return exp_or_inf(log_volume_ratio(cov))
 
@@ -211,13 +212,11 @@ def volume_ratio(cov: Covariance) -> float:
 def example_ratio(k: float) -> float:
     """Closed-form volume ratio (k+2)/(2 sqrt(k)) for the worked example.
 
-    Matches ``volume_ratio(example_covariance(sigma, k))`` for every sigma;
-    minimized at k = 2 with value sqrt(2), increasing monotonically on both
-    sides and unbounded as k -> 0 or k -> infinity.
+    Matches ``volume_ratio(example_covariance(sigma, k))`` exactly at sigma=1,
+    k=25 and within a few ulp otherwise; minimized at k = 2 with value sqrt(2),
+    increasing monotonically on both sides, unbounded as k -> 0 or k -> inf.
     """
-    k = as_float(k, "k")
-    if not 0.0 < k < math.inf:
-        raise DomainError(f"k must be positive and finite, got {k}")
+    k = _level("k", k)
     return (k + 2.0) / (2.0 * math.sqrt(k))
 
 

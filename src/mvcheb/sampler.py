@@ -22,8 +22,8 @@ or at the end of the range has the bits of the whole draw wherever it
 starts, one that ends inside a chunk can differ in the last ulp.
 Chunk-aligned partitions, which the experiments use, are exact.
 ``Generator`` methods need not be stable across numpy releases (NEP 19), and
-that product's bits can change with the BLAS build and its thread count, so
-values are bit-exact within one numpy version and BLAS setting.
+L and that product can change bits with the BLAS build, L also with its thread
+count, so values are bit-exact within one numpy version and BLAS setting.
 
 Three kinds: ``gaussian``, x = mean + L z with z i.i.d. standard normal and
 L the Cholesky factor of the covariance; ``paper_example``, x = (y, y+z) for

@@ -90,11 +90,11 @@ def test_criterion_03_ratio_property_suite():
             m = random_spd(rng, n)
         cov = Covariance.from_matrix(m)
         r = volume_ratio(cov)
-        assert r >= 1.0 - 1e-12
+        assert r >= 1.0
         scalar = is_scalar_identity(cov.entries)
         if n == 1:
             scalar = True  # 1x1 matrices are trivially isotropic
-        assert (abs(r - 1.0) <= 1e-12) == scalar, (r, cov.entries)
+        assert (r == 1.0) == scalar, (r, cov.entries)
         center = np.zeros(n)
         for delta in (0.01, 0.1, 0.5):
             explicit = volume(make_sphere(center, cov, delta)) / volume(

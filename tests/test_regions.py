@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from mvcheb import regions
@@ -307,7 +309,7 @@ class TestVolumeRatio:
         for n in range(1, 7):
             for c in (0.25, 1.0, 9.0):
                 cov = Covariance.from_matrix(c * np.eye(n))
-                assert volume_ratio(cov) == pytest.approx(1.0, abs=1e-12)
+                assert volume_ratio(cov) == 1.0
 
     def test_diag_1_4(self):
         cov = Covariance.from_matrix(np.diag([1.0, 4.0]))
@@ -316,16 +318,47 @@ class TestVolumeRatio:
     def test_isotropic_is_one_at_extreme_scales(self):
         # det = prod(L_ii)^2 leaves the float range in each of these
         for m in (1e-170 * np.eye(2), 1e300 * np.eye(3), 10.0 * np.eye(400), 0.1 * np.eye(400)):
-            assert volume_ratio(Covariance.from_matrix(m)) == pytest.approx(1.0, abs=1e-12)
+            assert volume_ratio(Covariance.from_matrix(m)) == 1.0
         for c in (1e-150, 0.1, 7.0, 1e150):
             m = c * np.eye(1000)
-            assert volume_ratio(Covariance.from_matrix(m)) == pytest.approx(1.0, abs=1e-12)
+            assert volume_ratio(Covariance.from_matrix(m)) == 1.0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 512),
+        c=st.one_of(
+            st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+            st.floats(1e-300, 1e300),
+        ),
+    )
+    @example(n=37, c=1e-5)
+    @example(n=31, c=4.274858436817779e81)
+    @example(n=512, c=1e-320)  # subnormal
+    @example(n=2, c=1e-320)
+    @example(n=512, c=1e300)
+    def test_isotropic_is_exactly_one(self, n, c):
+        # every scaled diagonal entry is 1 and the scale is sqrt(c) = L_ii
+        cov = Covariance.from_matrix(c * np.eye(n))
+        assert log_volume_ratio(cov) == 0.0
+        assert volume_ratio(cov) == 1.0
+
+    def test_rotated_isotropic_is_never_below_one(self):
+        # c Q Q^T is isotropic up to rounding, so its true log ratio is at
+        # least 0 and below the rounding error: the computed one must not be
+        # below 0 either
+        rng = np.random.default_rng(47)
+        for _case in range(500):
+            n = int(rng.integers(2, 65))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            cov = Covariance.from_matrix(math.exp(rng.uniform(-300.0, 300.0)) * (q @ q.T))
+            assert log_volume_ratio(cov) >= 0.0
+            assert volume_ratio(cov) >= 1.0
 
     def test_always_at_least_one(self):
         rng = np.random.default_rng(42)
         for n in range(1, 7):
             for _ in range(60):
-                assert volume_ratio(random_spd_cov(rng, n)) >= 1.0 - 1e-12
+                assert volume_ratio(random_spd_cov(rng, n)) >= 1.0
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(43)
