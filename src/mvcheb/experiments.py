@@ -4,18 +4,20 @@ Coverage counts use the distribution's true moments (not estimates), so the
 experiments exercise the inequalities themselves rather than estimation
 error; an estimated-moments mode is available separately. Every experiment
 runs through one reducer: N is cut into the sampler's chunks of
-:func:`~mvcheb.sampler.chunk_size` samples, each drawn by its own
-generator, workers reduce chunks to small partial results, and those are
-combined in chunk order. Results are therefore identical for any worker
-count. One tiled pass per chunk gives ||W (x - mu)||^2 and ||x - mu||^2 to
-the hit counts, the tail counts and the trace check alike, so memory is one
-chunk per worker plus tile-sized temporaries, whatever N is.
+:func:`~mvcheb.sampler.chunk_size` samples, each drawn by its own generator,
+and workers reduce each chunk's tiles, as they are drawn, to small partial
+results combined in tile and chunk order, so results are identical for any
+worker count. A tile holds offsets from the mean, and one distance pass gives
+their ||W d||^2 and ||d||^2 about a region centre relative to the mean (zero
+for the true moments) to every experiment: the mean is never added, and
+memory is a few tiles per worker, whatever N is.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -33,9 +35,8 @@ from .sampler import (
     check_n_samples,
     chunk_size,
     draw,
-    draw_range,
+    offset_tiles,
     paper_example_spec,
-    tiles,
 )
 
 @dataclass(frozen=True)
@@ -72,8 +73,9 @@ def _reports(delta: float, n_samples: int, hits) -> tuple[CoverageReport, Covera
     return tuple(_report(k, delta, n_samples, int(h)) for k, h in zip(("ellipsoid", "sphere"), hits))
 
 
-def _reduce(spec: SamplerSpec, n_samples: int, per_chunk, streams: int = 1):
-    """``per_chunk(x)`` for each chunk x of samples [0, n_samples), in chunk order.
+def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1, combine=operator.add):
+    """For each chunk of samples [0, n_samples), in chunk order, the fold by
+    ``combine`` of ``per_tile(x)`` over its :func:`~mvcheb.sampler.offset_tiles` x.
 
     A chunk is the sampler's :func:`~mvcheb.sampler.chunk_size` samples, one
     generator's draw, so its bounds depend only on the spec and N.
@@ -85,7 +87,8 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_chunk, streams: int = 1):
     size = chunk_size(spec)
 
     def chunk(start: int):
-        return per_chunk(draw_range(spec, start, min(start + size, n_samples)))
+        tiles = offset_tiles(spec, start, min(start + size, n_samples))
+        return functools.reduce(combine, map(per_tile, tiles))
 
     def results():
         # a chunk is submitted as each result is taken, so at most
@@ -101,21 +104,22 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_chunk, streams: int = 1):
     return results()
 
 
-def _tile_distances(x: np.ndarray, mean: np.ndarray, whitener: np.ndarray):
-    d = x - mean
-    return quad_form(d, whitener), np.einsum("ij,ij->i", d, d)
+def _per_tile(center, whitener, reduce_tile):
+    """``reduce_tile(m2, e2)`` of a tile of offsets from the mean, given their
+    squared Mahalanobis and Euclidean distances about ``center``, an offset
+    too: every experiment's one distance pass. A zero centre is not subtracted."""
+
+    def per_tile(x):
+        d = x - center if center.any() else x
+        return reduce_tile(quad_form(d, whitener), np.einsum("ij,ij->i", d, d))
+
+    return per_tile
 
 
-def _per_tile(mean, whitener, reduce_tile):
-    """Per-chunk sum over tiles of ``reduce_tile(m2, e2)``, the tile's squared
-    Mahalanobis and Euclidean distances about ``mean``: every experiment's one
-    distance pass. A tile's offsets are freed before ``reduce_tile`` runs."""
-    return lambda x: sum(reduce_tile(*_tile_distances(x[t], mean, whitener)) for t in tiles(x))
-
-
-def _hit_counter(mean, cov, delta: float):
-    """Per-chunk (ellipsoid, sphere) hit counts for the regions at ``delta``."""
-    ell, sph = make_ellipsoid(mean, cov, delta), make_sphere(mean, cov, delta)
+def _hit_counter(center, cov, delta: float):
+    """Per-tile (ellipsoid, sphere) hit counts for the regions at ``delta``
+    about ``center``, an offset from the true mean."""
+    ell, sph = make_ellipsoid(center, cov, delta), make_sphere(center, cov, delta)
     return _per_tile(ell.center, cov.whitener, lambda m2, e2: np.array(
         [np.count_nonzero(within(m2, ell.threshold)), np.count_nonzero(within(e2, sph.radius_sq))]
     ))
@@ -131,7 +135,7 @@ def run_coverage(
     counts. Returns the (ellipsoid, sphere) report pair.
     """
     n = check_n_samples(n_samples)
-    count = _hit_counter(spec.mean, spec.cov, delta)
+    count = _hit_counter(np.zeros(spec.dim), spec.cov, delta)
     return _reports(delta, n, sum(_reduce(spec, n, count, streams)))
 
 
@@ -143,17 +147,19 @@ def run_coverage_estimated(
     Returns ``{"true": (ellipsoid, sphere), "estimated": (ellipsoid,
     sphere)}`` where the estimated pair rebuilds the regions from the
     sample mean and unbiased (ddof=1) covariance of the same draws. The
-    first pass counts the true-moment hits and merges per-chunk moment
-    sums; the second redraws each chunk and counts the hits of the fitted
-    regions.
+    first pass counts the true-moment hits and merges the per-tile moment
+    sums of the offsets; the second redraws each chunk and counts the hits
+    of the fitted regions, centred at the offsets' mean.
     """
     n = check_n_samples(n_samples)
-    count = _hit_counter(spec.mean, spec.cov, delta)
-    hits, sums = functools.reduce(
-        lambda a, b: (a[0] + b[0], merge_moment_sums(a[1], b[1])),
-        _reduce(spec, n, lambda x: (count(x), moment_sums(x)), streams),
-    )
-    fitted = moments_from_sums(sums)
+    count = _hit_counter(np.zeros(spec.dim), spec.cov, delta)
+
+    def merge(a, b):  # (hit counts, moment sums) of tiles, then of chunks
+        return a[0] + b[0], merge_moment_sums(a[1], b[1])
+
+    chunks = _reduce(spec, n, lambda x: (count(x), moment_sums(x)), streams, merge)
+    hits, sums = functools.reduce(merge, chunks)
+    fitted = moments_from_sums(sums)  # of the offsets: its mean is the fitted mean less the true
     count_fitted = _hit_counter(fitted.mean, fitted.cov, delta)
     return {
         "true": _reports(delta, n, hits),
@@ -169,7 +175,7 @@ def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
     Carlo error of the dimension.
     """
     n = check_n_samples(n_samples)
-    chunk_sum = _per_tile(spec.mean, spec.cov.whitener, lambda m2, _: float(np.sum(m2)))
+    chunk_sum = _per_tile(np.zeros(spec.dim), spec.cov.whitener, lambda m2, _: float(np.sum(m2)))
     return math.fsum(_reduce(spec, n, chunk_sum)) / n
 
 
@@ -199,8 +205,7 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
         raise UsageError("eps grid must contain at least one value")
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("eps grid must be strictly ascending, positive and finite")
-    mean, cov = spec.mean, spec.cov
-    var_total = cov.trace
+    var_total = spec.cov.trace
     total = check_n_samples(n_samples)
     if not var_total < math.inf:
         raise UsageError(f"total variance must be positive and finite, got {var_total}")
@@ -211,7 +216,7 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
         var_levels = grid * var_total
 
     # a level's count (v >= level) is the tile's length less its sorted v below the level
-    counts = _per_tile(mean, cov.whitener, lambda *vs: np.stack(
+    counts = _per_tile(np.zeros(spec.dim), spec.cov.whitener, lambda *vs: np.stack(
         [len(v) - np.searchsorted(np.sort(v), lv) for lv, v in zip((grid, var_levels), vs)]
     ))
     tails = sum(_reduce(spec, total, counts, streams)) / total

@@ -196,7 +196,7 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
     from one matrix product written in the layout of ``d``. A row's last
     ulp can depend on the length and the layout of its batch, as BLAS picks
     its summation order by shape; in the experiments a batch is a
-    column-major tile of :func:`~mvcheb.sampler.tiles`, set by the chunk.
+    column-major tile of :func:`~mvcheb.sampler.offset_tiles`, set by the chunk.
     """
     kernel = np.asarray(w, dtype=float)
     dv = np.asarray(d, dtype=float)

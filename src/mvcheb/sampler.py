@@ -12,17 +12,17 @@ hashing, not disjoint by counter (numpy's "Parallel random number
 generation"). Format 1 made normals from Philox words by Box-Muller and
 format 2 gave each chunk a Philox counter.
 
-Chunk c of stream s is defined by :func:`_chunk` alone; :func:`draw_range`
-slices whole chunks from it, so a part that starts inside a chunk draws and
-drops the chunk's rows before its start. A fill is prefix-stable, and
-paper_example's elementwise transform keeps every part bit-identical. A
-gaussian or tight_radial chunk is multiplied by ``L^T`` in one product from
-its first row on, and BLAS rounds by shape: a part that ends at a chunk edge
-or at the end of the range has the bits of the whole draw wherever it
-starts, one that ends inside a chunk can differ in the last ulp.
-Chunk-aligned partitions, which the experiments use, are exact.
+Chunk c of stream s is defined by :func:`offset_tiles` alone, as offsets from
+the mean in column-major tiles of ``max(256, 2**13 // n)`` rows, a shorter
+remainder joining the last tile, cut to the range asked for; :func:`draw_range`
+adds the mean. A part that starts inside a chunk draws and drops the chunk's
+rows before it. Fills are prefix-stable and paper_example's transform is
+elementwise, so its every part is exact. A gaussian or tight_radial tile is
+multiplied by ``L^T`` on its own, and BLAS rounds by shape: a part that ends
+at a tile edge or at the end of the range, as the experiments' chunks do, has
+the bits of the whole draw; a shorter last tile can differ in the last ulp.
 ``Generator`` methods need not be stable across numpy releases (NEP 19), and
-L and that product can change bits with the BLAS build, L also with its thread
+L and the product can change bits with the BLAS build, L also with its thread
 count, so values are bit-exact within one numpy version and BLAS setting.
 
 Three kinds: ``gaussian``, x = mean + L z with z i.i.d. standard normal and
@@ -223,46 +223,46 @@ def chunk_size(spec: SamplerSpec) -> int:
     return max(1, _CHUNK_NORMALS // spec.dim)
 
 
-def tiles(x: np.ndarray) -> list[slice]:
-    """Slices of ``max(256, 2**13 // n)`` rows that cover a batch ``x`` of shape
-    (rows, ..., n): the tiles of the per-chunk kernels, set by rows and n alone."""
-    step = max(_TILE_ROWS, _TILE_ENTRIES // x.shape[-1])
-    return [slice(i, i + step) for i in range(0, len(x), step)]
+def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0):
+    """Samples [start, stop) of the spec's sequence less the mean, one
+    column-major tile at a time, each overwritten by the next.
 
-
-def _chunk(spec: SamplerSpec, key: tuple[int, int], c: int, rows: int) -> np.ndarray:
-    """The first ``rows`` samples of chunk ``c`` of the stream keyed ``key``,
-    column-major, (n, rows) seen as (rows, n): paper_example fills it through
-    one row-major block; the other kinds draw row-major into its memory and
-    copy over it their image ``z @ L^T``, formed from the chunk's first row."""
-    n = spec.dim
-    words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
-    normals = Generator(SFC64(SeedSequence(words[0]))).standard_normal
-    x = np.empty((n, rows)).T  # column-major, so the kernels run along columns
-
-    # in place but for the matmul's output; the order of the operations fixes the stream's bits
-    if spec.kind == "paper_example":
-        block = np.empty((min(tiles(x)[0].stop, rows), n))  # the chunk's one fill block
-        for t in tiles(x):
-            normals(out=block[: len(x[t])])
-            x[t] = block[: len(x[t])]
-        x[:, 0] *= spec.sigma
-        x[:, 1] *= np.sqrt(spec.k) * spec.sigma
-        x[:, 1] += x[:, 0]
-        return x
-    z = x.T.reshape(rows, n)  # x's memory, row-major: BLAS rounds a product by layout and shape
-    normals(out=z)
-    if spec.kind == "tight_radial":
-        u = np.empty(rows)
-        Generator(SFC64(SeedSequence(words[1]))).random(out=u)
-        norms = np.linalg.norm(z, axis=1)
-        z /= np.where(norms == 0.0, 1.0, norms)[:, None]
-        z[norms == 0.0] = np.eye(1, n)
-    x[...] = z @ spec.cov.chol.T  # the image is whole before it is copied over z
-    if spec.kind == "tight_radial":
-        x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (u < n / spec.eps)[:, None]
-    x += spec.mean
-    return x
+    Each chunk that meets the range is drawn by the module's tile plan from
+    its first row to ``stop``, and cut to the range. A tile is drawn row-major
+    and copied, transformed or as ``z @ L^T``, into a column-major buffer.
+    """
+    n, key, size = spec.dim, _key(spec.seed, stream_index), chunk_size(spec)
+    step = max(_TILE_ROWS, _TILE_ENTRIES // n)
+    for c in range(start // size, (stop - 1) // size + 1):
+        words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
+        normals = Generator(SFC64(SeedSequence(words[0]))).standard_normal
+        if spec.kind == "tight_radial":
+            uniforms = Generator(SFC64(SeedSequence(words[1]))).random
+        rows = min(stop - c * size, size)
+        starts = range(0, max(rows - step, 0) + 1, step)
+        longest = rows - starts[-1]  # the last tile
+        (zs, xs), us = np.empty((2, longest * n)), np.empty(longest)
+        for lo, hi in zip(starts, [*starts[1:], rows]):
+            # BLAS rounds a product by layout and shape: z is row-major, x column-major
+            z, x = zs[: (hi - lo) * n].reshape(-1, n), xs[: (hi - lo) * n].reshape(n, -1).T
+            normals(out=z)
+            if spec.kind == "paper_example":
+                x[...] = z
+                x[:, 0] *= spec.sigma
+                x[:, 1] *= np.sqrt(spec.k) * spec.sigma
+                x[:, 1] += x[:, 0]
+            elif spec.kind == "gaussian":
+                x[...] = z @ spec.cov.chol.T
+            else:
+                uniforms(out=us[: hi - lo])
+                norms = np.linalg.norm(z, axis=1)
+                z /= np.where(norms == 0.0, 1.0, norms)[:, None]
+                z[norms == 0.0] = np.eye(1, n)
+                x[...] = z @ spec.cov.chol.T
+                x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (us[: hi - lo] < n / spec.eps)[:, None]
+            if start < c * size + hi:
+                yield x[max(start - c * size - lo, 0) :]
+        del zs, xs, z, x  # so these buffers are freed before the next chunk's are made
 
 
 def draw_range(
@@ -270,28 +270,22 @@ def draw_range(
 ) -> np.ndarray:
     """Samples with global indices [start, stop) of the spec's sequence.
 
-    Sample i, a pure function of (seed, stream_index, i), is row i mod S of
-    chunk i // S, S = :func:`chunk_size`, as :func:`_chunk` draws it. A range
-    that is one chunk from its first row is that chunk's array; any other is
-    copied a chunk at a time into a column-major result, and a part that
-    starts inside a chunk draws and drops the chunk's rows before it.
+    Sample i, a pure function of (seed, stream_index, i), is the mean plus
+    row i mod S of chunk i // S, S = :func:`chunk_size`: the tiles of
+    :func:`offset_tiles` are copied into a column-major result, to which the
+    mean is added.
     """
     if not (_is_int(start) and _is_int(stop) and 0 <= start <= stop):
         raise UsageError(f"bad index range [{start}, {stop}): integers 0 <= start <= stop")
     count = stop - start
-    n = spec.dim
-    if count == 0:
-        return np.empty((0, n))
-    check_entries(count * n, f"{count} samples")
-    key = _key(spec.seed, stream_index)
-    size = chunk_size(spec)
-    chunks = range(start // size, (stop - 1) // size + 1)
-    if start % size == 0 and len(chunks) == 1:  # the reducer's call: no copy
-        return _chunk(spec, key, chunks[0], count)
-    x = np.empty((n, count)).T
-    for c in chunks:
-        lo, hi = max(start, c * size), min(stop, c * size + size)
-        x[lo - start : hi - start] = _chunk(spec, key, c, hi - c * size)[lo - c * size :]
+    check_entries(count * spec.dim, f"{count} samples")
+    x = np.empty((spec.dim, count)).T
+    row = 0
+    for tile in offset_tiles(spec, start, stop, stream_index):
+        x[row : row + len(tile)] = tile
+        row += len(tile)
+        del tile  # a tile holds its chunk's buffers
+    x += spec.mean
     return x
 
 

@@ -124,6 +124,33 @@ class TestCoverage:
                     assert report.empirical_coverage >= floor, (spec.kind, delta, report)
 
 
+class TestLargeMean:
+    """The experiments measure offsets from the mean and never add the mean,
+    so a mean far beyond the spread moves no count: samples that held it
+    would round to a grid of ulp(|mu|)."""
+
+    def test_tight_radial_tails_do_not_depend_on_the_mean(self):
+        # at 1e9 the grid (ulp 1.2e-7) is coarser than the shell margin in
+        # distance (2.2e-8), so a third of the atoms used to round inside
+        def tails(m):
+            spec = tight_radial_spec(20.0, mean=[m, m], cov=Covariance(np.eye(2)), seed=1)
+            curve = run_tail_curve(spec, [20.0], 200_000)
+            return curve.empirical_tail.tolist(), curve.classical_tail.tolist()
+
+        reference = tails(0.0)
+        assert reference[0] == [0.101245]
+        for m in (1e6, 1e9, 1e12, 1e300):
+            assert tails(m) == reference, m
+
+    @pytest.mark.parametrize("m", [1e16, 1e300])
+    def test_gaussian_coverage_at_a_large_mean(self, m):
+        # chi^2_2 at n / delta = 4: 1 - e^-2; the mean once gave 0.89548 at 1e16
+        spec = gaussian_spec([m, m], Covariance(np.eye(2)), seed=0)
+        ell, sph = run_coverage(spec, 0.5, 200_000)
+        assert ell.hits == sph.hits  # Sigma = I: the regions coincide
+        assert abs(ell.empirical_coverage - (1.0 - np.exp(-2.0))) < 5 * ell.standard_error
+
+
 class TestTraceIdentity:
     def test_gaussian_2d(self):
         # Var(chi2_2) = 4
@@ -299,13 +326,13 @@ class TestReducer:
 
     def _record_draws(self, monkeypatch) -> list:
         calls = []
-        original = experiments.draw_range
+        original = experiments.offset_tiles
 
         def recording(spec, start, stop, stream_index=0):
             calls.append((start, stop))
             return original(spec, start, stop, stream_index)
 
-        monkeypatch.setattr(experiments, "draw_range", recording)
+        monkeypatch.setattr(experiments, "offset_tiles", recording)
         return calls
 
     def _draws_per_index(self, calls) -> np.ndarray:
@@ -320,8 +347,8 @@ class TestReducer:
         fits = []
         reduce, fit = experiments._reduce, experiments.moments_from_sums
 
-        def reduce_with_streams(spec, n_samples, per_chunk, streams_ignored=1):
-            return reduce(spec, n_samples, per_chunk, streams)
+        def reduce_with_streams(spec, n_samples, per_tile, streams_ignored=1, *combine):
+            return reduce(spec, n_samples, per_tile, streams, *combine)
 
         def recording_fit(*args, **kwargs):
             fits.append(fit(*args, **kwargs))
@@ -358,7 +385,8 @@ class TestReducer:
         ref = estimate_moments(x)
         scale = np.max(np.abs(ref.cov.entries))
         assert np.max(np.abs(fit.cov.entries - ref.cov.entries)) <= 1e-12 * scale
-        assert np.allclose(fit.mean, ref.mean, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref.mean)))
+        # the reducer fits the offsets from the mean, so its mean is the fitted less the true
+        assert np.allclose(fit.mean + mean, ref.mean, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref.mean)))
         assert runs[1]["hits"] == runs[1]["true"] == _hits(x, mean, cov, self.DELTA)
         assert runs[1]["estimated"] == _hits(x, ref.mean, ref.cov, self.DELTA)
         d = x - mean
@@ -379,6 +407,9 @@ class TestReducer:
     @pytest.mark.parametrize("entries", [1, 24])
     @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
     def test_tiles_of_a_few_rows_change_no_count(self, monkeypatch, spec, entries):
+        # the sampler draws and the reducer measures tile by tile, so tiles of a
+        # few rows may move the samples' last bits (a product of a few rows can
+        # round otherwise), but no count
         def counts():
             both = run_coverage_estimated(spec, self.DELTA, self.N, streams=2)
             tail = run_tail_curve(spec, self.GRID, self.N, streams=2)
@@ -389,13 +420,16 @@ class TestReducer:
                 "tails": (tail.empirical_tail.tolist(), tail.classical_tail.tolist()),
             }
 
-        chunk = draw(spec, chunk_size(spec))
-        assert len(sampler.tiles(chunk)) == 1  # the default tile holds a small chunk whole
+        def tile_rows():
+            return [len(x) for x in sampler.offset_tiles(spec, 0, chunk_size(spec))]
+
+        assert len(tile_rows()) == 1  # the default tile holds a small chunk whole
         default = counts()
         monkeypatch.setattr(sampler, "_TILE_ENTRIES", entries)
         monkeypatch.setattr(sampler, "_TILE_ROWS", 1)
-        assert max(t.stop - t.start for t in sampler.tiles(chunk)) <= max(1, entries // spec.dim)
-        assert len(sampler.tiles(chunk)) > 1
+        # a shorter remainder joins the last tile
+        assert max(tile_rows()) < 2 * max(1, entries // spec.dim)
+        assert len(tile_rows()) > 1
         assert counts() == default
 
     def test_tail_levels_hit_exactly_count_as_reached(self):
@@ -413,11 +447,14 @@ class TestReducer:
     def test_tail_counts_at_the_edges_of_the_drawn_range(self, spec):
         size = chunk_size(spec)
         assert self.N % size != 0  # the last chunk is partial
-        mean, cov = true_moments(spec)
-        d = draw(spec, self.N) - mean
-        # d^2 chunk by chunk, rounded as the reducer rounds it, so levels set on it tie exactly
-        d2 = np.concatenate([quad_form(d[i:i + size], cov.whitener) for i in range(0, self.N, size)])
-        sq = np.einsum("ij,ij->i", d, d)
+        cov = spec.cov
+        # both distances tile by tile from the offsets the reducer draws, so they
+        # round as its own do and levels set on them tie exactly
+        d2, sq = map(np.concatenate, zip(*[
+            (quad_form(x, cov.whitener), np.einsum("ij,ij->i", x, x))
+            for start in range(0, self.N, size)
+            for x in sampler.offset_tiles(spec, start, min(start + size, self.N))
+        ]))
         levels = np.concatenate([d2, sq / cov.trace])
         levels = levels[levels > 0]
         outside = np.array([levels.min() / 2, levels.max() * 2])
@@ -517,40 +554,45 @@ def test_coverage_peak_memory_is_flat_in_n():
     assert large <= 1.5 * small, (small, large)
 
 
-# Peak traced memory per worker, in chunks of samples: one chunk plus the
-# tile temporaries, which measured 1.18 (tail) to 1.24 (coverage) chunks on
-# paper_example, whose tiles are small. At n=512 a tile is a whole chunk, so
-# the temporaries x - mu and W (x - mu) are up to a chunk each: README's
-# bound of 3 chunks per worker plus L and W, n^2 8-byte entries each (L is
-# built before the trace starts; W is derived inside it).
-PEAK_CHUNKS_PER_STREAM = {"": 1.5, "d512": 3}
+# Peak traced memory per worker, in tiles of max(256, 2**13 // n) samples, at
+# most a chunk: a tile of normals, one of offsets and the temporaries of the
+# draw or of the distance pass, W d among them, at most a tile each. It
+# measured 4.3 (coverage) to 4.8 (tail) tiles on paper_example and 4.7 in the
+# estimated pass at n=64, while a whole chunk is 16 and 8 tiles there. At n=512
+# a tile is a whole chunk: README's bound of 3 tiles per worker plus L and W,
+# n^2 8-byte entries each (L is built before the trace starts; W is derived
+# inside it).
+PEAK_TILES_PER_STREAM = {"": 6, "d64": 6, "d512": 3}
 
 
-def _gaussian_d512():
-    a = np.random.default_rng(512).standard_normal((512, 512))
-    return gaussian_spec(np.zeros(512), Covariance(a @ a.T / 512 + 0.01 * np.eye(512)), seed=1)
+def _gaussian(n):
+    a = np.random.default_rng(n).standard_normal((n, n))
+    return gaussian_spec(np.zeros(n), Covariance(a @ a.T / n + 0.01 * np.eye(n)), seed=1)
 
 
 @pytest.mark.parametrize("streams", [1, 2])
-@pytest.mark.parametrize("experiment", ["coverage", "tail", "coverage_d512", "tail_d512"])
+@pytest.mark.parametrize(
+    "experiment", ["coverage", "tail", "estimated_d64", "coverage_d512", "tail_d512"]
+)
 def test_peak_memory_is_one_chunk_per_stream(experiment, streams):
     kind, _, high = experiment.partition("_")
-    spec = _gaussian_d512() if high else PAPER
+    spec = _gaussian(int(high[1:])) if high else PAPER
     size = chunk_size(spec)
     n = 4 * size
     run = {
         "coverage": lambda: run_coverage(spec, 0.1, n, streams=streams),
         "tail": lambda: run_tail_curve(spec, np.geomspace(1, 400, 200), n, streams=streams),
+        "estimated": lambda: run_coverage_estimated(spec, 0.1, n, streams=streams),
     }[kind]
-    chunk_bytes = size * spec.dim * 8
+    tile_bytes = min(size, max(sampler._TILE_ROWS, sampler._TILE_ENTRIES // spec.dim)) * spec.dim * 8
     tracemalloc.start()
     try:
         run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = streams * PEAK_CHUNKS_PER_STREAM[high] * chunk_bytes + 2 * spec.dim ** 2 * 8
-    assert peak < bound, peak / chunk_bytes
+    bound = streams * PEAK_TILES_PER_STREAM[high] * tile_bytes + 2 * spec.dim ** 2 * 8
+    assert peak < bound, peak / tile_bytes
 
 
 class TestFigureExport:

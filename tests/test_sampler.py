@@ -212,12 +212,16 @@ class TestDraw:
     @pytest.mark.parametrize("tail", [1, 5, 100, 2047])
     def test_chunk_aligned_parts_are_the_whole_draw(self, tail):
         # at n=64 BLAS rounds a short product otherwise than a long one, so
-        # each chunk is multiplied by L^T on its own, whatever range holds it
+        # each chunk is multiplied by L^T tile by tile from its first row,
+        # whatever range holds it
         spec = gaussian_spec(np.zeros(64), Covariance(np.eye(64) + 0.5), seed=3)
         size = chunk_size(spec)
         total = 3 * size + tail
         full = draw(spec, total)
-        for cuts in ([0, size, 2 * size, 3 * size, total], [0, 2 * size, total], [0, 3 * size, total]):
+        tile = max(sampler._TILE_ROWS, sampler._TILE_ENTRIES // spec.dim)
+        assert size % tile == 0 and size // tile > 2
+        for cuts in ([0, size, 2 * size, 3 * size, total], [0, 2 * size, total], [0, 3 * size, total],
+                     [0, size + 2 * tile, total]):  # a part that ends at a tile edge inside a chunk
             parts = [draw_range(spec, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
             assert np.vstack(parts).tobytes() == full.tobytes()
 
@@ -334,10 +338,11 @@ class TestDraw:
         tight_radial_spec(6.0, dim=3, seed=3),
     ], ids=lambda s: s.kind)
     def test_memory_does_not_grow_with_the_chunk_count(self, spec):
-        # the result, plus one chunk and its image (and tight_radial's
-        # per-row uniforms and norms), however many chunks it spans
+        # the result, plus a tile of normals, one of offsets and the image
+        # z @ L^T (and tight_radial's per-row uniforms and norms), however many
+        # chunks it spans, while a chunk is 16 tiles here
         size = chunk_size(spec)
-        chunk_bytes = size * spec.dim * 8
+        tile_bytes = max(sampler._TILE_ROWS, sampler._TILE_ENTRIES // spec.dim) * spec.dim * 8
         for k in (4, 16):
             tracemalloc.start()
             try:
@@ -345,7 +350,7 @@ class TestDraw:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - x.nbytes <= 4 * chunk_bytes, (k, (peak - x.nbytes) / chunk_bytes)
+            assert peak - x.nbytes <= 6 * tile_bytes, (k, (peak - x.nbytes) / tile_bytes)
             del x
 
     def test_too_many_entries_refused_before_drawing(self, monkeypatch):
