@@ -3,7 +3,9 @@
 Everything downstream (regions, sampling, experiments) runs through the
 covariance matrix: its Cholesky factor, whitener, determinant and trace.
 The factorization is LAPACK's (``np.linalg.cholesky``) followed by an
-explicit, scale-invariant positive-definiteness test on its pivots.
+explicit, scale-invariant positive-definiteness test on its pivots. It,
+the whitener's solve and the experiments run BLAS on one thread
+(:func:`one_blas_thread`), so their bits do not depend on the thread setting.
 A :class:`Covariance` is built from the matrix alone, which is checked once;
 its factor, log determinant and trace are derived from it, and its arrays
 are read-only, so the kernels that take one do not check it again.
@@ -15,9 +17,11 @@ where one through an explicit Sigma^-1 would grow like cond(Sigma).
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +49,50 @@ def float_range_guard(message: str):
             yield
     except FloatingPointError:
         raise DomainError(message) from None
+
+
+@functools.cache
+def _blas_thread_count():
+    """(get, set) of the thread count of numpy's own OpenBLAS (scipy-openblas,
+    64-bit), or None where numpy's build does not export them."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_scope_lock = threading.Lock()
+_scope = {"depth": 0, "saved": 1}  # open scopes in the process, the count the last one restores
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's OpenBLAS on one thread while any caller is in this block.
+
+    The count is process-wide, so the scope is counted across threads and
+    nesting: the first to enter saves the caller's count and sets 1, the
+    last to leave restores it. One thread gives bits that do not depend on
+    the machine's thread setting (LAPACK's potrf and a product's blocking
+    split by thread count), and leaves the cores to ``streams`` workers.
+    Where numpy's build exports no thread-count API the block runs as is.
+    """
+    api = _blas_thread_count()
+    with _scope_lock:
+        if api and not _scope["depth"]:
+            _scope["saved"] = api[0]()
+            api[1](1)
+        _scope["depth"] += 1
+    try:
+        yield
+    finally:
+        with _scope_lock:
+            _scope["depth"] -= 1
+            if api and not _scope["depth"]:
+                api[1](_scope["saved"])
 
 
 def as_float_array(x, what: str) -> np.ndarray:
@@ -121,7 +169,8 @@ class Covariance:
     def __post_init__(self):
         a = symmetrize(self.entries)
         try:
-            lower = np.linalg.cholesky(a)
+            with one_blas_thread():
+                lower = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             raise DomainError("matrix is not positive definite") from None
         diag = np.diag(a)
@@ -159,7 +208,8 @@ class Covariance:
         """W = L^-1, so that d^T Sigma^-1 d = ||W d||^2, stored column-major so
         that :func:`quad_form` reads W^T without a copy. One with an entry beyond
         the float range raises :class:`DomainError` when read, not when built."""
-        w = np.asfortranarray(np.linalg.solve(self.chol, np.eye(self.dim)))
+        with one_blas_thread():
+            w = np.asfortranarray(np.linalg.solve(self.chol, np.eye(self.dim)))
         if not np.all(np.isfinite(w)):
             raise DomainError("the whitener L^-1 is beyond the float range")
         w.setflags(write=False)

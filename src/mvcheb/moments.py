@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_float, as_float_array, float_range_guard
+from .linalg import Covariance, as_float, as_float_array, float_range_guard, one_blas_thread
 
 _MOMENTS_RANGE = "the sample moments are beyond the float range"
 
@@ -59,6 +59,7 @@ def estimate_moments(samples, ddof: int = 1, ridge: float = 0.0) -> MomentEstima
     return moments_from_sums(moment_sums(samples), ddof=ddof, ridge=ridge)
 
 
+@one_blas_thread()
 def moment_sums(samples) -> tuple[int, np.ndarray, np.ndarray]:
     """(row count, mean, scatter) of a sample set; the scatter matrix is
     the sum of (x - mean)(x - mean)^T over the rows."""

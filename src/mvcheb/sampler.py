@@ -22,8 +22,8 @@ multiplied by ``L^T`` on its own, and BLAS rounds by shape: a part that ends
 at a tile edge or at the end of the range, as the experiments' chunks do, has
 the bits of the whole draw; a shorter last tile can differ in the last ulp.
 ``Generator`` methods need not be stable across numpy releases (NEP 19), and
-L and the product can change bits with the BLAS build, L also with its thread
-count, so values are bit-exact within one numpy version and BLAS setting.
+L and the product can change bits with the BLAS build, so values are bit-exact
+within one numpy version and BLAS build.
 
 Three kinds: ``gaussian``, x = mean + L z with z i.i.d. standard normal and
 L the Cholesky factor of the covariance; ``paper_example``, x = (y, y+z) for
@@ -45,7 +45,7 @@ import numpy as np
 from numpy.random import SFC64, Generator, Philox, SeedSequence  # Philox: bench/tracing.py binds it
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_float, as_vector
+from .linalg import Covariance, as_float, as_vector, one_blas_thread
 from .moments import example_covariance
 
 STREAM_FORMAT = 3  # the layout of the random stream that draw_range reads
@@ -265,6 +265,7 @@ def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0
         del zs, xs, z, x  # so these buffers are freed before the next chunk's are made
 
 
+@one_blas_thread()
 def draw_range(
     spec: SamplerSpec, start: int, stop: int, stream_index: int = 0
 ) -> np.ndarray:

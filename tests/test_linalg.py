@@ -4,10 +4,18 @@ The 2x2 oracles are the adjugate formulas: det = ad - bc and
 inv = [[d, -b], [-c, a]] / det, which never touch the Cholesky path.
 """
 
+import functools
+import json
+import os
+import subprocess
+import sys
+import threading
+import types
+
 import numpy as np
 import pytest
 
-from mvcheb import linalg
+from mvcheb import experiments, gaussian_spec, linalg
 from mvcheb import (
     Covariance,
     DomainError,
@@ -272,3 +280,134 @@ class TestQuadForm:
         batched = quad_form(d, w)
         singles = np.array([quad_form(row, w) for row in d])
         assert np.array_equal(batched, singles)
+
+
+# sha256 of each BLAS result at each n, in a fresh process; Sigma is built
+# without BLAS (einsum), so the spec is the same under every thread setting
+_BITS_CHILD = """
+import hashlib, json
+import numpy as np
+from mvcheb import Covariance, draw, gaussian_spec
+from mvcheb.moments import moment_sums
+from mvcheb.sampler import chunk_size
+
+def sha(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+out = {}
+for n in (3, 64, 100, 129, 256, 512):
+    a = np.random.default_rng(n).standard_normal((n, n))
+    cov = Covariance(np.einsum("ik,jk->ij", a, a) / n + 0.01 * np.eye(n))
+    spec = gaussian_spec(np.zeros(n), cov, seed=5)
+    x = draw(spec, 2 * chunk_size(spec) + 7)
+    _, mean, scatter = moment_sums(x)
+    out[n] = [sha(cov.chol), sha(cov.whitener), sha(x), sha(mean, scatter)]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, set to 2 for the test
+    (so that one thread is a change to see) and restored after it."""
+    api = linalg._blas_thread_count()
+    if api is None:
+        pytest.skip("numpy's BLAS exports no thread-count API")
+    get, put = api
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def _gaussian(n: int, seed: int = 3):
+    a = np.random.default_rng(n).standard_normal((n, n))
+    return gaussian_spec(np.zeros(n), Covariance(a @ a.T / n + 0.01 * np.eye(n)), seed=seed)
+
+
+class TestOneBlasThread:
+    def test_bits_do_not_depend_on_the_thread_setting(self):
+        # OpenBLAS's potrf and products split by thread count: at n >= 129
+        # these differed between 1 and 2 threads before the scope
+        digests = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", _BITS_CHILD],
+                capture_output=True, text=True, check=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            ).stdout)
+            for threads in ("1", "2")
+        ]
+        assert digests[0] == digests[1]
+
+    def test_one_thread_inside_and_the_count_back_after(self, blas_threads):
+        seen = []
+
+        def per_tile(x):
+            seen.append(blas_threads())
+            return 1
+
+        spec = _gaussian(64)
+        assert sum(experiments._reduce(spec, 5000, per_tile, streams=2)) == len(seen)
+        assert set(seen) == {1} and blas_threads() == 2
+        with linalg.one_blas_thread():
+            with linalg.one_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_count_back_after_an_exception_in_the_reducer(self, blas_threads):
+        def per_tile(x):
+            raise ZeroDivisionError("from a tile")
+
+        with pytest.raises(ZeroDivisionError, match="from a tile"):
+            sum(experiments._reduce(_gaussian(64), 5000, per_tile, streams=2))
+        assert blas_threads() == 2
+
+    def test_count_back_after_an_abandoned_reducer_is_closed(self, blas_threads):
+        chunks = experiments._reduce(_gaussian(64), 50_000, lambda x: blas_threads(), 2, max)
+        assert next(chunks) == 1 and blas_threads() == 1
+        chunks.close()
+        assert blas_threads() == 2 and linalg._scope["depth"] == 0
+
+    def test_user_threads_at_once_leave_the_count_as_found(self, blas_threads):
+        # more threads than cores, a short switch interval and many bare
+        # scopes: the thread-count calls release the interpreter lock, so
+        # without the scope's lock one thread saves another's 1 and restores it
+        spec = _gaussian(64)
+        want = [r.hits for r in experiments.run_coverage(spec, 0.9, 8000)]
+        got, interval = [], sys.getswitchinterval()
+
+        def user():
+            got.append([r.hits for r in experiments.run_coverage(spec, 0.9, 8000, streams=2)])
+            for _ in range(2000):
+                with linalg.one_blas_thread():
+                    pass
+
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=user) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8
+        assert blas_threads() == 2 and linalg._scope["depth"] == 0
+
+    def test_a_build_without_the_symbols_runs_as_is(self, blas_threads, monkeypatch):
+        monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        lookup = functools.cache(linalg._blas_thread_count.__wrapped__)
+        monkeypatch.setattr(linalg, "_blas_thread_count", lookup)
+        seen = []
+
+        def per_tile(x):
+            seen.append(blas_threads())
+            return 1
+
+        spec = _gaussian(64)
+        sum(experiments._reduce(spec, 5000, per_tile, streams=2))
+        experiments.run_coverage_estimated(spec, 0.9, 3000)
+        assert lookup() is None
+        assert set(seen) == {2} and blas_threads() == 2
