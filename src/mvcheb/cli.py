@@ -6,7 +6,9 @@ JSON file. The CLI parses flags and formats results; every other rule
 (``--streams`` at least 1, the figure's reference setting, what a spec
 may hold) is the library's. Each handler returns its output text and
 :func:`main` writes it, to --out or else stdout; only ``figure`` writes
-its own four files.
+its own four files. Only the handlers that sample or fit import
+``experiments``, ``sampler`` and ``moments``; ``ratio``, ``bound`` and
+``region`` start without them.
 
 Exit codes: 0 success; 2 for a :class:`~mvcheb.errors.UsageError` (the
 input cannot be read as what the command needs: bad flags, malformed JSON
@@ -32,16 +34,8 @@ import sys
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .experiments import (
-    export_figure,
-    figure_csv_texts,
-    run_coverage,
-    run_coverage_estimated,
-    run_tail_curve,
-)
 from .jsonio import atomic_write_many, dump_json
 from .linalg import Covariance
-from .moments import estimate_moments, read_samples_csv, write_samples_csv
 from .regions import (
     chebyshev_bound,
     classical_bound,
@@ -51,7 +45,6 @@ from .regions import (
     region_to_dict,
     volume_ratio,
 )
-from .sampler import STREAM_FORMAT, SamplerSpec, draw, spec_from_dict
 
 
 def _load_json_arg(value: str):
@@ -69,7 +62,8 @@ def _load_json_arg(value: str):
         raise UsageError(f"not valid JSON: {exc}") from None
 
 
-def _load_spec(value: str, seed_flag: int | None) -> SamplerSpec:
+def _load_spec(value: str, seed_flag: int | None):
+    from .sampler import spec_from_dict
     data = _load_json_arg(value)
     if seed_flag is not None and isinstance(data, dict):
         data = dict(data, seed=seed_flag)
@@ -100,6 +94,7 @@ def _coverage_pair_dict(pair) -> dict:
 
 
 def _cmd_estimate(args) -> str:
+    from .moments import estimate_moments, read_samples_csv
     try:
         fh = open(args.input, newline="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
@@ -149,6 +144,7 @@ def _cmd_region(args) -> str:
 
 
 def _cmd_coverage(args) -> str:
+    from .experiments import run_coverage, run_coverage_estimated
     spec = _load_spec(args.spec, args.seed)
     if args.estimated:
         both = run_coverage_estimated(spec, args.delta, args.n, streams=args.streams)
@@ -160,11 +156,14 @@ def _cmd_coverage(args) -> str:
 
 
 def _cmd_tail(args) -> str:
+    from .experiments import run_tail_curve
     spec = _load_spec(args.spec, args.seed)
     return dump_json(run_tail_curve(spec, args.eps, args.n, streams=args.streams).to_dict())
 
 
 def _cmd_figure(args) -> None:
+    from .experiments import export_figure, figure_csv_texts
+    from .sampler import STREAM_FORMAT
     # a flag not given is None, so export_figure's defaults are the reference setting
     skip = ("command", "func", "out_prefix")
     fig = export_figure(**{k: v for k, v in vars(args).items() if k not in skip and v is not None})
@@ -182,6 +181,8 @@ def _cmd_figure(args) -> None:
 
 
 def _cmd_sample(args) -> str:
+    from .moments import write_samples_csv
+    from .sampler import draw
     spec = _load_spec(args.spec, args.seed)
     text = io.StringIO()
     write_samples_csv(draw(spec, args.n), text)

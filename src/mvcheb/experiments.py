@@ -26,12 +26,11 @@ from itertools import islice
 import numpy as np
 
 from .errors import UsageError
-from .linalg import one_blas_thread, quad_form
+from .linalg import _is_int, one_blas_thread, quad_form
 from .moments import merge_moment_sums, moment_sums, moments_from_sums
 from .regions import chebyshev_bound, ellipse_boundary, make_ellipsoid, make_sphere, within
 from .sampler import (
     SamplerSpec,
-    _is_int,
     check_n_samples,
     chunk_size,
     draw,
@@ -80,22 +79,24 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1, combi
     A chunk is the sampler's :func:`~mvcheb.sampler.chunk_size` samples, one
     generator's draw, so its bounds depend only on the spec and N.
     ``streams`` threads draw and reduce the chunks; callers combine the
-    results in the order yielded, so no result depends on it. The pool runs
-    in :func:`~mvcheb.linalg.one_blas_thread`, so it is the one source of threads.
+    results in the order yielded, so no result depends on it. Each chunk runs
+    in :func:`~mvcheb.linalg.one_blas_thread`, so the pool is the one source
+    of threads, and a generator dropped unclosed leaves the count as found.
     """
     if not (_is_int(streams) and streams >= 1):
         raise UsageError(f"streams must be a positive integer, got {streams!r}")
     size = chunk_size(spec)
 
     def chunk(start: int):
-        tiles = offset_tiles(spec, start, min(start + size, n_samples))
-        return functools.reduce(combine, map(per_tile, tiles))
+        with one_blas_thread():
+            tiles = offset_tiles(spec, start, min(start + size, n_samples))
+            return functools.reduce(combine, map(per_tile, tiles))
 
     def results():
         # a chunk is submitted as each result is taken, so at most
         # 2 * streams are in flight and memory stays flat in N
         starts = iter(range(0, n_samples, size))
-        with one_blas_thread(), ThreadPoolExecutor(max_workers=streams) as pool:
+        with ThreadPoolExecutor(max_workers=streams) as pool:
             pending = deque(pool.submit(chunk, s) for s in islice(starts, 2 * streams))
             while pending:
                 result = pending.popleft().result()

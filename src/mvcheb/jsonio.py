@@ -32,11 +32,13 @@ def atomic_write_many(outputs: dict[str, str]) -> None:
             staged.append((tmp, path))
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-        while staged:
-            os.replace(*staged[0])
+        for tmp, path in list(staged):
+            os.replace(tmp, path)
             staged.pop(0)
-    except BaseException:
+    except BaseException as exc:
         for tmp, _ in staged:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.strerror:  # name the target, not its temp file
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise

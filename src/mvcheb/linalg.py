@@ -33,6 +33,7 @@ SYMMETRY_RTOL = 1e-9
 # Cholesky pivots are compared against PIVOT_RTOL * max(diagonal).
 PIVOT_RTOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8  # of the largest 8-byte array numpy can allocate
 
 
 def exp_or_inf(x: float) -> float:
@@ -93,6 +94,16 @@ def one_blas_thread():
             _scope["depth"] -= 1
             if api and not _scope["depth"]:
                 api[1](_scope["saved"])
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_entries(n: int, what: str) -> None:
+    """Raise :class:`DomainError` if an array of ``n`` 8-byte entries is too large."""
+    if n > _MAX_ENTRIES:
+        raise DomainError(f"{what}: {n} array entries are more than one array can hold")
 
 
 def as_float_array(x, what: str) -> np.ndarray:

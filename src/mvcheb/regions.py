@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_float, as_vector, exp_or_inf, quad_form
-from .sampler import _is_int, check_entries
+from .linalg import Covariance, _is_int, as_float, as_vector, check_entries, exp_or_inf, quad_form
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,13 @@ import numpy as np
 from numpy.random import SFC64, Generator, Philox, SeedSequence  # Philox: bench/tracing.py binds it
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_float, as_vector, one_blas_thread
+from .linalg import Covariance, _is_int, as_float, as_vector, check_entries, one_blas_thread
 from .moments import example_covariance
 
 STREAM_FORMAT = 3  # the layout of the random stream that draw_range reads
 _CHUNK_NORMALS = 1 << 17  # normals per chunk, so 65,536 samples at n=2
 _TILE_ENTRIES = 1 << 13  # entries per tile of a chunk's kernels, so 64 KB temporaries at low n
 _TILE_ROWS = 256  # rows per tile at least: a matrix product on fewer rows leaves BLAS idle
-_MAX_ENTRIES = np.iinfo(np.intp).max // 8  # of the largest 8-byte array numpy can allocate
 
 # The tight_radial atom sits on the closed tail event {d^2 >= eps}; round-off
 # in the quadratic form would break the tie at random, so the shell radius is
@@ -68,16 +67,6 @@ _READS = {
 }
 KINDS = tuple(_READS)
 _FIELDS = ("mean", "cov", "sigma", "k", "eps")
-
-
-def check_entries(n: int, what: str) -> None:
-    """Raise :class:`DomainError` if an array of ``n`` 8-byte entries is too large."""
-    if n > _MAX_ENTRIES:
-        raise DomainError(f"{what}: {n} array entries are more than one array can hold")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_n_samples(n_samples) -> int:
@@ -236,12 +225,12 @@ def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0
     for c in range(start // size, (stop - 1) // size + 1):
         words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
         normals = Generator(SFC64(SeedSequence(words[0]))).standard_normal
-        if spec.kind == "tight_radial":
-            uniforms = Generator(SFC64(SeedSequence(words[1]))).random
         rows = min(stop - c * size, size)
         starts = range(0, max(rows - step, 0) + 1, step)
         longest = rows - starts[-1]  # the last tile
-        (zs, xs), us = np.empty((2, longest * n)), np.empty(longest)
+        zs, xs = np.empty((2, longest * n))
+        if spec.kind == "tight_radial":
+            uniforms, us = Generator(SFC64(SeedSequence(words[1]))).random, np.empty(longest)
         for lo, hi in zip(starts, [*starts[1:], rows]):
             # BLAS rounds a product by layout and shape: z is row-major, x column-major
             z, x = zs[: (hi - lo) * n].reshape(-1, n), xs[: (hi - lo) * n].reshape(n, -1).T

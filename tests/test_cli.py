@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mvcheb import cli
+from mvcheb import cli, sampler
 
 EXAMPLE_COV = "[[1,1],[1,26]]"
 PAPER_SPEC = '{"kind":"paper_example","sigma":1.0,"k":25.0,"seed":42}'
@@ -322,7 +322,7 @@ class TestSample:
         def exhausted(spec, n_samples, stream_index=0):
             raise MemoryError(text)
 
-        monkeypatch.setattr(cli, "draw", exhausted)
+        monkeypatch.setattr(sampler, "draw", exhausted)
         assert cli.main(["sample", "--spec", PAPER_SPEC, "--n", "100000000"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -350,13 +350,40 @@ class TestSample:
 
 class TestUsage:
     def test_runtime_imports_no_scipy(self):
+        # the namespace is lazy, so every submodule is named
         code = (
-            "import mvcheb, mvcheb.cli, sys; "
+            "import mvcheb, mvcheb.cli, mvcheb.errors, mvcheb.experiments, mvcheb.jsonio, "
+            "mvcheb.linalg, mvcheb.moments, mvcheb.regions, mvcheb.sampler, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ("ratio", "--cov", EXAMPLE_COV),
+        ("bound", "--dim", "2", "--eps", "20"),
+        ("region", "--kind", "ellipsoid", "--cov", EXAMPLE_COV, "--delta", "0.1"),
+    ], ids=lambda argv: argv[0])
+    def test_closed_form_commands_start_without_the_sampling_stack(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "mvcheb", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")
+        }
+        assert "mvcheb.regions" in loaded
+        # numpy 1.x imports numpy.random itself; only what mvcheb adds counts
+        numpy_alone = subprocess.run(
+            [sys.executable, "-c", "import numpy, sys; print(*sys.modules)"],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        unwanted = {"mvcheb.experiments", "mvcheb.sampler", "mvcheb.moments", "numpy.random",
+                    "concurrent.futures"}
+        assert not loaded & (unwanted - set(numpy_alone))
 
     def test_no_subcommand_exits_2(self):
         assert run_cli().returncode == 2
@@ -498,8 +525,17 @@ def test_out_naming_a_directory_exits_4_and_leaves_no_temp_file(tmp_path, capsys
     target = tmp_path / "target"
     target.mkdir()
     assert run_main("ratio", "--cov", EXAMPLE_COV, "--out", str(target)) == 4
-    assert capsys.readouterr().err.startswith("mvcheb: error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("mvcheb: error: ") and repr(str(target)) in err and ".tmp-" not in err
     assert list(tmp_path.glob(".tmp-*~")) == [] and list(target.iterdir()) == []
+
+
+def test_out_in_a_missing_directory_exits_4_naming_the_target(tmp_path, capsys):
+    target = tmp_path / "missing" / "f.csv"
+    assert run_main("sample", "--spec", PAPER_SPEC, "--n", "3", "--out", str(target)) == 4
+    err = capsys.readouterr().err
+    assert err == f"mvcheb: error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_tail_level_beyond_float_range_exits_0(capsys):
