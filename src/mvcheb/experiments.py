@@ -73,37 +73,34 @@ def _reports(delta: float, n_samples: int, hits) -> tuple[CoverageReport, Covera
 
 
 def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1, combine=operator.add):
-    """For each chunk of samples [0, n_samples), in chunk order, the fold by
-    ``combine`` of ``per_tile(x)`` over its :func:`~mvcheb.sampler.offset_tiles` x.
+    """The fold by ``combine`` of ``per_tile(x)`` over every tile x of
+    :func:`~mvcheb.sampler.offset_tiles` on [0, n_samples), in tile and chunk order.
 
     A chunk is the sampler's :func:`~mvcheb.sampler.chunk_size` samples, one
     generator's draw, so its bounds depend only on the spec and N.
-    ``streams`` threads draw and reduce the chunks; callers combine the
-    results in the order yielded, so no result depends on it. Each chunk runs
-    in :func:`~mvcheb.linalg.one_blas_thread`, so the pool is the one source
-    of threads, and a generator dropped unclosed leaves the count as found.
+    ``streams`` threads draw and fold the chunks; this thread folds their
+    results in chunk order, so no result depends on it. The pool runs in one
+    :func:`~mvcheb.linalg.one_blas_thread` scope for the call, so it is the
+    one source of threads.
     """
     if not (_is_int(streams) and streams >= 1):
         raise UsageError(f"streams must be a positive integer, got {streams!r}")
     size = chunk_size(spec)
 
     def chunk(start: int):
-        with one_blas_thread():
-            tiles = offset_tiles(spec, start, min(start + size, n_samples))
-            return functools.reduce(combine, map(per_tile, tiles))
+        tiles = offset_tiles(spec, start, min(start + size, n_samples))
+        return functools.reduce(combine, map(per_tile, tiles))
 
-    def results():
-        # a chunk is submitted as each result is taken, so at most
-        # 2 * streams are in flight and memory stays flat in N
-        starts = iter(range(0, n_samples, size))
-        with ThreadPoolExecutor(max_workers=streams) as pool:
-            pending = deque(pool.submit(chunk, s) for s in islice(starts, 2 * streams))
-            while pending:
-                result = pending.popleft().result()
-                pending.extend(pool.submit(chunk, s) for s in islice(starts, 1))
-                yield result
-
-    return results()
+    # a chunk is submitted as each result is folded, so at most
+    # 2 * streams are in flight and memory stays flat in N
+    starts = iter(range(0, n_samples, size))
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=streams) as pool:
+        pending = deque(pool.submit(chunk, s) for s in islice(starts, 2 * streams))
+        total = pending.popleft().result()
+        while pending:
+            pending.extend(pool.submit(chunk, s) for s in islice(starts, 1))
+            total = combine(total, pending.popleft().result())
+    return total
 
 
 def _per_tile(center, whitener, reduce_tile):
@@ -138,7 +135,7 @@ def run_coverage(
     """
     n = check_n_samples(n_samples)
     count = _hit_counter(np.zeros(spec.dim), spec.cov, delta)
-    return _reports(delta, n, sum(_reduce(spec, n, count, streams)))
+    return _reports(delta, n, _reduce(spec, n, count, streams))
 
 
 def run_coverage_estimated(
@@ -159,13 +156,12 @@ def run_coverage_estimated(
     def merge(a, b):  # (hit counts, moment sums) of tiles, then of chunks
         return a[0] + b[0], merge_moment_sums(a[1], b[1])
 
-    chunks = _reduce(spec, n, lambda x: (count(x), moment_sums(x)), streams, merge)
-    hits, sums = functools.reduce(merge, chunks)
+    hits, sums = _reduce(spec, n, lambda x: (count(x), moment_sums(x)), streams, merge)
     fitted = moments_from_sums(sums)  # of the offsets: its mean is the fitted mean less the true
     count_fitted = _hit_counter(fitted.mean, fitted.cov, delta)
     return {
         "true": _reports(delta, n, hits),
-        "estimated": _reports(delta, n, sum(_reduce(spec, n, count_fitted, streams))),
+        "estimated": _reports(delta, n, _reduce(spec, n, count_fitted, streams)),
     }
 
 
@@ -178,7 +174,7 @@ def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
     """
     n = check_n_samples(n_samples)
     chunk_sum = _per_tile(np.zeros(spec.dim), spec.cov.whitener, lambda m2, _: float(np.sum(m2)))
-    return math.fsum(_reduce(spec, n, chunk_sum)) / n
+    return _reduce(spec, n, chunk_sum) / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +217,7 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
     counts = _per_tile(np.zeros(spec.dim), spec.cov.whitener, lambda *vs: np.stack(
         [len(v) - np.searchsorted(np.sort(v), lv) for lv, v in zip((grid, var_levels), vs)]
     ))
-    tails = sum(_reduce(spec, total, counts, streams)) / total
+    tails = _reduce(spec, total, counts, streams) / total
     return TailCurve(
         eps_grid=grid,
         empirical_tail=tails[0],

@@ -78,8 +78,9 @@ def one_blas_thread():
     nesting: the first to enter saves the caller's count and sets 1, the
     last to leave restores it. One thread gives bits that do not depend on
     the machine's thread setting (LAPACK's potrf and a product's blocking
-    split by thread count), and leaves the cores to ``streams`` workers.
-    Where numpy's build exports no thread-count API the block runs as is.
+    split by thread count). The reducer holds one scope around its pool for
+    each call, so the cores are left to its ``streams`` workers. Where
+    numpy's build exports no thread-count API the block runs as is.
     """
     api = _blas_thread_count()
     with _scope_lock:
@@ -260,7 +261,7 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
     column-major tile of :func:`~mvcheb.sampler.offset_tiles`, set by the chunk.
     """
     kernel = np.asarray(w, dtype=float)
-    dv = np.asarray(d, dtype=float)
+    dv = as_float_array(d, "vector")
     if kernel.shape != dv.shape[-1:] * 2:
         raise DomainError(
             f"vector dimension {dv.shape[-1:]} does not match kernel {kernel.shape}"

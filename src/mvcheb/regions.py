@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, _is_int, as_float, as_vector, check_entries, exp_or_inf, quad_form
+from .linalg import Covariance, _is_int, as_float, as_float_array, as_vector, check_entries
+from .linalg import exp_or_inf, quad_form
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class SphereRegion:
 
 
 def _check_delta(delta: float) -> float:
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < as_float(delta, "delta") < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     return float(delta)
 
@@ -156,7 +157,7 @@ def contains(region, x) -> bool | np.ndarray:
     """
     if not isinstance(region, (EllipsoidRegion, SphereRegion)):
         raise TypeError(f"not a region: {type(region).__name__}")
-    xv, shape = np.asarray(x, dtype=float), region.center.shape
+    xv, shape = as_float_array(x, "point"), region.center.shape
     if xv.shape[-1:] != shape:
         raise DomainError(f"point dimension {xv.shape[-1:]} does not match center {shape}")
     d = xv - region.center
@@ -247,16 +248,16 @@ def ellipse_boundary(region, m: int) -> np.ndarray:
 def region_to_dict(region, delta: float | None = None) -> dict:
     """JSON-ready form of a region.
 
-    An ellipsoid serializes with its covariance and the ``delta`` it was
-    built at (required for an ellipsoid); a sphere needs only its squared
-    radius.
+    An ellipsoid serializes with its covariance and the ``delta`` in (0, 1)
+    it was built at (required for an ellipsoid); a sphere needs only its
+    squared radius.
     """
     if isinstance(region, EllipsoidRegion):
         return {
             "kind": "ellipsoid",
             "center": [float(v) for v in region.center],
             "cov": [[float(v) for v in row] for row in region.cov.entries],
-            "delta": float(delta),
+            "delta": _check_delta(delta),
             "threshold": float(region.threshold),
         }
     if isinstance(region, SphereRegion):

@@ -3,8 +3,10 @@ curves, figure export, and the chunked reducer behind them. The chi-square
 law of d^2 for Gaussian draws gives independent expected values."""
 
 import contextlib
+import functools
 import io
 import json
+import operator
 import time
 import tracemalloc
 import warnings
@@ -497,13 +499,34 @@ class TestReducer:
         assert max(b - a for a, b in calls) <= chunk
 
     def test_at_most_two_chunks_per_stream_in_flight(self, monkeypatch):
-        calls = self._record_draws(monkeypatch)
-        results = experiments._reduce(PAPER, self.N, len, streams=2)
-        assert next(results) == chunk_size(PAPER)
-        time.sleep(0.05)  # ample time for idle workers to draw whatever was submitted
-        # four submitted up front, one more as the first result was taken
-        assert len(calls) <= 5
-        results.close()
+        calls, drawn = self._record_draws(monkeypatch), []
+
+        def combine(a, b):  # a chunk is one tile, so this folds chunk results
+            if not drawn:
+                time.sleep(0.05)  # ample time for idle workers to draw whatever was submitted
+                drawn.append(len(calls))
+            return a + b
+
+        assert experiments._reduce(PAPER, self.N, len, 2, combine) == self.N
+        # four submitted up front, one more as the first result was folded
+        assert drawn[0] <= 5
+
+    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
+    def test_the_fold_keeps_tile_and_chunk_order(self, monkeypatch, spec):
+        # two tiles a chunk, a combine that does not commute (list concatenation),
+        # and tiles that sleep by their first value, so chunks complete out of order
+        monkeypatch.setattr(sampler, "_TILE_ENTRIES", 64)
+        monkeypatch.setattr(sampler, "_TILE_ROWS", 1)
+
+        def per_tile(x):
+            if x[0, 0] > 0.5:
+                time.sleep(0.001)
+            return [float(x[0, 0]), len(x)]
+
+        serial = functools.reduce(operator.add, map(per_tile, sampler.offset_tiles(spec, 0, self.N)))
+        assert max(serial[1::2]) < chunk_size(spec)  # tiles are shorter than chunks
+        for streams in (1, 2, 3):
+            assert experiments._reduce(spec, self.N, per_tile, streams, operator.add) == serial
 
     def test_peak_memory_is_flat_in_the_chunk_count(self):
         chunk = chunk_size(PAPER)

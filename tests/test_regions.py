@@ -252,6 +252,13 @@ class TestRegions:
         with pytest.raises(DomainError, match="point dimension"):
             contains(sph, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("x", ["ab", [[1.0, 2.0], [3.0]], [1.0, None, "c"]],
+                             ids=["string", "ragged", "mixed"])
+    def test_points_that_are_not_numeric_are_a_usage_error(self, x):
+        for region in (make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1), make_sphere([0.0, 0.0], EXAMPLE, 0.1)):
+            with pytest.raises(UsageError, match="point is not a numeric array"):
+                contains(region, x)
+
 
 class TestVolume:
     def test_unit_ball(self):
@@ -518,6 +525,17 @@ class TestRegionJson:
         assert d == {"kind": "sphere", "center": [0.0, 0.0], "radius_sq": 270.0}
         back = region_from_dict(d)
         assert back.radius_sq == sph.radius_sq
+
+    def test_ellipsoid_needs_a_delta_in_range(self):
+        ell = make_ellipsoid([0.0, 0.0], Covariance(np.eye(2)), 0.1)
+        with pytest.raises(UsageError, match="delta must be a number, got None"):
+            region_to_dict(ell)
+        with pytest.raises(UsageError, match="delta must be a number, got 'x'"):
+            region_to_dict(ell, delta="x")
+        for delta in (0.0, 1.0, math.nan):
+            with pytest.raises(DomainError, match=r"delta must lie in \(0, 1\)"):
+                region_to_dict(ell, delta=delta)
+        assert region_to_dict(ell, delta=np.float32(0.5))["delta"] == 0.5
 
     def test_unknown_kind(self):
         with pytest.raises(UsageError, match="unknown region kind"):
