@@ -18,8 +18,8 @@ mathematics rejects it: a matrix that is not positive definite, delta
 outside (0, 1), ...) or for a run larger than memory; 4 for an output I/O
 error. Output files go to a temp file that is renamed, so a failing run
 never leaves partial output.
-A ``det``, ``trace`` or ``ratio`` outside (0, inf) prints as null; the
-``log_det`` and ``log_ratio`` beside it stay finite.
+A ``det``, ``trace`` or ``ratio`` outside (0, inf), and a bound's ``raw``
+of inf, print as null; the ``log_det`` and ``log_ratio`` stay finite.
 """
 
 from __future__ import annotations
@@ -72,12 +72,9 @@ def _load_spec(value: str, seed_flag: int | None):
 
 def _eps_grid(text: str) -> list[float]:
     try:
-        grid = [float(f) for f in text.split(",") if f.strip()]
-        if all(math.isfinite(e) for e in grid):
-            return grid
+        return [float(f) for f in text.split(",") if f.strip()]
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"bad eps grid {text!r}")
+        raise argparse.ArgumentTypeError(f"bad eps grid {text!r}") from None
 
 
 def _in_range(x: float) -> float | None:
@@ -128,7 +125,7 @@ def _cmd_bound(args) -> str:
         if args.dim is None:
             raise UsageError("either --dim or --classical --var is required")
         b = chebyshev_bound(args.dim, args.eps)
-    return dump_json({"raw": b.raw, "clamped": b.clamped})
+    return dump_json({"raw": b.raw if b.raw < math.inf else None, "clamped": b.clamped})
 
 
 def _cmd_region(args) -> str:

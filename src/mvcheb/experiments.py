@@ -26,17 +26,10 @@ from itertools import islice
 import numpy as np
 
 from .errors import UsageError
-from .linalg import _is_int, one_blas_thread, quad_form
+from .linalg import as_count, as_float_array, as_level, one_blas_thread, quad_form
 from .moments import merge_moment_sums, moment_sums, moments_from_sums
 from .regions import chebyshev_bound, ellipse_boundary, make_ellipsoid, make_sphere, within
-from .sampler import (
-    SamplerSpec,
-    check_n_samples,
-    chunk_size,
-    draw,
-    offset_tiles,
-    paper_example_spec,
-)
+from .sampler import SamplerSpec, chunk_size, draw, offset_tiles, paper_example_spec
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -83,9 +76,7 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1, combi
     :func:`~mvcheb.linalg.one_blas_thread` scope for the call, so it is the
     one source of threads.
     """
-    if not (_is_int(streams) and streams >= 1):
-        raise UsageError(f"streams must be a positive integer, got {streams!r}")
-    size = chunk_size(spec)
+    streams, size = as_count(streams, "streams"), chunk_size(spec)
 
     def chunk(start: int):
         tiles = offset_tiles(spec, start, min(start + size, n_samples))
@@ -133,7 +124,7 @@ def run_coverage(
     the number of workers; it never changes the drawn samples or the
     counts. Returns the (ellipsoid, sphere) report pair.
     """
-    n = check_n_samples(n_samples)
+    n = as_count(n_samples, "n_samples")
     count = _hit_counter(np.zeros(spec.dim), spec.cov, delta)
     return _reports(delta, n, _reduce(spec, n, count, streams))
 
@@ -150,7 +141,7 @@ def run_coverage_estimated(
     sums of the offsets; the second redraws each chunk and counts the hits
     of the fitted regions, centred at the offsets' mean.
     """
-    n = check_n_samples(n_samples)
+    n = as_count(n_samples, "n_samples")
     count = _hit_counter(np.zeros(spec.dim), spec.cov, delta)
 
     def merge(a, b):  # (hit counts, moment sums) of tiles, then of chunks
@@ -172,7 +163,7 @@ def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
     with finite covariance, so the returned mean should sit within Monte
     Carlo error of the dimension.
     """
-    n = check_n_samples(n_samples)
+    n = as_count(n_samples, "n_samples")
     chunk_sum = _per_tile(np.zeros(spec.dim), spec.cov.whitener, lambda m2, _: float(np.sum(m2)))
     return _reduce(spec, n, chunk_sum) / n
 
@@ -198,15 +189,13 @@ class TailCurve:
 
 def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1) -> TailCurve:
     """Both tails and both bounds on an ascending positive grid, from ``streams`` workers."""
-    grid = np.asarray(eps_grid, dtype=float).reshape(-1)
+    grid = as_float_array(eps_grid, "eps grid").reshape(-1)
     if grid.size == 0:
         raise UsageError("eps grid must contain at least one value")
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("eps grid must be strictly ascending, positive and finite")
-    var_total = spec.cov.trace
-    total = check_n_samples(n_samples)
-    if not var_total < math.inf:
-        raise UsageError(f"total variance must be positive and finite, got {var_total}")
+    total = as_count(n_samples, "n_samples")
+    var_total = as_level(spec.cov.trace, "total variance")
     new_bound = np.array([chebyshev_bound(spec.dim, e).clamped for e in grid.tolist()])
     # Var / (sqrt(eps Var))^2 is 1/eps exactly; 1/eps is below 1 only where eps > 1
     classical = 1.0 / np.maximum(grid, 1.0)

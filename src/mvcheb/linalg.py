@@ -124,6 +124,22 @@ def as_float(x, what: str) -> float:
         raise UsageError(f"{what} must be a number, got {x!r}") from None
 
 
+def as_count(value, what: str) -> int:
+    """``value`` as an int; anything but a positive integer (numpy integers
+    count, bools and floats do not) raises :class:`UsageError`."""
+    if not (_is_int(value) and value >= 1):
+        raise UsageError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def as_level(value, what: str) -> float:
+    """``value`` as a float; one that is not positive and finite raises :class:`UsageError`."""
+    x = as_float(value, what)
+    if not 0.0 < x < math.inf:
+        raise UsageError(f"{what} must be positive and finite, got {x}")
+    return x
+
+
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """A read-only copy of the 1-D finite vector ``x``, optionally of a
     required dimension; the caller's array stays writable."""
@@ -260,7 +276,7 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
     its summation order by shape; in the experiments a batch is a
     column-major tile of :func:`~mvcheb.sampler.offset_tiles`, set by the chunk.
     """
-    kernel = np.asarray(w, dtype=float)
+    kernel = as_float_array(w, "kernel")
     dv = as_float_array(d, "vector")
     if kernel.shape != dv.shape[-1:] * 2:
         raise DomainError(

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, as_float, as_float_array, float_range_guard, one_blas_thread
+from .linalg import Covariance, _is_int, as_float, as_float_array, as_level, float_range_guard
+from .linalg import one_blas_thread
 
 _MOMENTS_RANGE = "the sample moments are beyond the float range"
 
@@ -83,8 +84,9 @@ def merge_moment_sums(a, b) -> tuple[int, np.ndarray, np.ndarray]:
 def moments_from_sums(sums, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate:
     """Mean and covariance (divisor N - ddof, plus ``ridge`` I) from the
     :func:`moment_sums` of a sample set."""
-    if ddof not in (0, 1):
+    if not _is_int(ddof) or ddof not in (0, 1):
         raise DomainError("ddof must be 0 or 1")
+    ridge = as_float(ridge, "ridge")
     if not 0.0 <= ridge < math.inf:
         raise DomainError(f"ridge must be nonnegative and finite, got {ridge}")
     n_rows, mean, scatter = sums
@@ -102,15 +104,16 @@ def example_covariance(sigma: float, k: float) -> Covariance:
     This is the covariance of (y, y+z) for independent zero-mean Gaussians
     y, z with variances sigma^2 and k*sigma^2. Its trace is (k+2) sigma^2 and
     its determinant k sigma^4. Anything but a finite sigma > 0 and k > 0 is a
-    :class:`UsageError`.
+    :class:`UsageError`, and a sigma whose square leaves the float range a
+    :class:`DomainError`.
     """
-    sigma, k = as_float(sigma, "sigma"), as_float(k, "k")
-    if not (0.0 < sigma < math.inf and 0.0 < k < math.inf):
-        raise UsageError("paper_example needs finite sigma > 0 and k > 0")
+    sigma, k = as_level(sigma, "sigma"), as_level(k, "k")
     try:
         s2 = sigma ** 2
     except OverflowError:
-        raise DomainError(f"sigma**2 is beyond the float range, got sigma={sigma}") from None
+        s2 = math.inf
+    if s2 in (0.0, math.inf):  # sigma**2 underflows or overflows
+        raise DomainError(f"sigma**2 is beyond the float range, got sigma={sigma}")
     return Covariance.from_matrix([[s2, s2], [s2, (k + 1.0) * s2]])
 
 

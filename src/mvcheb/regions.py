@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, _is_int, as_float, as_float_array, as_vector, check_entries
-from .linalg import exp_or_inf, quad_form
+from .linalg import Covariance, _is_int, as_count, as_float, as_float_array, as_level, as_vector
+from .linalg import check_entries, exp_or_inf, quad_form
 
 
 @dataclass(frozen=True)
@@ -56,20 +56,15 @@ def _bound(raw: float) -> BoundValue:
 
 def chebyshev_bound(n: int, eps: float) -> BoundValue:
     """Tail bound n/eps on Pr{ (X-mu)^T Sigma^-1 (X-mu) >= eps }."""
-    if not 1 <= n <= sys.float_info.max or int(n) != n:
+    n, eps = as_count(n, "dimension"), as_level(eps, "eps")
+    if n > sys.float_info.max:
         raise DomainError(f"dimension must be a positive integer in the float range, got {n}")
-    if not 0.0 < eps < math.inf:
-        raise UsageError(f"eps must be positive and finite, got {eps}")
-    return _bound(float(n) / float(eps))
+    return _bound(float(n) / eps)
 
 
 def classical_bound(var_total: float, eps: float) -> BoundValue:
     """Tail bound Var(X)/eps^2 on Pr{ ||X - mu|| >= eps }."""
-    if not 0.0 < var_total < math.inf:
-        raise UsageError(f"total variance must be positive and finite, got {var_total}")
-    if not 0.0 < eps < math.inf:
-        raise UsageError(f"eps must be positive and finite, got {eps}")
-    var, e = float(var_total), float(eps)
+    var, e = as_level(var_total, "total variance"), as_level(eps, "eps")
     try:
         return _bound(var / e ** 2)
     except (OverflowError, ZeroDivisionError):  # e**2 is beyond the float range
@@ -216,7 +211,7 @@ def example_ratio(k: float) -> float:
     k=25 and within a few ulp otherwise; minimized at k = 2 with value sqrt(2),
     increasing monotonically on both sides, unbounded as k -> 0 or k -> inf.
     """
-    k = _level("k", k)
+    k = as_level(k, "k")
     return (k + 2.0) / (2.0 * math.sqrt(k))
 
 

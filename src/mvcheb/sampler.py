@@ -45,7 +45,8 @@ import numpy as np
 from numpy.random import SFC64, Generator, Philox, SeedSequence  # Philox: bench/tracing.py binds it
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, _is_int, as_float, as_vector, check_entries, one_blas_thread
+from .linalg import Covariance, _is_int, as_count, as_float, as_vector, check_entries
+from .linalg import one_blas_thread
 from .moments import example_covariance
 
 STREAM_FORMAT = 3  # the layout of the random stream that draw_range reads
@@ -67,14 +68,6 @@ _READS = {
 }
 KINDS = tuple(_READS)
 _FIELDS = ("mean", "cov", "sigma", "k", "eps")
-
-
-def check_n_samples(n_samples) -> int:
-    """``n_samples`` as an int; anything but a positive integer (numpy
-    integers count, bools do not) raises :class:`UsageError`."""
-    if not (_is_int(n_samples) and n_samples >= 1):
-        raise UsageError(f"n_samples must be a positive integer, got {n_samples}")
-    return int(n_samples)
 
 
 def _key(seed: int, stream_index: int) -> tuple[int, int]:
@@ -149,11 +142,10 @@ def paper_example_spec(sigma: float, k: float, seed: int = 0) -> SamplerSpec:
 def _tight_radial_moments(dim, mean, cov: Covariance | None) -> tuple:
     # the dim shorthand of tight_radial_spec, which spec_from_dict shares
     if dim is not None:
-        if not (_is_int(dim) and dim >= 1):
-            raise UsageError(f"dim must be a positive integer, got {dim!r}")
+        dim = as_count(dim, "dim")
         if cov is None:
-            check_entries(int(dim) ** 2, f"dim {dim}")
-            cov = Covariance.from_matrix(np.eye(int(dim)))
+            check_entries(dim ** 2, f"dim {dim}")
+            cov = Covariance.from_matrix(np.eye(dim))
         elif dim != cov.dim:
             raise DomainError(f"dim {dim} does not match the {cov.dim}-dimensional cov")
     if cov is None:
@@ -282,4 +274,4 @@ def draw_range(
 def draw(spec: SamplerSpec, n_samples: int, stream_index: int = 0) -> np.ndarray:
     """n_samples rows of the spec's distribution, deterministic in
     (seed, stream_index)."""
-    return draw_range(spec, 0, check_n_samples(n_samples), stream_index=stream_index)
+    return draw_range(spec, 0, as_count(n_samples, "n_samples"), stream_index=stream_index)

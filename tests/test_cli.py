@@ -134,6 +134,19 @@ class TestBound:
     def test_clamping(self):
         assert run_json("bound", "--dim", "2", "--eps", "1")["clamped"] == 1.0
 
+    @pytest.mark.parametrize(
+        "argv, raw, clamped",
+        [
+            (("--dim", "3", "--eps", "1e-320"), None, 1.0),
+            (("--classical", "--var", "1", "--eps", "1e-200"), None, 1.0),
+            (("--classical", "--var", "1", "--eps", "1e200"), 0.0, 0.0),
+        ],
+    )
+    def test_raw_beyond_float_range_prints_null(self, argv, raw, clamped, capsys):
+        # an inf raw bound is null, as ratio prints its fields; a raw 0.0 stays a number
+        assert run_main("bound", *argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"raw": raw, "clamped": clamped}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -418,7 +431,7 @@ def coverage_args(spec):
         # values beyond the float range end in a message, not a traceback
         (("ratio", "--cov", "[[1e-170,0],[0,1e-170]]"), 0),
         (("bound", "--classical", "--var", "1", "--eps", "1e200"), 0),
-        (("bound", "--classical", "--var", "1", "--eps", "1e-200"), 3),
+        (("bound", "--classical", "--var", "1", "--eps", "1e-200"), 0),
         (("bound", "--dim", "1" + "0" * 400, "--eps", "1"), 3),
         (coverage_args({"kind": "paper_example", "sigma": 1e200, "k": 1.0}), 3),
         (("sample", "--spec", '{"kind":"paper_example","sigma":1e200,"k":1}', "--n", "3"), 3),

@@ -1,5 +1,6 @@
-"""Property test of the CLI boundary: whatever the arguments, ``main`` ends
-in exit 0, 2, 3 or 4, and nothing but argparse's SystemExit escapes it.
+"""Property tests of the CLI boundary: whatever the arguments, ``main`` ends
+in exit 0, 2, 3 or 4, and nothing but argparse's SystemExit escapes it; and
+``bound`` with an integer dim >= 1 and a positive finite eps exits 0.
 
 Floats range over all doubles, nan and infinities included. Sample counts,
 boundary points and dimensions stay small so that every example runs in
@@ -8,8 +9,9 @@ each command also runs to the end.
 """
 
 import json
+import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mvcheb import cli
@@ -169,3 +171,21 @@ def test_main_exits_with_a_known_code(invocation, tmp_path, monkeypatch, capsys)
         code = exc.code
     capsys.readouterr()
     assert code in (0, 2, 3, 4), argv
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    dim=st.integers(1, int(sys.float_info.max)),
+    eps=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@example(dim=3, eps=1e-320)
+def test_bound_on_valid_input_exits_0(dim, eps, capsys):
+    assert cli.main(["bound", f"--dim={dim}", f"--eps={eps!r}"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0.0 <= out["clamped"] <= 1.0 and (out["raw"] is None or out["raw"] >= 0.0)

@@ -20,7 +20,11 @@ from mvcheb import (
     Covariance,
     DomainError,
     UsageError,
+    chebyshev_bound,
+    classical_bound,
+    estimate_moments,
     invert_spd,
+    paper_example_spec,
     quad_form,
     symmetrize,
 )
@@ -232,6 +236,32 @@ class TestDetTrace:
             c = Covariance.from_matrix(m)
             _, det = adjugate_inverse_2x2(m)
             assert c.det == pytest.approx(det, rel=1e-12)
+
+
+THREE_ROWS = [[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]
+
+
+class TestScalarArguments:
+    # each site reads its argument through linalg's converters; its name is in the message
+    SITES = {
+        "eps": lambda v: chebyshev_bound(2, v),
+        "dimension": lambda v: chebyshev_bound(v, 1.0),
+        "total variance": lambda v: classical_bound(v, 1.0),
+        "ridge": lambda v: estimate_moments(THREE_ROWS, ridge=v),
+        "eps grid": lambda v: experiments.run_tail_curve(paper_example_spec(1.0, 25.0), v, 10),
+        "kernel": lambda v: quad_form([1.0, 2.0], v),
+        "ddof": lambda v: estimate_moments(THREE_ROWS, ddof=v),
+    }
+    # None and [1] read as the numeric arrays nan and [1.0], which meet an array's own rules
+    SCALARS = ("eps", "dimension", "total variance", "ridge")
+    CASES = [(site, v, UsageError) for site in SCALARS for v in (None, "a", [1], {})]
+    CASES += [(site, v, UsageError) for site in ("eps grid", "kernel") for v in ("a", {})]
+    CASES += [("ddof", True, DomainError)]  # a bool is no integer
+
+    @pytest.mark.parametrize("site, value, error", CASES, ids=[f"{s}-{v!r}" for s, v, _ in CASES])
+    def test_an_argument_that_does_not_read_is_refused_by_class(self, site, value, error):
+        with pytest.raises(error, match=site):
+            self.SITES[site](value)
 
 
 class TestQuadForm:

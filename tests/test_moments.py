@@ -123,10 +123,17 @@ class TestExampleCovariance:
         with pytest.raises(DomainError, match="beyond the float range"):
             example_covariance(1e200, 1.0)
 
+    def test_sigma_square_below_float_range(self):
+        # (1e-200)**2 underflows to 0; (1e-160)**2 = 1e-320 is subnormal, and still a covariance
+        with pytest.raises(DomainError, match=r"sigma\*\*2 is beyond the float range"):
+            example_covariance(1e-200, 1.0)
+        assert example_covariance(1e-160, 1.0).entries[0, 0] == 1e-320
+        assert np.all(np.isfinite(draw(paper_example_spec(1e-160, 1.0, seed=1), 3)))
+
     def test_nonpositive_parameters(self):
         # the one sigma/k rule, which a paper_example spec meets through this function
         for sigma, k in [(0.0, 25.0), (1.0, -1.0), (float("inf"), 1.0), (1.0, float("nan"))]:
-            with pytest.raises(UsageError, match="paper_example needs finite sigma > 0 and k > 0"):
+            with pytest.raises(UsageError, match="must be positive and finite"):
                 example_covariance(sigma, k)
 
     @pytest.mark.parametrize("sigma, k, name", [("a", 1.0, "sigma"), (1.0, None, "k")])

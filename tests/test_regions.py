@@ -81,7 +81,7 @@ class TestBounds:
             classical_bound(1.0, -1.0)
         with pytest.raises(UsageError, match="total variance must be positive"):
             classical_bound(0.0, 1.0)
-        with pytest.raises(DomainError, match="dimension must be a positive integer"):
+        with pytest.raises(UsageError, match="dimension must be a positive integer"):
             chebyshev_bound(0, 1.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(UsageError, match="eps must be positive"):
@@ -98,6 +98,13 @@ class TestBounds:
         assert classical_bound(1.0, 1e-200) == BoundValue(raw=math.inf, clamped=1.0)
         with pytest.raises(DomainError, match="dimension must be a positive integer"):
             chebyshev_bound(10**400, 1.0)
+
+    def test_dimension_is_a_count(self):
+        # the rule of linalg.as_count, which n_samples, streams and dim follow too
+        assert chebyshev_bound(np.int64(2), 20.0) == chebyshev_bound(2, 20.0)
+        for n in (-1, True, 3.0, "2", None):
+            with pytest.raises(UsageError, match="dimension must be a positive integer"):
+                chebyshev_bound(n, 1.0)
 
 
 class TestMahalanobis:
@@ -437,7 +444,7 @@ class TestExampleRatio:
 
     def test_nonpositive_k(self):
         for k in (0.0, float("nan"), float("inf")):
-            with pytest.raises(DomainError, match="k must be positive"):
+            with pytest.raises(UsageError, match="k must be positive"):
                 example_ratio(k)
 
     def test_k_is_read_as_a_float(self):

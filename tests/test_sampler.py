@@ -57,7 +57,7 @@ class TestSpecs:
         ({"kind": "paper_example", "sigma": 1.0, "k": 25.0, "seed": True}, "seed must be an integer"),
         ({"kind": "paper_example", "sigma": "abc", "k": 25.0}, "sigma must be a number"),
         ({"kind": "paper_example", "sigma": None, "k": 25.0}, "paper_example spec needs sigma and k"),
-        ({"kind": "paper_example", "sigma": 1.0, "k": float("nan")}, "finite sigma > 0 and k > 0"),
+        ({"kind": "paper_example", "sigma": 1.0, "k": float("nan")}, "k must be positive and finite"),
         ({"kind": "tight_radial", "eps": 8.0, "dim": 2.5}, "dim must be a positive integer"),
         ({"kind": "tight_radial", "eps": 8.0, "dim": -1}, "dim must be a positive integer"),
         ({"kind": "tight_radial", "eps": 8.0, "dim": 0}, "dim must be a positive integer"),
@@ -97,9 +97,9 @@ class TestSpecs:
     BAD_FIELDS = {
         "unknown_kind": (dict(kind="cauchy"), "unknown sampler kind"),
         "gaussian_without_cov": (dict(kind="gaussian", mean=[0.0]), "needs mean and cov"),
-        "zero_sigma": (dict(kind="paper_example", sigma=0.0, k=1.0), "sigma > 0 and k > 0"),
-        "nan_k": (dict(kind="paper_example", sigma=1.0, k=float("nan")), "sigma > 0 and k > 0"),
-        "inf_sigma": (dict(kind="paper_example", sigma=float("inf"), k=1.0), "sigma > 0 and k > 0"),
+        "zero_sigma": (dict(kind="paper_example", sigma=0.0, k=1.0), "sigma must be positive"),
+        "nan_k": (dict(kind="paper_example", sigma=1.0, k=float("nan")), "k must be positive"),
+        "inf_sigma": (dict(kind="paper_example", sigma=float("inf"), k=1.0), "sigma must be positive"),
         "eps_below_dim": (dict(kind="tight_radial", mean=[0, 0], cov=EYE2, eps=1.5), "eps >= dim"),
         "negative_seed": (dict(kind="paper_example", sigma=1.0, k=1.0, seed=-1), "seed must be"),
         "cov_not_a_covariance": (dict(kind="gaussian", mean=[0, 0], cov=np.eye(2)), "a Covariance"),
