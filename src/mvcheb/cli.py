@@ -196,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, out: bool = True, seed: bool = False,
+    def add(name: str, help_text: str, func, *, out: bool = True, seed: bool = False,
             streams: bool = False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         if out:
             p.add_argument("--out", default=None, help="output path (default stdout)")
         if seed:
@@ -213,31 +214,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--streams", type=int, default=1, help="worker count; changes no result")
         return p
 
-    p = add("estimate", "estimate mean/covariance from a sample CSV")
+    p = add("estimate", "estimate mean/covariance from a sample CSV", _cmd_estimate)
     p.add_argument("--input", required=True, help="CSV with header x1,...,xn")
     p.add_argument("--ddof", type=int, choices=(0, 1), default=1)
     p.add_argument("--ridge", type=float, default=0.0, help="add ridge*I before validation")
-    p.set_defaults(func=_cmd_estimate)
 
-    p = add("ratio", "sphere/ellipsoid volume ratio of a covariance matrix")
+    p = add("ratio", "sphere/ellipsoid volume ratio of a covariance matrix", _cmd_ratio)
     p.add_argument("--cov", required=True, help="matrix as inline JSON or a JSON file path")
-    p.set_defaults(func=_cmd_ratio)
 
-    p = add("bound", "evaluate a tail bound (raw and clamped)")
+    p = add("bound", "evaluate a tail bound (raw and clamped)", _cmd_bound)
     p.add_argument("--dim", type=int, default=None, help="dimension n for the n/eps bound")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--classical", action="store_true", help="use the Var/eps^2 bound")
     p.add_argument("--var", type=float, default=None, help="total variance (classical)")
-    p.set_defaults(func=_cmd_bound)
 
-    p = add("region", "construct a confidence region and print its JSON form")
+    p = add("region", "construct a confidence region and print its JSON form", _cmd_region)
     p.add_argument("--kind", choices=("ellipsoid", "sphere"), required=True)
     p.add_argument("--cov", required=True, help="matrix as inline JSON or a JSON file path")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--center", default=None, help="center as JSON list (default zeros)")
-    p.set_defaults(func=_cmd_region)
 
-    p = add("coverage", "Monte Carlo coverage of both regions", seed=True, streams=True)
+    p = add("coverage", "Monte Carlo coverage of both regions", _cmd_coverage,
+            seed=True, streams=True)
     p.add_argument("--spec", required=True, help="sampler spec as inline JSON or file path")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -246,15 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report coverage with moments re-fitted from the samples",
     )
-    p.set_defaults(func=_cmd_coverage)
 
-    p = add("tail", "empirical tails vs both bound curves", seed=True, streams=True)
+    p = add("tail", "empirical tails vs both bound curves", _cmd_tail, seed=True, streams=True)
     p.add_argument("--spec", required=True, help="sampler spec as inline JSON or file path")
     p.add_argument("--eps", type=_eps_grid, required=True, help="comma list, ascending")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_tail)
 
-    p = add("figure", "export the 2-D comparison figure data", out=False, seed=True)
+    p = add("figure", "export the 2-D comparison figure data", _cmd_figure, out=False, seed=True)
     p.add_argument("--sigma", type=float)
     p.add_argument("--k", type=float)
     p.add_argument("--delta", type=float)
@@ -268,12 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="figure_",
         help="prefix for samples/ellipse/circle.csv and manifest.json",
     )
-    p.set_defaults(func=_cmd_figure)
 
-    p = add("sample", "draw a sample set and write it as CSV", seed=True)
+    p = add("sample", "draw a sample set and write it as CSV", _cmd_sample, seed=True)
     p.add_argument("--spec", required=True, help="sampler spec as inline JSON or file path")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_sample)
 
     return parser
 

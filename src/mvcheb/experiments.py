@@ -26,9 +26,9 @@ from itertools import islice
 import numpy as np
 
 from .errors import UsageError
-from .linalg import as_count, as_float_array, as_level, one_blas_thread, quad_form
-from .moments import merge_moment_sums, moment_sums, moments_from_sums
-from .regions import chebyshev_bound, ellipse_boundary, make_ellipsoid, make_sphere, within
+from .linalg import as_count, as_float_array, one_blas_thread, quad_form
+from .moments import _csv_lines, merge_moment_sums, moment_sums, moments_from_sums
+from .regions import _level, chebyshev_bound, ellipse_boundary, make_ellipsoid, make_sphere, within
 from .sampler import SamplerSpec, chunk_size, draw, offset_tiles, paper_example_spec
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("eps grid must be strictly ascending, positive and finite")
     total = as_count(n_samples, "n_samples")
-    var_total = as_level(spec.cov.trace, "total variance")
+    var_total = _level("total variance", spec.cov.trace)  # computed: inf is a DomainError
     new_bound = np.array([chebyshev_bound(spec.dim, e).clamped for e in grid.tolist()])
     # Var / (sqrt(eps Var))^2 is 1/eps exactly; 1/eps is below 1 only where eps > 1
     classical = 1.0 / np.maximum(grid, 1.0)
@@ -262,16 +262,10 @@ def export_figure(
     )
 
 
-def _xy_csv(points: np.ndarray) -> str:
-    lines = ["x,y"]
-    lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in points)
-    return "\n".join(lines) + "\n"
-
-
 def figure_csv_texts(fig: FigureData) -> dict[str, str]:
     """The three CSV series (samples, ellipse, circle), two columns x,y."""
     return {
-        "samples": _xy_csv(fig.samples),
-        "ellipse": _xy_csv(fig.ellipse_boundary),
-        "circle": _xy_csv(fig.circle_boundary),
+        "samples": "x,y\n" + "".join(_csv_lines(fig.samples)),
+        "ellipse": "x,y\n" + "".join(_csv_lines(fig.ellipse_boundary)),
+        "circle": "x,y\n" + "".join(_csv_lines(fig.circle_boundary)),
     }

@@ -18,13 +18,12 @@ from .linalg import Covariance, _is_int, as_float, as_float_array, as_level, flo
 from .linalg import one_blas_thread
 
 _MOMENTS_RANGE = "the sample moments are beyond the float range"
+_CSV_BLOCK_ROWS = 1024  # rows formatted at a time: the formatter's memory does not grow with N
 
 
 def as_samples(rows) -> np.ndarray:
     """Validate a sample set: 2-D, at least one row, all entries finite."""
     a = as_float_array(rows, "sample set")
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise DomainError(f"samples must be 2-D, got shape {a.shape}")
     if a.shape[0] == 0:
@@ -129,43 +128,43 @@ def read_samples_csv(source) -> np.ndarray:
     naming the offending line, as do a header with no data rows and text
     that does not decode or parse as CSV.
     """
+    reader = csv.reader(source)
+    rows = []
     try:
-        return _parse_samples_csv(csv.reader(source))
+        header = next(reader, None)
+        if header is None:
+            raise UsageError("empty file: expected header row x1,...,xn")
+        header = [h.strip() for h in header]
+        if header != _expected_header(len(header)) or not header:
+            raise UsageError(f"bad header {header!r}: expected x1,...,xn")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise UsageError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                rows.append([float(f) for f in row])
+            except ValueError:
+                raise UsageError(f"line {lineno}: non-numeric field in {row!r}") from None
     except (csv.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"unreadable sample CSV: {exc}") from None
-
-
-def _parse_samples_csv(reader) -> np.ndarray:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise UsageError("empty file: expected header row x1,...,xn") from None
-    header = [h.strip() for h in header]
-    if header != _expected_header(len(header)) or not header:
-        raise UsageError(f"bad header {header!r}: expected x1,...,xn")
-    dim = len(header)
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != dim:
-            raise UsageError(
-                f"line {lineno}: expected {dim} fields, got {len(row)}"
-            )
-        try:
-            rows.append([float(f) for f in row])
-        except ValueError:
-            raise UsageError(f"line {lineno}: non-numeric field in {row!r}") from None
     if not rows:
         raise UsageError("no data rows after the header")
     return as_samples(rows)
 
 
+def _csv_lines(a: np.ndarray) -> list[str]:
+    """One CSV line per row of the 2-D float array ``a``, each value its
+    ``repr``, the shortest text that reads back to the same float."""
+    return [",".join(map(repr, row)) + "\n" for row in a.tolist()]
+
+
 def write_samples_csv(samples, target) -> None:
     """Write a sample set to a text stream in the CSV interchange format
-    (lossless floats)."""
+    (lossless floats), formatting it in blocks of rows."""
     a = as_samples(samples)
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(_expected_header(a.shape[1]))
-    for row in a:
-        writer.writerow([repr(float(v)) for v in row])
+    if not hasattr(target, "writelines"):
+        raise TypeError(f"target must be a text stream, got {type(target).__name__}")
+    target.write(",".join(_expected_header(a.shape[1])) + "\n")
+    for start in range(0, len(a), _CSV_BLOCK_ROWS):
+        target.writelines(_csv_lines(a[start:start + _CSV_BLOCK_ROWS]))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import Covariance, _is_int, as_count, as_float, as_float_array, as_level, as_vector
+from .linalg import Covariance, as_count, as_float, as_float_array, as_level, as_vector
 from .linalg import check_entries, exp_or_inf, quad_form
 
 
@@ -228,11 +228,10 @@ def ellipse_boundary(region, m: int) -> np.ndarray:
         raise TypeError(f"not a region: {type(region).__name__}")
     if region.dim != 2:
         raise DomainError("ellipse_boundary is defined for dimension 2 only")
-    if not _is_int(m):
-        raise UsageError(f"the boundary point count must be an integer, got {m!r}")
+    m = as_count(m, "boundary point count")
     if m < 3:
         raise DomainError(f"need at least 3 boundary points, got {m}")
-    check_entries(2 * int(m), f"{m} boundary points")
+    check_entries(2 * m, f"{m} boundary points")
     theta = 2.0 * np.pi * np.arange(m) / m
     circle = np.stack([np.cos(theta), np.sin(theta)])
     if isinstance(region, SphereRegion):

@@ -9,8 +9,7 @@ width is fixed because ``SeedSequence`` splits each int into as many 32-bit
 words as it needs and zero-pads short entropy, so int keys collide: (2^32,
 5, 0) and (0, 1, 5) hash alike. Chunks and streams are independent by that
 hashing, not disjoint by counter (numpy's "Parallel random number
-generation"). Format 1 made normals from Philox words by Box-Muller and
-format 2 gave each chunk a Philox counter.
+generation").
 
 Chunk c of stream s is defined by :func:`offset_tiles` alone, as offsets from
 the mean in column-major tiles of ``max(256, 2**13 // n)`` rows, a shorter

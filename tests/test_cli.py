@@ -69,6 +69,12 @@ class TestEstimate:
     def test_missing_input_exits_2(self, tmp_path):
         assert run_cli("estimate", "--input", str(tmp_path / "nope.csv")).returncode == 2
 
+    def test_nan_row_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("x1,x2\n1.0,2.0\nnan,3.0\n")
+        assert run_main("estimate", "--input", str(path)) == 3
+        assert capsys.readouterr().err == "mvcheb: error: sample entries must be finite\n"
+
 
 class TestRatio:
     def test_example_matrix(self):
@@ -560,3 +566,24 @@ def test_tail_level_beyond_float_range_exits_0(capsys):
         assert run_main("tail", "--spec", spec, "--eps", eps, "--n", "1") == 0
     out = json.loads(capsys.readouterr().out)
     assert out["classical_tail"] == [0.0] and out["classical_bound"] == [1 / float(eps)]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("tail", "--spec", json.dumps(HUGE), "--eps", "2", "--n", "10"), 3,
+     "total variance must be positive and finite, got inf"),
+    (("figure", "--points", "0", "--out-prefix", "unwritten_"), 2,
+     "boundary point count must be a positive integer, got 0"),
+    (("figure", "--points", "-5", "--out-prefix", "unwritten_"), 2,
+     "boundary point count must be a positive integer, got -5"),
+    (("figure", "--points", "2", "--out-prefix", "unwritten_"), 3,
+     "need at least 3 boundary points, got 2"),
+    (coverage_args({"kind": "tight_radial", "eps": 5}), 2, "needs either dim or cov"),
+    (("region", "--kind", "sphere", "--cov", "[[1,0],[0,1]]", "--delta", "0.1",
+      "--center", "[[0,0]]"), 3, "expected a 1-D vector"),
+], ids=["tail_trace_overflow", "figure_points_0", "figure_points_-5", "figure_points_2",
+        "tight_radial_without_dim", "region_2d_center"])
+def test_error_messages_and_exit_codes(argv, code, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_main(*argv) == code
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

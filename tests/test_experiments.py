@@ -19,6 +19,7 @@ from scipy.stats import chi2
 
 from mvcheb import (
     Covariance,
+    DomainError,
     EllipsoidRegion,
     UsageError,
     contains,
@@ -245,7 +246,7 @@ class TestTailCurve:
 
     def test_trace_beyond_float_range_refused(self):
         spec = gaussian_spec([0.0, 0.0], Covariance(1e308 * np.eye(2)))
-        with pytest.raises(UsageError, match="total variance must be positive and finite"):
+        with pytest.raises(DomainError, match="total variance must be positive and finite"):
             run_tail_curve(spec, [2.0], 10)
 
     def test_dict_keys(self):
@@ -678,14 +679,30 @@ class TestFigureExport:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            (dict(boundary_points=8.9), "boundary point count must be an integer"),
-            (dict(boundary_points=True), "boundary point count must be an integer"),
+            (dict(boundary_points=8.9), "boundary point count must be a positive integer"),
+            (dict(boundary_points=True), "boundary point count must be a positive integer"),
             (dict(seed=1.7), "seed must be an integer"),
         ],
     )
     def test_non_integer_points_or_seed_refused(self, kwargs, match):
         with pytest.raises(UsageError, match=match):
             export_figure(n_samples=5, **kwargs)
+
+    @pytest.mark.parametrize("points", [0, -5])
+    def test_non_positive_points_refused_as_a_count(self, points):
+        with pytest.raises(UsageError, match="boundary point count must be a positive integer"):
+            export_figure(n_samples=5, boundary_points=points)
+
+    def test_csv_texts_are_the_repr_of_each_value(self):
+        fig = export_figure(n_samples=50, boundary_points=9, seed=6)
+        texts = figure_csv_texts(fig)
+        for name, arr in (
+            ("samples", fig.samples),
+            ("ellipse", fig.ellipse_boundary),
+            ("circle", fig.circle_boundary),
+        ):
+            rows = "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in arr)
+            assert texts[name] == "x,y\n" + rows
 
     def test_circle_is_the_sphere_boundary(self):
         fig = export_figure(boundary_points=33, seed=2)

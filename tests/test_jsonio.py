@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from mvcheb.errors import DomainError
 from mvcheb.jsonio import atomic_write_many, dump_json
 
 
@@ -12,6 +13,12 @@ def test_dump_json_round_trips_floats():
     values = [0.1, 2.7, 270.0, 848.2300164692441, 1e-300, 4.5399929762484854e-05]
     back = json.loads(dump_json({"v": values}))
     assert back["v"] == values
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_dump_json_refuses_a_non_finite_value(value):
+    with pytest.raises(DomainError, match="not JSON compliant"):
+        dump_json({"v": value})
 
 
 def test_atomic_write_many_one_file(tmp_path):

@@ -122,6 +122,10 @@ class TestCovariance:
         with pytest.raises(DomainError, match="entries must be finite"):
             Covariance.from_matrix([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DomainError, match="at least 1x1"):
+            symmetrize(np.zeros((0, 0)))
+
     def test_immutable(self):
         c = Covariance.from_matrix(EXAMPLE)
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Moment estimation, the worked-example covariance, and the CSV format."""
 
 import io
+import itertools
+import types
 import warnings
 
 import numpy as np
@@ -16,7 +18,7 @@ from mvcheb import (
     read_samples_csv,
     write_samples_csv,
 )
-from mvcheb.moments import merge_moment_sums, moment_sums
+from mvcheb.moments import _CSV_BLOCK_ROWS, as_samples, merge_moment_sums, moment_sums
 from mvcheb.sampler import draw
 
 
@@ -190,3 +192,43 @@ class TestCsv:
     def test_header_only(self):
         with pytest.raises(UsageError, match="no data rows"):
             read_samples_csv(io.StringIO("x1,x2\n"))
+
+    def test_one_column_reads_as_two_dimensional(self):
+        back = read_samples_csv(io.StringIO("x1\n1.5\n-2.0\n"))
+        assert back.shape == (2, 1) and back.tolist() == [[1.5], [-2.0]]
+
+    def test_bytes_are_the_repr_of_each_value(self):
+        # two blocks of 1024 rows and a remainder; the values include a signed
+        # zero, a subnormal and the largest float
+        values = [-0.0, 0.1, 1e-17, 5e-324, 1.7976931348623157e308, -2.5]
+        x = np.resize(np.array(values), (2 * 1024 + 7, 3))
+        buf = io.StringIO()
+        write_samples_csv(x, buf)
+        rows = [",".join(repr(float(v)) for v in row) for row in x]
+        assert buf.getvalue().split("\n") == ["x1,x2,x3", *rows, ""]
+
+    def test_formatted_in_bounded_blocks(self):
+        calls = []
+        x = np.full((3000, 2), -2.2250738585072014e-308)
+        write_samples_csv(x, types.SimpleNamespace(write=calls.append, writelines=calls.append))
+        header, *blocks = calls
+        assert header == "x1,x2\n" and len(blocks) > 1
+        assert max(map(len, blocks)) <= _CSV_BLOCK_ROWS
+        assert set(itertools.chain(*blocks)) == {"-2.2250738585072014e-308,-2.2250738585072014e-308\n"}
+        assert sum(map(len, blocks)) == 3000
+
+    def test_refused_sample_set_writes_nothing(self):
+        buf = io.StringIO()
+        with pytest.raises(DomainError, match="finite"):
+            write_samples_csv([[1.0], [np.nan]], buf)
+        assert buf.getvalue() == ""
+
+
+class TestShape:
+    def test_one_dimensional_array_refused(self):
+        with pytest.raises(DomainError, match=r"samples must be 2-D, got shape \(3,\)"):
+            estimate_moments([1.0, 2.0, 4.0])
+
+    def test_three_dimensional_array_refused(self):
+        with pytest.raises(DomainError, match=r"samples must be 2-D, got shape \(2, 2, 2\)"):
+            as_samples(np.zeros((2, 2, 2)))
