@@ -31,8 +31,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .errors import DomainError, UsageError
 from .jsonio import atomic_write_many, dump_json
 from .linalg import Covariance
@@ -130,14 +128,9 @@ def _cmd_bound(args) -> str:
 
 def _cmd_region(args) -> str:
     cov = Covariance(_load_json_arg(args.cov))
-    center = (
-        np.zeros(cov.dim) if args.center is None else _load_json_arg(args.center)
-    )
-    if args.kind == "ellipsoid":
-        region = make_ellipsoid(center, cov, args.delta)
-    else:
-        region = make_sphere(center, cov, args.delta)
-    return dump_json(region_to_dict(region, delta=args.delta))
+    center = [0.0] * cov.dim if args.center is None else _load_json_arg(args.center)
+    make = make_ellipsoid if args.kind == "ellipsoid" else make_sphere
+    return dump_json(region_to_dict(make(center, cov, args.delta), delta=args.delta))
 
 
 def _cmd_coverage(args) -> str:
@@ -286,7 +279,3 @@ def main(argv=None) -> int:
         print(f"mvcheb: error: {msg}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 4 if isinstance(exc, OSError) else 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -122,14 +122,21 @@ def _check_delta(delta: float) -> float:
     return float(delta)
 
 
+def _over_delta(value: float, what: str, delta: float) -> float:
+    """The level ``value / delta``, refused naming ``what`` where it overflows."""
+    if (level := value / _check_delta(delta)) == math.inf:
+        raise DomainError(f"{what}/delta is beyond the float range at delta={delta}")
+    return level
+
+
 def make_ellipsoid(mean, cov: Covariance, delta: float) -> EllipsoidRegion:
     """Ellipsoid with Mahalanobis threshold n/delta: coverage >= 1 - delta."""
-    return EllipsoidRegion(mean, cov, cov.dim / _check_delta(delta))
+    return EllipsoidRegion(mean, cov, _over_delta(cov.dim, "n", delta))
 
 
 def make_sphere(mean, cov: Covariance, delta: float) -> SphereRegion:
     """Sphere with squared radius tr(Sigma)/delta: coverage >= 1 - delta."""
-    return SphereRegion(as_vector(mean, cov.dim), cov.trace / _check_delta(delta))
+    return SphereRegion(as_vector(mean, cov.dim), _over_delta(cov.trace, "tr(Sigma)", delta))
 
 
 # Membership tie margin: a point computed to sit exactly on the closed

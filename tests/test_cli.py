@@ -1,6 +1,7 @@
 """End-to-end CLI tests: output schemas, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mvcheb import cli, sampler
+from mvcheb import cli, linalg, sampler
 
 EXAMPLE_COV = "[[1,1],[1,26]]"
 PAPER_SPEC = '{"kind":"paper_example","sigma":1.0,"k":25.0,"seed":42}'
@@ -580,10 +581,75 @@ def test_tail_level_beyond_float_range_exits_0(capsys):
     (coverage_args({"kind": "tight_radial", "eps": 5}), 2, "needs either dim or cov"),
     (("region", "--kind", "sphere", "--cov", "[[1,0],[0,1]]", "--delta", "0.1",
       "--center", "[[0,0]]"), 3, "expected a 1-D vector"),
+    (("region", "--kind", "ellipsoid", "--cov", "[[1]]", "--delta", "1e-320"), 3,
+     "n/delta is beyond the float range at delta=1e-320"),
+    (("coverage", "--spec", PAPER_SPEC, "--delta", "1e-320", "--n", "10"), 3,
+     "n/delta is beyond the float range at delta=1e-320"),
+    (("region", "--kind", "sphere", "--cov", "[[1e300,0],[0,1e300]]", "--delta", "1e-10"), 3,
+     "tr(Sigma)/delta is beyond the float range at delta=1e-10"),
 ], ids=["tail_trace_overflow", "figure_points_0", "figure_points_-5", "figure_points_2",
-        "tight_radial_without_dim", "region_2d_center"])
+        "tight_radial_without_dim", "region_2d_center", "region_threshold_overflow",
+        "coverage_threshold_overflow", "region_radius_overflow"])
 def test_error_messages_and_exit_codes(argv, code, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run_main(*argv) == code
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc and two CPUs, where an OpenBLAS pool would start a second thread",
+)
+@pytest.mark.parametrize("openblas_threads", [None, "2"], ids=["unset", "2"])
+def test_cli_process_runs_on_one_native_thread(openblas_threads):
+    if linalg._blas_thread_count() is None:
+        pytest.skip("numpy's build exports no OpenBLAS thread count")
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['mvcheb', 'bound', '--dim', '2', '--eps', '20']\n"
+        "try:\n"
+        "    runpy.run_module('mvcheb', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "from mvcheb import linalg\n"
+        "threads = next(line for line in open('/proc/self/status') if line.startswith('Threads:'))\n"
+        "print(threads.split()[1], linalg._blas_thread_count()[0]())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 1"
+
+
+def test_importing_the_package_leaves_environ_and_numpy_as_they_were():
+    code = (
+        "import os, numpy\n"
+        "from mvcheb import linalg\n"
+        "api = linalg._blas_thread_count()\n"
+        "before = dict(os.environ), api and api[0]()\n"
+        "import mvcheb, mvcheb.cli, mvcheb.__main__\n"
+        "assert (dict(os.environ), api and api[0]()) == before\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_one_blas_thread_changes_no_result(tmp_path, capsys):
+    # the CLI process starts OpenBLAS on one thread; this process keeps numpy's default
+    n = 129
+    a = np.random.default_rng(n).standard_normal((n, n))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "gaussian", "mean": [0.0] * n,
+                                "cov": (a @ a.T / n + 0.01 * np.eye(n)).tolist(), "seed": 5}))
+    for argv in (
+        ("coverage", "--spec", str(spec), "--delta", "0.1", "--n", "3000", "--estimated"),
+        ("tail", "--spec", str(spec), "--eps", "64,129,300", "--n", "3000"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert run_main(*argv) == 0
+        assert proc.stdout == capsys.readouterr().out, argv[0]
