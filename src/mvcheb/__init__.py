@@ -11,13 +11,14 @@ Monte Carlo experiments.
 
 The namespace is lazy (PEP 562): ``import mvcheb`` loads no submodule, and
 a public name or a submodule is imported on first access. So the CLI's
-closed-form subcommands never load the Monte Carlo stack.
+closed-form subcommands never load the Monte Carlo stack, and ``bound`` no numpy.
 """
 
 from importlib import import_module
 
 # the public names of each submodule, the one list of them
 _EXPORTS = {
+    "bounds": ("BoundValue", "chebyshev_bound", "classical_bound"),
     "errors": ("DomainError", "UsageError"),
     "experiments": (
         "CoverageReport", "FigureData", "TailCurve", "export_figure", "figure_csv_texts",
@@ -29,9 +30,9 @@ _EXPORTS = {
         "write_samples_csv",
     ),
     "regions": (
-        "BoundValue", "EllipsoidRegion", "SphereRegion", "chebyshev_bound", "classical_bound",
-        "contains", "ellipse_boundary", "example_ratio", "log_volume_ratio", "make_ellipsoid",
-        "make_sphere", "region_from_dict", "region_to_dict", "volume", "volume_ratio",
+        "EllipsoidRegion", "SphereRegion", "contains", "ellipse_boundary", "example_ratio",
+        "log_volume_ratio", "make_ellipsoid", "make_sphere", "region_from_dict", "region_to_dict",
+        "volume", "volume_ratio",
     ),
     "sampler": (
         "SamplerSpec", "draw", "draw_range", "gaussian_spec", "paper_example_spec",

@@ -6,9 +6,10 @@ JSON file. The CLI parses flags and formats results; every other rule
 (``--streams`` at least 1, the figure's reference setting, what a spec
 may hold) is the library's. Each handler returns its output text and
 :func:`main` writes it, to --out or else stdout; only ``figure`` writes
-its own four files. Only the handlers that sample or fit import
-``experiments``, ``sampler`` and ``moments``; ``ratio``, ``bound`` and
-``region`` start without them.
+its own four files. Each handler imports the modules it runs: ``bound``
+loads only ``errors``, ``jsonio`` and ``bounds``, and so no numpy;
+``ratio`` and ``region`` add ``linalg`` and ``regions``, and the handlers
+that sample or fit add ``experiments``, ``sampler`` and ``moments``.
 
 Exit codes: 0 success; 2 for a :class:`~mvcheb.errors.UsageError` (the
 input cannot be read as what the command needs: bad flags, malformed JSON
@@ -31,18 +32,9 @@ import math
 import os
 import sys
 
+from .bounds import chebyshev_bound, classical_bound
 from .errors import DomainError, UsageError
 from .jsonio import atomic_write_many, dump_json
-from .linalg import Covariance
-from .regions import (
-    chebyshev_bound,
-    classical_bound,
-    log_volume_ratio,
-    make_ellipsoid,
-    make_sphere,
-    region_to_dict,
-    volume_ratio,
-)
 
 
 def _load_json_arg(value: str):
@@ -80,7 +72,7 @@ def _in_range(x: float) -> float | None:
     return x if 0.0 < x < math.inf else None
 
 
-def _cov_fields(cov: Covariance) -> dict:
+def _cov_fields(cov) -> dict:
     return {"trace": _in_range(cov.trace), "det": _in_range(cov.det), "log_det": cov.logdet}
 
 
@@ -107,6 +99,8 @@ def _cmd_estimate(args) -> str:
 
 
 def _cmd_ratio(args) -> str:
+    from .linalg import Covariance
+    from .regions import log_volume_ratio, volume_ratio
     cov = Covariance(_load_json_arg(args.cov))
     ratio = {"ratio": _in_range(volume_ratio(cov)), "log_ratio": log_volume_ratio(cov)}
     return dump_json(_cov_fields(cov) | ratio)
@@ -127,6 +121,8 @@ def _cmd_bound(args) -> str:
 
 
 def _cmd_region(args) -> str:
+    from .linalg import Covariance
+    from .regions import make_ellipsoid, make_sphere, region_to_dict
     cov = Covariance(_load_json_arg(args.cov))
     center = [0.0] * cov.dim if args.center is None else _load_json_arg(args.center)
     make = make_ellipsoid if args.kind == "ellipsoid" else make_sphere

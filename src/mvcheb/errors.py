@@ -1,4 +1,5 @@
-"""The two exception types the package raises for bad input.
+"""The two exception types the package raises for bad input, and the
+numpy-free scalar layer that checks every count and every level with them.
 
 The split is the one the CLI reports as its exit code:
 
@@ -13,8 +14,12 @@ The split is the one the CLI reports as its exit code:
   few samples, a value beyond the float range.
 
 Both derive from ``ValueError``, so callers that do not care about the
-split can catch the builtin.
+split can catch the builtin. numpy registers its integer types as
+``numbers.Integral``, so they count as integers here too.
 """
+
+import math
+import numbers
 
 
 class UsageError(ValueError):
@@ -23,3 +28,32 @@ class UsageError(ValueError):
 
 class DomainError(ValueError):
     """The input is well formed, but the mathematics rejects it."""
+
+
+def _is_int(value) -> bool:
+    # int first: the ABC check costs 0.25 us more, once per eps of a tail curve
+    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
+
+
+def as_float(x, what: str) -> float:
+    """``x`` as a float; one that does not convert or overflows raises :class:`UsageError`."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{what} must be a number, got {x!r}") from None
+
+
+def as_count(value, what: str) -> int:
+    """``value`` as an int; anything but a positive integer (numpy integers
+    count, bools and floats do not) raises :class:`UsageError`."""
+    if not (_is_int(value) and value >= 1):
+        raise UsageError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def as_level(value, what: str) -> float:
+    """``value`` as a float; one that is not positive and finite raises :class:`UsageError`."""
+    x = as_float(value, what)
+    if not 0.0 < x < math.inf:
+        raise UsageError(f"{what} must be positive and finite, got {x}")
+    return x

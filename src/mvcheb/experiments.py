@@ -25,10 +25,11 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import UsageError
-from .linalg import as_count, as_float_array, one_blas_thread, quad_form
+from .bounds import chebyshev_bound
+from .errors import DomainError, UsageError, as_count
+from .linalg import as_float_array, one_blas_thread, quad_form
 from .moments import _csv_lines, merge_moment_sums, moment_sums, moments_from_sums
-from .regions import _level, chebyshev_bound, ellipse_boundary, make_ellipsoid, make_sphere, within
+from .regions import ellipse_boundary, make_ellipsoid, make_sphere, within
 from .sampler import SamplerSpec, chunk_size, draw, offset_tiles, paper_example_spec
 
 @dataclass(frozen=True)
@@ -195,7 +196,8 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
     if not np.all((grid > 0.0) & (grid < np.inf)) or np.any(np.diff(grid) <= 0.0):
         raise UsageError("eps grid must be strictly ascending, positive and finite")
     total = as_count(n_samples, "n_samples")
-    var_total = _level("total variance", spec.cov.trace)  # computed: inf is a DomainError
+    if (var_total := spec.cov.trace) == math.inf:
+        raise DomainError("tr(Sigma) is beyond the float range")
     new_bound = np.array([chebyshev_bound(spec.dim, e).clamped for e in grid.tolist()])
     # Var / (sqrt(eps Var))^2 is 1/eps exactly; 1/eps is below 1 only where eps > 1
     classical = 1.0 / np.maximum(grid, 1.0)

@@ -12,6 +12,8 @@ are read-only, so the kernels that take one do not check it again.
 Every squared Mahalanobis distance is ||W d||^2 with the whitener W = L^-1
 (:func:`quad_form`): its error grows like cond(L) = sqrt(cond(Sigma)),
 where one through an explicit Sigma^-1 would grow like cond(Sigma).
+Arrays are read with :func:`as_float_array`; counts and levels with the
+numpy-free scalar layer of :mod:`mvcheb.errors`.
 """
 
 from __future__ import annotations
@@ -97,10 +99,6 @@ def one_blas_thread():
                 api[1](_scope["saved"])
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_entries(n: int, what: str) -> None:
     """Raise :class:`DomainError` if an array of ``n`` 8-byte entries is too large."""
     if n > _MAX_ENTRIES:
@@ -114,30 +112,6 @@ def as_float_array(x, what: str) -> np.ndarray:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{what} is not a numeric array: {exc}") from None
-
-
-def as_float(x, what: str) -> float:
-    """``x`` as a float; one that does not convert or overflows raises :class:`UsageError`."""
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{what} must be a number, got {x!r}") from None
-
-
-def as_count(value, what: str) -> int:
-    """``value`` as an int; anything but a positive integer (numpy integers
-    count, bools and floats do not) raises :class:`UsageError`."""
-    if not (_is_int(value) and value >= 1):
-        raise UsageError(f"{what} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def as_level(value, what: str) -> float:
-    """``value`` as a float; one that is not positive and finite raises :class:`UsageError`."""
-    x = as_float(value, what)
-    if not 0.0 < x < math.inf:
-        raise UsageError(f"{what} must be positive and finite, got {x}")
-    return x
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
-from .linalg import Covariance, _is_int, as_float, as_float_array, as_level, float_range_guard
-from .linalg import one_blas_thread
+from .errors import DomainError, UsageError, _is_int, as_float, as_level
+from .linalg import Covariance, as_float_array, float_range_guard, one_blas_thread
 
 _MOMENTS_RANGE = "the sample moments are beyond the float range"
 _CSV_BLOCK_ROWS = 1024  # rows formatted at a time: the formatter's memory does not grow with N

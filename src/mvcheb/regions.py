@@ -1,13 +1,7 @@
-"""Chebyshev-type tail bounds and the confidence regions they induce.
+"""The confidence regions that the two tail bounds of :mod:`mvcheb.bounds` induce.
 
-Two inequalities for a random vector X in R^n with mean mu and covariance
-Sigma:
-
-* classical:   Pr{ ||X - mu|| >= eps }                <= Var(X) / eps^2,
-  where Var(X) = E||X - mu||^2 = tr(Sigma);
-* Mahalanobis: Pr{ (X-mu)^T Sigma^-1 (X-mu) >= eps }  <= n / eps.
-
-At a miss probability delta in (0, 1) these yield, respectively, the sphere
+At a miss probability delta in (0, 1) the classical bound Var(X)/eps^2 and
+the Mahalanobis bound n/eps yield, respectively, the sphere
 ``||v - mu||^2 <= tr(Sigma)/delta`` and the ellipsoid
 ``(v-mu)^T Sigma^-1 (v-mu) <= n/delta``, each covering X with probability
 at least 1 - delta. The ellipsoid is never larger: the volume ratio
@@ -28,47 +22,12 @@ the threshold (:func:`~mvcheb.linalg.quad_form`); Sigma^-1 is never formed.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
-from .linalg import Covariance, as_count, as_float, as_float_array, as_level, as_vector
-from .linalg import check_entries, exp_or_inf, quad_form
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    """A tail bound both as the raw formula value and clamped to [0, 1].
-
-    ``raw`` can exceed 1 (a vacuous bound); ``clamped = min(1, raw)`` is the
-    value usable as a probability statement.
-    """
-
-    raw: float
-    clamped: float
-
-
-def _bound(raw: float) -> BoundValue:
-    return BoundValue(raw=raw, clamped=min(1.0, raw))
-
-
-def chebyshev_bound(n: int, eps: float) -> BoundValue:
-    """Tail bound n/eps on Pr{ (X-mu)^T Sigma^-1 (X-mu) >= eps }."""
-    n, eps = as_count(n, "dimension"), as_level(eps, "eps")
-    if n > sys.float_info.max:
-        raise DomainError(f"dimension must be a positive integer in the float range, got {n}")
-    return _bound(float(n) / eps)
-
-
-def classical_bound(var_total: float, eps: float) -> BoundValue:
-    """Tail bound Var(X)/eps^2 on Pr{ ||X - mu|| >= eps }."""
-    var, e = as_level(var_total, "total variance"), as_level(eps, "eps")
-    try:
-        return _bound(var / e ** 2)
-    except (OverflowError, ZeroDivisionError):  # e**2 is beyond the float range
-        return _bound(var / e / e)
+from .errors import DomainError, UsageError, as_count, as_float, as_level
+from .linalg import Covariance, as_float_array, as_vector, check_entries, exp_or_inf, quad_form
 
 
 def _level(name: str, value: float) -> float:

@@ -43,9 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, Philox, SeedSequence  # Philox: bench/tracing.py binds it
 
-from .errors import DomainError, UsageError
-from .linalg import Covariance, _is_int, as_count, as_float, as_vector, check_entries
-from .linalg import one_blas_thread
+from .errors import DomainError, UsageError, _is_int, as_count, as_float
+from .linalg import Covariance, as_vector, check_entries, one_blas_thread
 from .moments import example_covariance
 
 STREAM_FORMAT = 3  # the layout of the random stream that draw_range reads

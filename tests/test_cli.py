@@ -395,7 +395,7 @@ class TestUsage:
             line.rsplit("|", 1)[1].strip()
             for line in proc.stderr.splitlines() if line.startswith("import time:")
         }
-        assert "mvcheb.regions" in loaded
+        assert "mvcheb.cli" in loaded
         # numpy 1.x imports numpy.random itself; only what mvcheb adds counts
         numpy_alone = subprocess.run(
             [sys.executable, "-c", "import numpy, sys; print(*sys.modules)"],
@@ -571,7 +571,7 @@ def test_tail_level_beyond_float_range_exits_0(capsys):
 
 @pytest.mark.parametrize("argv, code, message", [
     (("tail", "--spec", json.dumps(HUGE), "--eps", "2", "--n", "10"), 3,
-     "total variance must be positive and finite, got inf"),
+     "tr(Sigma) is beyond the float range"),
     (("figure", "--points", "0", "--out-prefix", "unwritten_"), 2,
      "boundary point count must be a positive integer, got 0"),
     (("figure", "--points", "-5", "--out-prefix", "unwritten_"), 2,
@@ -607,7 +607,7 @@ def test_cli_process_runs_on_one_native_thread(openblas_threads):
         pytest.skip("numpy's build exports no OpenBLAS thread count")
     code = (
         "import runpy, sys\n"
-        "sys.argv = ['mvcheb', 'bound', '--dim', '2', '--eps', '20']\n"
+        "sys.argv = ['mvcheb', 'ratio', '--cov', '[[1,1],[1,26]]']\n"
         "try:\n"
         "    runpy.run_module('mvcheb', run_name='__main__')\n"
         "except SystemExit as exc:\n"
@@ -622,6 +622,39 @@ def test_cli_process_runs_on_one_native_thread(openblas_threads):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1 1"
+
+
+def test_bound_runs_without_numpy():
+    code = (
+        "import runpy, sys\n"
+        "for argv, expected in [(['--dim', '2', '--eps', '20'], 0),\n"
+        "                       (['--classical', '--var', '27', '--eps', '16.43168'], 0),\n"
+        "                       (['--dim', '0', '--eps', '1'], 2),\n"
+        "                       (['--dim', '1' + '0' * 400, '--eps', '1'], 3)]:\n"
+        "    sys.argv = ['mvcheb', 'bound', *argv]\n"
+        "    try:\n"
+        "        runpy.run_module('mvcheb', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == expected, (argv, exc.code)\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"clamped"') == 2
+    assert proc.stderr.splitlines() == [
+        "mvcheb: error: dimension must be a positive integer, got 0",
+        f"mvcheb: error: dimension must be a positive integer in the float range, got {10**400}",
+    ]
+
+
+def test_the_package_bounds_load_no_numpy():
+    code = (
+        "import sys, mvcheb\n"
+        "assert mvcheb.chebyshev_bound(2, 20.0) == mvcheb.BoundValue(raw=0.1, clamped=0.1)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_importing_the_package_leaves_environ_and_numpy_as_they_were():

@@ -246,7 +246,7 @@ class TestTailCurve:
 
     def test_trace_beyond_float_range_refused(self):
         spec = gaussian_spec([0.0, 0.0], Covariance(1e308 * np.eye(2)))
-        with pytest.raises(DomainError, match="total variance must be positive and finite"):
+        with pytest.raises(DomainError, match=r"tr\(Sigma\) is beyond the float range"):
             run_tail_curve(spec, [2.0], 10)
 
     def test_dict_keys(self):

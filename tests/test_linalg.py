@@ -246,7 +246,7 @@ THREE_ROWS = [[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]
 
 
 class TestScalarArguments:
-    # each site reads its argument through linalg's converters; its name is in the message
+    # each site reads its argument through the scalar or array converters; its name is in the message
     SITES = {
         "eps": lambda v: chebyshev_bound(2, v),
         "dimension": lambda v: chebyshev_bound(v, 1.0),

@@ -100,7 +100,7 @@ class TestBounds:
             chebyshev_bound(10**400, 1.0)
 
     def test_dimension_is_a_count(self):
-        # the rule of linalg.as_count, which n_samples, streams and dim follow too
+        # the rule of errors.as_count, which n_samples, streams and dim follow too
         assert chebyshev_bound(np.int64(2), 20.0) == chebyshev_bound(2, 20.0)
         for n in (-1, True, 3.0, "2", None):
             with pytest.raises(UsageError, match="dimension must be a positive integer"):
@@ -448,7 +448,7 @@ class TestExampleRatio:
                 example_ratio(k)
 
     def test_k_is_read_as_a_float(self):
-        # the rule of linalg.as_float, which a spec's sigma, k and eps follow too
+        # the rule of errors.as_float, which a spec's sigma, k and eps follow too
         assert example_ratio("2") == example_ratio(2.0)
         for k in ("a", None, [2.0]):
             with pytest.raises(UsageError, match="k must be a number"):
