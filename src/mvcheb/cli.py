@@ -4,12 +4,13 @@ Subcommands: estimate, ratio, bound, region, coverage, tail, figure,
 sample. Matrix/spec arguments accept either inline JSON or a path to a
 JSON file. The CLI parses flags and formats results; every other rule
 (``--streams`` at least 1, the figure's reference setting, what a spec
-may hold) is the library's. Each handler returns its output text and
-:func:`main` writes it, to --out or else stdout; only ``figure`` writes
-its own four files. Each handler imports the modules it runs: ``bound``
-loads only ``errors``, ``jsonio`` and ``bounds``, and so no numpy;
-``ratio`` and ``region`` add ``linalg`` and ``regions``, and the handlers
-that sample or fit add ``experiments``, ``sampler`` and ``moments``.
+may hold) is the library's. Each handler writes its output into the text
+stream :func:`main` gives it, a temp file staged for --out or else stdout;
+``figure`` stages its four files the same way. Each handler imports the
+modules it runs: ``bound`` loads only ``errors``, ``jsonio`` and
+``bounds``, and so no numpy; ``ratio`` and ``region`` add ``linalg`` and
+``regions``, and the handlers that sample or fit add ``experiments``,
+``sampler`` and ``moments``.
 
 Exit codes: 0 success; 2 for a :class:`~mvcheb.errors.UsageError` (the
 input cannot be read as what the command needs: bad flags, malformed JSON
@@ -17,8 +18,8 @@ or CSV, a ragged or non-numeric array, an unknown spec kind); 3 for a
 :class:`~mvcheb.errors.DomainError` (the input is well formed but the
 mathematics rejects it: a matrix that is not positive definite, delta
 outside (0, 1), ...) or for a run larger than memory; 4 for an output I/O
-error. Output files go to a temp file that is renamed, so a failing run
-never leaves partial output.
+error, checked first: --out is staged as a temp file before the command
+runs and renamed after it, so a failing run never leaves partial output.
 A ``det``, ``trace`` or ``ratio`` outside (0, inf), and a bound's ``raw``
 of inf, print as null; the ``log_det`` and ``log_ratio`` stay finite.
 """
@@ -26,7 +27,6 @@ of inf, print as null; the ``log_det`` and ``log_ratio`` stay finite.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -34,22 +34,29 @@ import sys
 
 from .bounds import chebyshev_bound, classical_bound
 from .errors import DomainError, UsageError
-from .jsonio import atomic_write_many, dump_json
+from .jsonio import atomic_files, dump_json
+
+
+def _open_input(path: str, **kw):
+    """``open(path, **kw)``; a path that cannot be opened raises :class:`UsageError`."""
+    try:
+        return open(path, **kw)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise UsageError(f"cannot read {path!r}: {exc}") from None
 
 
 def _load_json_arg(value: str):
     """Parse an argument that is inline JSON (starts with '[' or '{') or a
     path to a JSON file."""
     text = value.strip()
+    fh = None if text.startswith(("[", "{")) else _open_input(value)
     try:
-        if not text.startswith(("[", "{")):
-            with open(value) as fh:
-                text = fh.read()
-        return json.loads(text)
-    except OSError as exc:
-        raise UsageError(f"cannot read {value!r}: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # also undecodable bytes, a NUL in the path
+        return json.loads(text if fh is None else fh.read())
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes
         raise UsageError(f"not valid JSON: {exc}") from None
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def _load_spec(value: str, seed_flag: int | None):
@@ -80,33 +87,27 @@ def _coverage_pair_dict(pair) -> dict:
     return {"ellipsoid": pair[0].to_dict(), "sphere": pair[1].to_dict()}
 
 
-def _cmd_estimate(args) -> str:
+def _cmd_estimate(args, out) -> None:
     from .moments import estimate_moments, read_samples_csv
-    try:
-        fh = open(args.input, newline="")
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise UsageError(f"cannot read {args.input!r}: {exc}") from None
-    with fh:
+    with _open_input(args.input, newline="") as fh:
         samples = read_samples_csv(fh)
     est = estimate_moments(samples, ddof=args.ddof, ridge=args.ridge)
-    return dump_json(
-        {
-            "mean": [float(v) for v in est.mean],
-            "covariance": [[float(v) for v in row] for row in est.cov.entries],
-            **_cov_fields(est.cov),
-        }
-    )
+    out.write(dump_json({
+        "mean": [float(v) for v in est.mean],
+        "covariance": [[float(v) for v in row] for row in est.cov.entries],
+        **_cov_fields(est.cov),
+    }))
 
 
-def _cmd_ratio(args) -> str:
+def _cmd_ratio(args, out) -> None:
     from .linalg import Covariance
     from .regions import log_volume_ratio, volume_ratio
     cov = Covariance(_load_json_arg(args.cov))
     ratio = {"ratio": _in_range(volume_ratio(cov)), "log_ratio": log_volume_ratio(cov)}
-    return dump_json(_cov_fields(cov) | ratio)
+    out.write(dump_json(_cov_fields(cov) | ratio))
 
 
-def _cmd_bound(args) -> str:
+def _cmd_bound(args, out) -> None:
     if args.classical:
         if args.var is None or args.dim is not None:
             raise UsageError("--classical takes --var and not --dim")
@@ -117,19 +118,19 @@ def _cmd_bound(args) -> str:
         if args.dim is None:
             raise UsageError("either --dim or --classical --var is required")
         b = chebyshev_bound(args.dim, args.eps)
-    return dump_json({"raw": b.raw if b.raw < math.inf else None, "clamped": b.clamped})
+    out.write(dump_json({"raw": b.raw if b.raw < math.inf else None, "clamped": b.clamped}))
 
 
-def _cmd_region(args) -> str:
+def _cmd_region(args, out) -> None:
     from .linalg import Covariance
     from .regions import make_ellipsoid, make_sphere, region_to_dict
     cov = Covariance(_load_json_arg(args.cov))
     center = [0.0] * cov.dim if args.center is None else _load_json_arg(args.center)
     make = make_ellipsoid if args.kind == "ellipsoid" else make_sphere
-    return dump_json(region_to_dict(make(center, cov, args.delta), delta=args.delta))
+    out.write(dump_json(region_to_dict(make(center, cov, args.delta), delta=args.delta)))
 
 
-def _cmd_coverage(args) -> str:
+def _cmd_coverage(args, out) -> None:
     from .experiments import run_coverage, run_coverage_estimated
     spec = _load_spec(args.spec, args.seed)
     if args.estimated:
@@ -138,41 +139,39 @@ def _cmd_coverage(args) -> str:
         payload["estimated"] = _coverage_pair_dict(both["estimated"])
     else:
         payload = _coverage_pair_dict(run_coverage(spec, args.delta, args.n, streams=args.streams))
-    return dump_json(payload)
+    out.write(dump_json(payload))
 
 
-def _cmd_tail(args) -> str:
+def _cmd_tail(args, out) -> None:
     from .experiments import run_tail_curve
     spec = _load_spec(args.spec, args.seed)
-    return dump_json(run_tail_curve(spec, args.eps, args.n, streams=args.streams).to_dict())
+    out.write(dump_json(run_tail_curve(spec, args.eps, args.n, streams=args.streams).to_dict()))
 
 
-def _cmd_figure(args) -> None:
+def _cmd_figure(args, out) -> None:
     from .experiments import export_figure, figure_csv_texts
     from .sampler import STREAM_FORMAT
     # a flag not given is None, so export_figure's defaults are the reference setting
     skip = ("command", "func", "out_prefix")
     fig = export_figure(**{k: v for k, v in vars(args).items() if k not in skip and v is not None})
-    prefix = args.out_prefix
-    csvs = figure_csv_texts(fig)
-    paths = {name: f"{prefix}{name}.csv" for name in ("samples", "ellipse", "circle")}
+    csvs = figure_csv_texts(fig)  # samples, ellipse, circle
     # manifest records basenames: the files sit next to it, and equivalent
     # runs in different directories stay byte-identical
-    basenames = {name: os.path.basename(path) for name, path in paths.items()}
-    outputs = {paths[name]: csvs[name] for name in paths}
+    base = os.path.basename(args.out_prefix)
     manifest = {"params": dict(fig.params), "threshold": fig.threshold, "radius_sq": fig.radius_sq,
-                "files": basenames, "stream_format": STREAM_FORMAT}
-    outputs[f"{prefix}manifest.json"] = dump_json(manifest)
-    atomic_write_many(outputs)
+                "files": {name: f"{base}{name}.csv" for name in csvs},
+                "stream_format": STREAM_FORMAT}
+    texts = {f"{name}.csv": text for name, text in csvs.items()}
+    texts["manifest.json"] = dump_json(manifest)
+    with atomic_files([args.out_prefix + name for name in texts]) as files:
+        for fh, text in zip(files, texts.values()):
+            fh.write(text)
 
 
-def _cmd_sample(args) -> str:
+def _cmd_sample(args, out) -> None:
     from .moments import write_samples_csv
     from .sampler import draw
-    spec = _load_spec(args.spec, args.seed)
-    text = io.StringIO()
-    write_samples_csv(draw(spec, args.n), text)
-    return text.getvalue()
+    write_samples_csv(draw(_load_spec(args.spec, args.seed), args.n), out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,17 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str, func, *, out: bool = True, seed: bool = False,
             streams: bool = False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, out=None)  # figure has no --out
         if out:
             p.add_argument("--out", default=None, help="output path (default stdout)")
         if seed:
-            p.add_argument(
-                "--seed",
-                type=int,
-                default=None,
-                help="64-bit seed; overrides any seed in the spec JSON (default: "
-                "spec seed, else 0)",
-            )
+            p.add_argument("--seed", type=int, help="64-bit seed; overrides any seed in the "
+                           "spec JSON (default: spec seed, else 0)")
         if streams:
             p.add_argument("--streams", type=int, default=1, help="worker count; changes no result")
         return p
@@ -228,11 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="sampler spec as inline JSON or file path")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--estimated",
-        action="store_true",
-        help="also report coverage with moments re-fitted from the samples",
-    )
+    p.add_argument("--estimated", action="store_true",
+                   help="also report coverage with moments re-fitted from the samples")
 
     p = add("tail", "empirical tails vs both bound curves", _cmd_tail, seed=True, streams=True)
     p.add_argument("--spec", required=True, help="sampler spec as inline JSON or file path")
@@ -248,11 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--points", dest="boundary_points", metavar="POINTS", type=int,
         help="boundary points per curve",
     )
-    p.add_argument(
-        "--out-prefix",
-        default="figure_",
-        help="prefix for samples/ellipse/circle.csv and manifest.json",
-    )
+    p.add_argument("--out-prefix", default="figure_",
+                   help="prefix for samples/ellipse/circle.csv and manifest.json")
 
     p = add("sample", "draw a sample set and write it as CSV", _cmd_sample, seed=True)
     p.add_argument("--spec", required=True, help="sampler spec as inline JSON or file path")
@@ -264,12 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = args.func(args)
-        if text is not None:  # figure writes its own files
-            if args.out is None:
-                sys.stdout.write(text)
-            else:
-                atomic_write_many({args.out: text})
+        with atomic_files([] if args.out is None else [args.out]) as files:
+            out = files[0] if files else sys.stdout
+            args.func(args, out)
+            out.flush()  # so a closed stdout shows here, not at exit
+    except BrokenPipeError:  # the reader has gone (`| head`): exit 0, as a pipeline expects
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (UsageError, DomainError, MemoryError, OSError) as exc:
         msg = f"out of memory: {exc}".removesuffix(": ") if isinstance(exc, MemoryError) else exc
         print(f"mvcheb: error: {msg}", file=sys.stderr)

@@ -31,8 +31,7 @@ class DomainError(ValueError):
 
 
 def _is_int(value) -> bool:
-    # int first: the ABC check costs 0.25 us more, once per eps of a tail curve
-    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
+    return isinstance(value, numbers.Integral) and type(value) is not bool
 
 
 def as_float(x, what: str) -> float:

@@ -25,7 +25,6 @@ from itertools import islice
 
 import numpy as np
 
-from .bounds import chebyshev_bound
 from .errors import DomainError, UsageError, as_count
 from .linalg import as_float_array, one_blas_thread, quad_form
 from .moments import _csv_lines, merge_moment_sums, moment_sums, moments_from_sums
@@ -198,10 +197,11 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
     total = as_count(n_samples, "n_samples")
     if (var_total := spec.cov.trace) == math.inf:
         raise DomainError("tr(Sigma) is beyond the float range")
-    new_bound = np.array([chebyshev_bound(spec.dim, e).clamped for e in grid.tolist()])
     # Var / (sqrt(eps Var))^2 is 1/eps exactly; 1/eps is below 1 only where eps > 1
     classical = 1.0 / np.maximum(grid, 1.0)
-    with np.errstate(over="ignore"):  # a level beyond the float range is inf: no sample reaches it
+    # a level beyond the float range is inf: no sample reaches it, and min(1, n/eps) is 1
+    with np.errstate(over="ignore"):
+        new_bound = np.minimum(spec.dim / grid, 1.0)
         var_levels = grid * var_total
 
     # a level's count (v >= level) is the tile's length less its sorted v below the level

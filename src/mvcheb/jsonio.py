@@ -1,4 +1,4 @@
-"""Deterministic JSON text and atomic file output for the CLI."""
+"""Deterministic JSON text, and the staged temp files every CLI output file goes through."""
 
 from __future__ import annotations
 
@@ -19,26 +19,33 @@ def dump_json(obj) -> str:
         raise DomainError(str(exc)) from None
 
 
-def atomic_write_many(outputs: dict[str, str]) -> None:
-    """Write a set of files via sibling temp files: stage every temp
-    first, then rename each onto its target. Any error removes every temp
-    not yet renamed, so a failure leaves no partial or temp file behind;
-    an error while staging writes no target at all."""
-    staged: list[tuple[str, str]] = []
+@contextlib.contextmanager
+def atomic_files(paths):
+    """Yield one text handle per path, each onto a sibling temp file staged
+    before the block runs, and rename every temp onto its target once the
+    block exits cleanly. Any error removes each temp not yet renamed, so no
+    partial or temp file is left; an ``OSError`` names the target."""
+    staged, target = [], None  # target: the path being staged or renamed
     try:
-        for path, text in outputs.items():
-            directory = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-            staged.append((tmp, path))
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-        for tmp, path in list(staged):
-            os.replace(tmp, path)
+        for target in paths:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)),
+                                       prefix=".tmp-", suffix="~")
+            staged.append((os.fdopen(fd, "w"), tmp, target))
+        target = None
+        yield [fh for fh, _, _ in staged]
+        for fh, _, target in staged:
+            fh.close()
+        while staged:
+            _, tmp, target = staged[0]
+            os.replace(tmp, target)
             staged.pop(0)
-    except BaseException as exc:
-        for tmp, _ in staged:
+    except OSError as exc:
+        if target is not None and exc.strerror:
+            raise OSError(exc.errno, exc.strerror, target) from None
+        raise
+    finally:
+        for fh, tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                fh.close()
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.strerror:  # name the target, not its temp file
-            raise OSError(exc.errno, exc.strerror, path) from None
-        raise

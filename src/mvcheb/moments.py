@@ -160,10 +160,11 @@ def _csv_lines(a: np.ndarray) -> list[str]:
 
 def write_samples_csv(samples, target) -> None:
     """Write a sample set to a text stream in the CSV interchange format
-    (lossless floats), formatting it in blocks of rows."""
+    (lossless floats), formatting it in blocks of rows, one ``write`` each
+    (a text file's ``writelines`` writes line by line)."""
     a = as_samples(samples)
-    if not hasattr(target, "writelines"):
+    if not hasattr(target, "write"):
         raise TypeError(f"target must be a text stream, got {type(target).__name__}")
     target.write(",".join(_expected_header(a.shape[1])) + "\n")
     for start in range(0, len(a), _CSV_BLOCK_ROWS):
-        target.writelines(_csv_lines(a[start:start + _CSV_BLOCK_ROWS]))
+        target.write("".join(_csv_lines(a[start:start + _CSV_BLOCK_ROWS])))

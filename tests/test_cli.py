@@ -525,12 +525,17 @@ def test_ridge_outside_zero_to_inf_exits_3(ridge, tmp_path, capsys):
     assert "ridge must be nonnegative and finite" in capsys.readouterr().err
 
 
-def test_undecodable_input_exits_2(tmp_path):
+def test_undecodable_input_exits_2(tmp_path, capsys):
     path = tmp_path / "bin"
     path.write_bytes(b"x1\n\xd0\xff\n")
     assert run_main("estimate", "--input", str(path)) == 2
     assert run_main("ratio", "--cov", str(path)) == 2
+    assert capsys.readouterr().err.splitlines()[1].startswith("mvcheb: error: not valid JSON: ")
     assert run_main("estimate", "--input", "a\0b") == 2
+    assert run_main("ratio", "--cov", "a\0b") == 2
+    # a NUL in a path is a path that cannot be opened, whichever flag names it
+    message = "mvcheb: error: cannot read 'a\\x00b': embedded null byte\n"
+    assert capsys.readouterr().err == message * 2
 
 
 @pytest.mark.parametrize(
@@ -556,6 +561,49 @@ def test_out_in_a_missing_directory_exits_4_naming_the_target(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"mvcheb: error: [Errno 2] No such file or directory: {str(target)!r}\n"
     assert list(tmp_path.rglob("*")) == []
+
+
+def test_unwritable_out_exits_4_before_the_run(tmp_path, monkeypatch, capsys):
+    from mvcheb import experiments
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_coverage ran although --out cannot be written")
+
+    monkeypatch.setattr(experiments, "run_coverage", never)
+    target = tmp_path / "missing" / "x.json"
+    assert run_main(*coverage_args({"kind": "paper_example", "sigma": 1, "k": 25}),
+                    "--out", str(target)) == 4
+    err = capsys.readouterr().err
+    assert err == f"mvcheb: error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+
+def test_sample_to_out_peaks_near_its_array(tmp_path):
+    import tracemalloc
+    n, path = 262144, str(tmp_path / "s.csv")
+    argv = ["sample", "--spec", PAPER_SPEC, "--out", path, "--n"]
+    assert cli.main([*argv, "3"]) == 0  # the imports stay out of the trace
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, str(n)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array_bytes = n * 2 * 8
+    assert peak <= 1.5 * array_bytes, (peak, array_bytes)
+    with open(path) as fh:
+        assert sum(1 for _ in fh) == n + 1
+
+
+def test_sample_into_a_closed_pipe_exits_0_quietly():
+    # the reader takes one line and closes the pipe, as `| head -n 1` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mvcheb", "sample", "--spec", PAPER_SPEC, "--n", "1000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"x1,x2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_tail_level_beyond_float_range_exits_0(capsys):

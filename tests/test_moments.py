@@ -210,9 +210,9 @@ class TestCsv:
     def test_formatted_in_bounded_blocks(self):
         calls = []
         x = np.full((3000, 2), -2.2250738585072014e-308)
-        write_samples_csv(x, types.SimpleNamespace(write=calls.append, writelines=calls.append))
-        header, *blocks = calls
-        assert header == "x1,x2\n" and len(blocks) > 1
+        write_samples_csv(x, types.SimpleNamespace(write=calls.append))
+        header, *blocks = [text.splitlines(keepends=True) for text in calls]
+        assert header == ["x1,x2\n"] and len(blocks) > 1
         assert max(map(len, blocks)) <= _CSV_BLOCK_ROWS
         assert set(itertools.chain(*blocks)) == {"-2.2250738585072014e-308,-2.2250738585072014e-308\n"}
         assert sum(map(len, blocks)) == 3000
