@@ -30,9 +30,9 @@ _EXPORTS = {
         "write_samples_csv",
     ),
     "regions": (
-        "EllipsoidRegion", "SphereRegion", "contains", "ellipse_boundary", "example_ratio",
-        "log_volume_ratio", "make_ellipsoid", "make_sphere", "region_from_dict", "region_to_dict",
-        "volume", "volume_ratio",
+        "Region", "contains", "ellipse_boundary", "example_ratio", "log_volume_ratio",
+        "make_ellipsoid", "make_sphere", "region_from_dict", "region_to_dict", "volume",
+        "volume_ratio",
     ),
     "sampler": (
         "SamplerSpec", "draw", "draw_range", "gaussian_spec", "paper_example_spec",

@@ -108,10 +108,11 @@ def _per_tile(center, whitener, reduce_tile):
 
 def _hit_counter(center, cov, delta: float):
     """Per-tile (ellipsoid, sphere) hit counts for the regions at ``delta``
-    about ``center``, an offset from the true mean."""
-    ell, sph = make_ellipsoid(center, cov, delta), make_sphere(center, cov, delta)
-    return _per_tile(ell.center, cov.whitener, lambda m2, e2: np.array(
-        [np.count_nonzero(within(m2, ell.threshold)), np.count_nonzero(within(e2, sph.radius_sq))]
+    about ``center``, an offset from the true mean; the two regions pair in
+    order with the two distances of :func:`_per_tile`."""
+    regions = make_ellipsoid(center, cov, delta), make_sphere(center, cov, delta)
+    return _per_tile(center, cov.whitener, lambda *qs: np.array(
+        [np.count_nonzero(within(q, r.level)) for r, q in zip(regions, qs)]
     ))
 
 
@@ -259,8 +260,8 @@ def export_figure(
             "seed": int(spec.seed),
             "N": len(samples),
         },
-        threshold=ell.threshold,
-        radius_sq=sph.radius_sq,
+        threshold=ell.level,
+        radius_sq=sph.level,
     )
 
 

@@ -11,12 +11,16 @@ at least 1 - delta. The ellipsoid is never larger: the volume ratio
 is at least 1, with equality exactly when Sigma is a positive multiple of
 the identity (AM-GM on the diagonal plus Hadamard's determinant bound). In
 floats it is exactly 1 for c*I and never below 1 (:func:`log_volume_ratio`).
-Both regions are closed sets: membership uses <=. A region is checked once,
-when it is built (a finite center, a positive finite level, and for an
-ellipsoid a whitener within the float range), and an ellipsoid holds the
-:class:`~mvcheb.linalg.Covariance` it was built from. Ellipsoid membership
-compares ||W (v - mu)||^2, with the covariance's whitener W = L^-1, against
-the threshold (:func:`~mvcheb.linalg.quad_form`); Sigma^-1 is never formed.
+Both are one type, :class:`Region`: the closed set ||S (v - center)||^2 <=
+level, where S is the whitener W = L^-1 of the region's
+:class:`~mvcheb.linalg.Covariance` for the ellipsoid, and I, with no matrix
+formed, for the sphere (``cov=None``). So membership computes one squared
+distance (:func:`~mvcheb.linalg.quad_form` for the ellipsoid, Sigma^-1 never
+formed) and compares it with the level with <=. A region is checked once,
+when it is built: a finite center, a positive finite level, and for an
+ellipsoid a whitener within the float range. The level's name, in JSON and
+in error messages, is the ellipsoid's ``threshold`` or the sphere's
+``radius_sq``.
 """
 
 from __future__ import annotations
@@ -30,49 +34,47 @@ from .errors import DomainError, UsageError, as_count, as_float, as_level
 from .linalg import Covariance, as_float_array, as_vector, check_entries, exp_or_inf, quad_form
 
 
-def _level(name: str, value: float) -> float:
-    value = as_float(value, name)
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value}")
-    return value
+# each kind's level, named as in its JSON form and its error messages
+_LEVEL = {"ellipsoid": "threshold", "sphere": "radius_sq"}
 
 
 @dataclass(frozen=True, eq=False)
-class EllipsoidRegion:
-    """Closed set { v : (v-center)^T Sigma^-1 (v-center) <= threshold }; the
-    whitener of ``cov`` is derived when the region is built, so one beyond
-    the float range refuses the region then, not when it is used."""
+class Region:
+    """Closed set { v : ||S (v - center)||^2 <= level }: with a ``cov`` the
+    ellipsoid, S its whitener W = L^-1; with ``cov=None`` the sphere, S = I.
+    The whitener is derived when the region is built, so one beyond the float
+    range refuses the region then, not when it is used."""
 
     center: np.ndarray
-    cov: Covariance
-    threshold: float
+    level: float
+    cov: Covariance | None = None
 
     def __post_init__(self):
-        if not isinstance(self.cov, Covariance):
+        if self.cov is not None and not isinstance(self.cov, Covariance):
             raise UsageError(f"cov must be a Covariance, got {type(self.cov).__name__}")
-        object.__setattr__(self, "center", as_vector(self.center, self.cov.dim))
-        object.__setattr__(self, "threshold", _level("threshold", self.threshold))
-        self.cov.whitener  # derived now, so a region is refused when built
+        dim = None if self.cov is None else self.cov.dim
+        object.__setattr__(self, "center", as_vector(self.center, dim))
+        name = _LEVEL[self.kind]
+        level = as_float(self.level, name)
+        if not 0.0 < level < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {level}")
+        object.__setattr__(self, "level", level)
+        if self.cov is not None:
+            self.cov.whitener  # derived now, so a region is refused when built
+
+    @property
+    def kind(self) -> str:
+        return "sphere" if self.cov is None else "ellipsoid"
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SphereRegion:
-    """Closed set { v : ||v - center||^2 <= radius_sq }."""
-
-    center: np.ndarray
-    radius_sq: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
-        object.__setattr__(self, "radius_sq", _level("radius_sq", self.radius_sq))
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
+def _region(region) -> Region:
+    if not isinstance(region, Region):
+        raise TypeError(f"not a region: {type(region).__name__}")
+    return region
 
 
 def _check_delta(delta: float) -> float:
@@ -88,14 +90,14 @@ def _over_delta(value: float, what: str, delta: float) -> float:
     return level
 
 
-def make_ellipsoid(mean, cov: Covariance, delta: float) -> EllipsoidRegion:
+def make_ellipsoid(mean, cov: Covariance, delta: float) -> Region:
     """Ellipsoid with Mahalanobis threshold n/delta: coverage >= 1 - delta."""
-    return EllipsoidRegion(mean, cov, _over_delta(cov.dim, "n", delta))
+    return Region(mean, _over_delta(cov.dim, "n", delta), cov)
 
 
-def make_sphere(mean, cov: Covariance, delta: float) -> SphereRegion:
+def make_sphere(mean, cov: Covariance, delta: float) -> Region:
     """Sphere with squared radius tr(Sigma)/delta: coverage >= 1 - delta."""
-    return SphereRegion(as_vector(mean, cov.dim), _over_delta(cov.trace, "tr(Sigma)", delta))
+    return Region(as_vector(mean, cov.dim), _over_delta(cov.trace, "tr(Sigma)", delta))
 
 
 # Membership tie margin: a point computed to sit exactly on the closed
@@ -116,16 +118,12 @@ def contains(region, x) -> bool | np.ndarray:
     or a boolean array accordingly. The comparison is :func:`within`, whose
     slack keeps points constructed on the boundary members despite round-off.
     """
-    if not isinstance(region, (EllipsoidRegion, SphereRegion)):
-        raise TypeError(f"not a region: {type(region).__name__}")
-    xv, shape = as_float_array(x, "point"), region.center.shape
+    xv, shape = as_float_array(x, "point"), _region(region).center.shape
     if xv.shape[-1:] != shape:
         raise DomainError(f"point dimension {xv.shape[-1:]} does not match center {shape}")
     d = xv - region.center
-    if isinstance(region, EllipsoidRegion):
-        inside = within(quad_form(d, region.cov.whitener), region.threshold)
-    else:
-        inside = within(np.einsum("...i,...i->...", d, d), region.radius_sq)
+    q = np.einsum("...i,...i->...", d, d) if region.cov is None else quad_form(d, region.cov.whitener)
+    inside = within(q, region.level)
     return bool(inside) if xv.ndim == 1 else inside
 
 
@@ -136,13 +134,10 @@ def volume(region) -> float:
     Gamma(n/2 + 1); an ellipsoid at Mahalanobis threshold t has sqrt(det(Sigma))
     times that at r2 = t (the linear map Sigma^(1/2) scales volumes by sqrt(det)).
     """
-    if isinstance(region, SphereRegion):
-        log_v = math.log(region.radius_sq) * region.dim / 2.0
-    elif isinstance(region, EllipsoidRegion):
-        log_v = math.log(region.threshold) * region.dim / 2.0 + region.cov.logdet / 2.0
-    else:
-        raise TypeError(f"not a region: {type(region).__name__}")
-    n = region.dim
+    n = _region(region).dim
+    log_v = math.log(region.level) * n / 2.0
+    if region.cov is not None:
+        log_v += region.cov.logdet / 2.0
     return exp_or_inf(n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0) + log_v)
 
 
@@ -185,14 +180,11 @@ def ellipse_boundary(region, m: int) -> np.ndarray:
     """m points tracing the boundary of a 2-D region, ordered by angle.
 
     Point j is center + sqrt(level) * L @ (cos, sin)(2 pi j / m). For an
-    ellipsoid the level is its threshold and L the Cholesky factor of its
-    covariance, so every point has squared Mahalanobis distance exactly the
-    threshold (any matrix square root maps the unit circle to the same
-    boundary set); for a sphere the level is its squared radius and L = I.
+    ellipsoid L is the Cholesky factor of its covariance, so every point has
+    squared Mahalanobis distance exactly the level (any matrix square root
+    maps the unit circle to the same boundary set); for a sphere L = I.
     """
-    if not isinstance(region, (EllipsoidRegion, SphereRegion)):
-        raise TypeError(f"not a region: {type(region).__name__}")
-    if region.dim != 2:
+    if _region(region).dim != 2:
         raise DomainError("ellipse_boundary is defined for dimension 2 only")
     m = as_count(m, "boundary point count")
     if m < 3:
@@ -200,46 +192,41 @@ def ellipse_boundary(region, m: int) -> np.ndarray:
     check_entries(2 * m, f"{m} boundary points")
     theta = 2.0 * np.pi * np.arange(m) / m
     circle = np.stack([np.cos(theta), np.sin(theta)])
-    if isinstance(region, SphereRegion):
-        return region.center + math.sqrt(region.radius_sq) * circle.T
-    return region.center + math.sqrt(region.threshold) * (region.cov.chol @ circle).T
+    shape = circle if region.cov is None else region.cov.chol @ circle
+    return region.center + math.sqrt(region.level) * shape.T
 
 
 def region_to_dict(region, delta: float | None = None) -> dict:
-    """JSON-ready form of a region.
+    """JSON-ready form of a region, its level under the kind's name.
 
     An ellipsoid serializes with its covariance and the ``delta`` in (0, 1)
     it was built at (required for an ellipsoid); a sphere needs only its
     squared radius.
     """
-    if isinstance(region, EllipsoidRegion):
-        return {
-            "kind": "ellipsoid",
-            "center": [float(v) for v in region.center],
-            "cov": [[float(v) for v in row] for row in region.cov.entries],
-            "delta": _check_delta(delta),
-            "threshold": float(region.threshold),
-        }
-    if isinstance(region, SphereRegion):
-        return {
-            "kind": "sphere",
-            "center": [float(v) for v in region.center],
-            "radius_sq": float(region.radius_sq),
-        }
-    raise TypeError(f"not a region: {type(region).__name__}")
+    data = {"kind": _region(region).kind, "center": [float(v) for v in region.center]}
+    if region.cov is not None:
+        data["cov"] = [[float(v) for v in row] for row in region.cov.entries]
+        data["delta"] = _check_delta(delta)
+    data[_LEVEL[region.kind]] = float(region.level)
+    return data
 
 
-def region_from_dict(data: dict):
-    """Rebuild a region from its JSON form (inverse of :func:`region_to_dict`)."""
+def region_from_dict(data: dict) -> Region:
+    """Rebuild a region from its JSON form (inverse of :func:`region_to_dict`).
+
+    A key the kind does not read is refused. An ellipsoid's ``delta`` is
+    accepted, as :func:`region_to_dict` writes it, but not read.
+    """
     if not isinstance(data, dict):
         raise UsageError(f"region must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _LEVEL:
+        raise UsageError(f"unknown region kind: {kind!r}")
+    cov_keys = ("cov", "delta") if kind == "ellipsoid" else ()
+    if unknown := set(data) - {"kind", "center", _LEVEL[kind], *cov_keys}:
+        raise UsageError(f"unknown {kind} region field {', '.join(sorted(map(str, unknown)))}")
     try:
-        if kind == "ellipsoid":
-            cov = Covariance.from_matrix(data["cov"])
-            return EllipsoidRegion(data["center"], cov, data["threshold"])
-        if kind == "sphere":
-            return SphereRegion(data["center"], data["radius_sq"])
+        cov = Covariance.from_matrix(data["cov"]) if cov_keys else None
+        return Region(data["center"], data[_LEVEL[kind]], cov)
     except KeyError as exc:
         raise UsageError(f"{kind} region is missing field {exc}") from None
-    raise UsageError(f"unknown region kind: {kind!r}")

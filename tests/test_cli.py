@@ -174,17 +174,25 @@ def test_non_finite_input_exits_2(argv):
 
 
 class TestRegion:
+    # the whole stdout text: key order, float repr and the trailing newline
     def test_ellipsoid_schema(self):
-        out = run_json("region", "--kind", "ellipsoid", "--cov", EXAMPLE_COV, "--delta", "0.1")
-        assert out["kind"] == "ellipsoid"
-        assert out["threshold"] == pytest.approx(20.0, rel=1e-15)
-        assert out["center"] == [0.0, 0.0]
-        assert out["cov"] == [[1.0, 1.0], [1.0, 26.0]]
-        assert out["delta"] == 0.1
+        proc = run_cli("region", "--kind", "ellipsoid", "--cov", EXAMPLE_COV, "--delta", "0.1",
+                       "--center", "[1e9,-3]")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            '{\n  "kind": "ellipsoid",\n  "center": [\n    1000000000.0,\n    -3.0\n  ],\n'
+            '  "cov": [\n    [\n      1.0,\n      1.0\n    ],\n    [\n      1.0,\n      26.0\n    ]\n  ],\n'
+            '  "delta": 0.1,\n  "threshold": 20.0\n}\n'
+        )
 
     def test_sphere_schema(self):
-        out = run_json("region", "--kind", "sphere", "--cov", EXAMPLE_COV, "--delta", "0.1")
-        assert out == {"kind": "sphere", "center": [0.0, 0.0], "radius_sq": 270.0}
+        proc = run_cli("region", "--kind", "sphere", "--cov", EXAMPLE_COV, "--delta", "0.1",
+                       "--center", "[1e9,-3]")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            '{\n  "kind": "sphere",\n  "center": [\n    1000000000.0,\n    -3.0\n  ],\n'
+            '  "radius_sq": 270.0\n}\n'
+        )
 
     def test_delta_out_of_range_exits_3(self):
         proc = run_cli("region", "--kind", "sphere", "--cov", EXAMPLE_COV, "--delta", "1.5")

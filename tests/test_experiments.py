@@ -20,7 +20,7 @@ from scipy.stats import chi2
 from mvcheb import (
     Covariance,
     DomainError,
-    EllipsoidRegion,
+    Region,
     UsageError,
     contains,
     draw,
@@ -749,7 +749,7 @@ class TestIllConditionedCovariance:
         spec = tight_radial_spec(n * eps_per_dim, cov=cov, seed=seed)
         x = draw(spec, 256)
         atoms = np.any(x != spec.mean, axis=1)
-        region = EllipsoidRegion(spec.mean, cov, spec.eps)
+        region = Region(spec.mean, spec.eps, cov)
         assert np.array_equal(contains(region, x), ~atoms)
         d2 = quad_form(x[atoms] - spec.mean, cov.whitener)
         assert np.all(np.abs(d2 / spec.eps - (1.0 + 1e-8)) <= 1e-9)

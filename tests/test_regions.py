@@ -17,8 +17,7 @@ from mvcheb import (
     BoundValue,
     Covariance,
     DomainError,
-    EllipsoidRegion,
-    SphereRegion,
+    Region,
     UsageError,
     chebyshev_bound,
     classical_bound,
@@ -40,7 +39,7 @@ EXAMPLE = Covariance.from_matrix([[1.0, 1.0], [1.0, 26.0]])
 
 
 def unit_ball(n):
-    return SphereRegion(np.zeros(n), 1.0)
+    return Region(np.zeros(n), 1.0)
 
 
 def random_spd_cov(rng, n):
@@ -137,18 +136,18 @@ class TestMahalanobis:
 
 class TestRegions:
     def test_thresholds(self):
-        assert make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1).threshold == pytest.approx(20.0, rel=1e-15)
+        assert make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1).level == pytest.approx(20.0, rel=1e-15)
         one = Covariance.from_matrix([[1.0]])
-        assert make_ellipsoid([0.0], one, 0.5).threshold == 2.0
+        assert make_ellipsoid([0.0], one, 0.5).level == 2.0
         three = Covariance.from_matrix(np.eye(3))
-        assert make_ellipsoid(np.zeros(3), three, 0.25).threshold == 12.0
+        assert make_ellipsoid(np.zeros(3), three, 0.25).level == 12.0
 
     def test_radii(self):
-        assert make_sphere([0.0, 0.0], EXAMPLE, 0.1).radius_sq == pytest.approx(270.0, rel=1e-15)
+        assert make_sphere([0.0, 0.0], EXAMPLE, 0.1).level == pytest.approx(270.0, rel=1e-15)
         eye2 = Covariance.from_matrix(np.eye(2))
-        assert make_sphere([0.0, 0.0], eye2, 0.5).radius_sq == 4.0
+        assert make_sphere([0.0, 0.0], eye2, 0.5).level == 4.0
         four = Covariance.from_matrix([[4.0]])
-        assert make_sphere([0.0], four, 0.1).radius_sq == pytest.approx(40.0, rel=1e-15)
+        assert make_sphere([0.0], four, 0.1).level == pytest.approx(40.0, rel=1e-15)
 
     def test_delta_range(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
@@ -168,11 +167,11 @@ class TestRegions:
         # point (2, 0) has d^2 = 4 exactly -> member; just outside -> not
         eye2 = Covariance.from_matrix(np.eye(2))
         ell = make_ellipsoid([0.0, 0.0], eye2, 0.5)
-        assert ell.threshold == 4.0
+        assert ell.level == 4.0
         assert contains(ell, [2.0, 0.0]) is True
         assert contains(ell, [2.0000001, 0.0]) is False
         sph = make_sphere([0.0, 0.0], eye2, 0.5)
-        assert sph.radius_sq == 4.0
+        assert sph.level == 4.0
         assert contains(sph, [0.0, 2.0]) is True
         assert contains(sph, [0.0, 2.0000001]) is False
 
@@ -195,23 +194,23 @@ class TestRegions:
     @pytest.mark.parametrize("level", [0.0, -1.0, math.inf, math.nan])
     def test_level_must_be_positive_and_finite(self, level):
         with pytest.raises(DomainError, match="threshold must be positive and finite"):
-            EllipsoidRegion([0.0, 0.0], EXAMPLE, level)
+            Region([0.0, 0.0], level, EXAMPLE)
         with pytest.raises(DomainError, match="radius_sq must be positive and finite"):
-            SphereRegion([0.0, 0.0], level)
+            Region([0.0, 0.0], level)
 
     def test_center_is_checked(self):
         with pytest.raises(DomainError, match="entries must be finite"):
-            EllipsoidRegion([math.nan, 0.0], EXAMPLE, 1.0)
+            Region([math.nan, 0.0], 1.0, EXAMPLE)
         with pytest.raises(DomainError, match="entries must be finite"):
-            SphereRegion([0.0, math.inf], 1.0)
+            Region([0.0, math.inf], 1.0)
         with pytest.raises(DomainError, match="expected dimension 2"):
-            EllipsoidRegion([0.0, 0.0, 0.0], EXAMPLE, 1.0)
+            Region([0.0, 0.0, 0.0], 1.0, EXAMPLE)
         with pytest.raises(DomainError, match="expected dimension 2"):
             make_sphere([0.0], EXAMPLE, 0.1)
 
     def test_ellipsoid_needs_a_covariance(self):
         with pytest.raises(UsageError, match="cov must be a Covariance"):
-            EllipsoidRegion([0.0, 0.0], np.eye(2), 1.0)
+            Region([0.0, 0.0], 1.0, np.eye(2))
 
     def test_arrays_are_read_only(self):
         center = np.array([0.5, -1.0])
@@ -311,7 +310,7 @@ class TestVolume:
     def test_unit_3ball(self):
         cov = Covariance.from_matrix(np.eye(3))
         sph = make_sphere(np.zeros(3), cov, 0.5)
-        object.__setattr__(sph, "radius_sq", 1.0)
+        object.__setattr__(sph, "level", 1.0)
         assert volume(sph) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
 
@@ -404,6 +403,16 @@ class TestVolumeRatio:
         assert log_volume_ratio(split) == pytest.approx(expect, rel=1e-12)
         assert volume_ratio(split) == math.inf
 
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    def test_diagonal_ellipsoid_lies_between(self, n):
+        # Hadamard: det(Sigma) <= prod Sigma_ii, so the ellipsoid of diag(Sigma)
+        # has a log ratio to the sphere at most that of Sigma's own ellipsoid
+        a = np.random.default_rng(n).standard_normal((n, 2 * n))
+        s = a @ a.T
+        assert log_volume_ratio(Covariance(np.diag(np.diag(s)))) <= log_volume_ratio(Covariance(s))
+        d = np.diag(np.diag(s))  # equality, bit for bit, when Sigma is diagonal
+        assert log_volume_ratio(Covariance(np.diag(np.diag(d)))) == log_volume_ratio(Covariance(d))
+
     def test_delta_free_and_dominance(self):
         # explicit volumes reproduce the closed form at any delta and the
         # sphere is never smaller than the ellipsoid
@@ -459,7 +468,7 @@ class TestEllipseBoundary:
     def test_unit_circle_quartet(self):
         eye2 = Covariance.from_matrix(np.eye(2))
         ell = make_ellipsoid([0.0, 0.0], eye2, 0.5)
-        object.__setattr__(ell, "threshold", 1.0)
+        object.__setattr__(ell, "level", 1.0)
         pts = ellipse_boundary(ell, 4)
         assert np.allclose(pts, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-12)
 
@@ -472,7 +481,7 @@ class TestEllipseBoundary:
         ell = make_ellipsoid([0.5, -2.0], EXAMPLE, 0.1)
         pts = ellipse_boundary(ell, 64)
         d2 = quad_form(pts - ell.center, ell.cov.whitener)
-        assert np.max(np.abs(d2 - ell.threshold)) <= 1e-9
+        assert np.max(np.abs(d2 - ell.level)) <= 1e-9
 
     def test_membership_flips_just_outside(self):
         ell = make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1)
@@ -510,7 +519,7 @@ class TestEllipseBoundary:
         ):
             sph = make_sphere(center, cov, delta)
             theta = 2.0 * np.pi * np.arange(m) / m
-            circle = sph.center + math.sqrt(sph.radius_sq) * np.stack(
+            circle = sph.center + math.sqrt(sph.level) * np.stack(
                 [np.cos(theta), np.sin(theta)], axis=1
             )
             assert np.array_equal(ellipse_boundary(sph, m), circle)
@@ -523,7 +532,7 @@ class TestRegionJson:
         assert d["kind"] == "ellipsoid"
         assert d["threshold"] == pytest.approx(20.0, rel=1e-15)
         back = region_from_dict(d)
-        assert back.threshold == ell.threshold
+        assert back.level == ell.level
         assert np.allclose(back.cov.whitener, ell.cov.whitener)
 
     def test_sphere_round_trip(self):
@@ -531,7 +540,7 @@ class TestRegionJson:
         d = region_to_dict(sph)
         assert d == {"kind": "sphere", "center": [0.0, 0.0], "radius_sq": 270.0}
         back = region_from_dict(d)
-        assert back.radius_sq == sph.radius_sq
+        assert back.level == sph.level
 
     def test_ellipsoid_needs_a_delta_in_range(self):
         ell = make_ellipsoid([0.0, 0.0], Covariance(np.eye(2)), 0.1)
@@ -554,8 +563,15 @@ class TestRegionJson:
             ([1, 2], "region must be a JSON object, got list"),
             ({"kind": "ellipsoid", "center": [0.0], "threshold": 1.0}, "missing field 'cov'"),
             ({"kind": "sphere", "center": [0.0], "radius_sq": "x"}, "radius_sq must be a number"),
+            ({"kind": "sphere", "center": [0.0], "radius_sq": 1.0, "bogus": 1},
+             "unknown sphere region field bogus"),
+            ({"kind": "sphere", "center": [0.0], "radius_sq": 1.0, "cov": [[1.0]], "delta": 0.1},
+             "unknown sphere region field cov, delta"),
+            ({"kind": "ellipsoid", "center": [0.0], "cov": [[1.0]], "threshold": 1.0,
+              "radius_sq": 1.0}, "unknown ellipsoid region field radius_sq"),
         ],
-        ids=["list", "ellipsoid_without_cov", "radius_sq_not_a_number"],
+        ids=["list", "ellipsoid_without_cov", "radius_sq_not_a_number", "sphere_unknown_key",
+             "sphere_given_a_cov", "ellipsoid_given_a_radius"],
     )
     def test_malformed_input_is_a_usage_error(self, data, match):
         with pytest.raises(UsageError, match=match):
