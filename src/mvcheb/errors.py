@@ -7,7 +7,7 @@ The split is the one the CLI reports as its exit code:
   command needs. Malformed JSON or CSV, an array that is ragged or not
   numeric, an unknown or incomplete sampler spec, an empty sample set or
   eps grid, a count that is not a positive integer, or a level (eps,
-  total variance, sigma, k) that is not positive and finite.
+  total variance, sigma, k, a region's level) that is not positive and finite.
 * :class:`DomainError` (exit 3): the input is well formed, but the
   mathematics rejects it. A matrix that is not square, symmetric, finite
   or positive definite, mismatched dimensions, delta outside (0, 1), too

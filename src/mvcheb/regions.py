@@ -54,11 +54,7 @@ class Region:
             raise UsageError(f"cov must be a Covariance, got {type(self.cov).__name__}")
         dim = None if self.cov is None else self.cov.dim
         object.__setattr__(self, "center", as_vector(self.center, dim))
-        name = _LEVEL[self.kind]
-        level = as_float(self.level, name)
-        if not 0.0 < level < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {level}")
-        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "level", as_level(self.level, _LEVEL[self.kind]))
         if self.cov is not None:
             self.cov.whitener  # derived now, so a region is refused when built
 
@@ -77,10 +73,13 @@ def _region(region) -> Region:
     return region
 
 
-def _check_delta(delta: float) -> float:
-    if not 0.0 < as_float(delta, "delta") < 1.0:
+def _check_delta(delta: float, region: Region | None = None) -> float:
+    if not 0.0 < (delta := as_float(delta, "delta")) < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    return float(delta)
+    if region is not None and not math.isclose(
+            region.level, n_delta := region.dim / delta, rel_tol=_BOUNDARY_RTOL):
+        raise DomainError(f"threshold {region.level} is not n/delta = {n_delta} at delta={delta}")
+    return delta
 
 
 def _over_delta(value: float, what: str, delta: float) -> float:
@@ -200,13 +199,13 @@ def region_to_dict(region, delta: float | None = None) -> dict:
     """JSON-ready form of a region, its level under the kind's name.
 
     An ellipsoid serializes with its covariance and the ``delta`` in (0, 1)
-    it was built at (required for an ellipsoid); a sphere needs only its
-    squared radius.
+    it was built at (required for an ellipsoid, and refused unless the
+    threshold is n/delta); a sphere needs only its squared radius.
     """
     data = {"kind": _region(region).kind, "center": [float(v) for v in region.center]}
     if region.cov is not None:
         data["cov"] = [[float(v) for v in row] for row in region.cov.entries]
-        data["delta"] = _check_delta(delta)
+        data["delta"] = _check_delta(delta, region)
     data[_LEVEL[region.kind]] = float(region.level)
     return data
 
@@ -215,7 +214,7 @@ def region_from_dict(data: dict) -> Region:
     """Rebuild a region from its JSON form (inverse of :func:`region_to_dict`).
 
     A key the kind does not read is refused. An ellipsoid's ``delta`` is
-    accepted, as :func:`region_to_dict` writes it, but not read.
+    required, and its threshold must be n/delta up to ``_BOUNDARY_RTOL``.
     """
     if not isinstance(data, dict):
         raise UsageError(f"region must be a JSON object, got {type(data).__name__}")
@@ -227,6 +226,9 @@ def region_from_dict(data: dict) -> Region:
         raise UsageError(f"unknown {kind} region field {', '.join(sorted(map(str, unknown)))}")
     try:
         cov = Covariance.from_matrix(data["cov"]) if cov_keys else None
-        return Region(data["center"], data[_LEVEL[kind]], cov)
+        region = Region(data["center"], data[_LEVEL[kind]], cov)
+        if cov_keys:
+            _check_delta(data["delta"], region)
+        return region
     except KeyError as exc:
         raise UsageError(f"{kind} region is missing field {exc}") from None

@@ -12,14 +12,12 @@ hashing, not disjoint by counter (numpy's "Parallel random number
 generation").
 
 Chunk c of stream s is defined by :func:`offset_tiles` alone, as offsets from
-the mean in column-major tiles of ``max(256, 2**13 // n)`` rows, a shorter
-remainder joining the last tile, cut to the range asked for; :func:`draw_range`
-adds the mean. A part that starts inside a chunk draws and drops the chunk's
-rows before it. Fills are prefix-stable and paper_example's transform is
-elementwise, so its every part is exact. A gaussian or tight_radial tile is
-multiplied by ``L^T`` on its own, and BLAS rounds by shape: a part that ends
-at a tile edge or at the end of the range, as the experiments' chunks do, has
-the bits of the whole draw; a shorter last tile can differ in the last ulp.
+the mean in one tile plan per spec: column-major tiles of ``max(256, 2**13 //
+n)`` rows, a shorter remainder joining the chunk's last tile. Every tile that
+meets the range asked for is drawn whole from its chunk's first row on, and
+cut only where it is yielded; :func:`draw_range` adds the mean. So although
+BLAS rounds ``z @ L^T`` by shape, sample i is a pure function of (seed, s, i)
+whatever range holds it, and a draw shorter than a tile draws the tile.
 ``Generator`` methods need not be stable across numpy releases (NEP 19), and
 L and the product can change bits with the BLAS build, so values are bit-exact
 within one numpy version and BLAS build.
@@ -206,22 +204,25 @@ def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0
     """Samples [start, stop) of the spec's sequence less the mean, one
     column-major tile at a time, each overwritten by the next.
 
-    Each chunk that meets the range is drawn by the module's tile plan from
-    its first row to ``stop``, and cut to the range. A tile is drawn row-major
-    and copied, transformed or as ``z @ L^T``, into a column-major buffer.
+    Every tile of the spec's one plan that meets the range is drawn whole, and
+    cut only where it is yielded. A tile is drawn row-major and copied,
+    transformed or as ``z @ L^T``, into a column-major buffer.
     """
     n, key, size = spec.dim, _key(spec.seed, stream_index), chunk_size(spec)
     step = max(_TILE_ROWS, _TILE_ENTRIES // n)
+    los = range(0, max(size - step, 0) + 1, step)  # a shorter remainder joins the last tile
+    tiles, longest = list(zip(los, [*los[1:], size])), size - los[-1]
+    zs, xs = np.empty((2, longest * n))
+    us = np.empty(longest) if spec.kind == "tight_radial" else None
     for c in range(start // size, (stop - 1) // size + 1):
         words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
         normals = Generator(SFC64(SeedSequence(words[0]))).standard_normal
-        rows = min(stop - c * size, size)
-        starts = range(0, max(rows - step, 0) + 1, step)
-        longest = rows - starts[-1]  # the last tile
-        zs, xs = np.empty((2, longest * n))
         if spec.kind == "tight_radial":
-            uniforms, us = Generator(SFC64(SeedSequence(words[1]))).random, np.empty(longest)
-        for lo, hi in zip(starts, [*starts[1:], rows]):
+            uniforms = Generator(SFC64(SeedSequence(words[1]))).random
+        first, last = start - c * size, stop - c * size  # the range in the chunk's rows
+        for lo, hi in tiles:
+            if lo >= last:
+                break
             # BLAS rounds a product by layout and shape: z is row-major, x column-major
             z, x = zs[: (hi - lo) * n].reshape(-1, n), xs[: (hi - lo) * n].reshape(n, -1).T
             normals(out=z)
@@ -239,9 +240,8 @@ def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0
                 z[norms == 0.0] = np.eye(1, n)
                 x[...] = z @ spec.cov.chol.T
                 x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (us[: hi - lo] < n / spec.eps)[:, None]
-            if start < c * size + hi:
-                yield x[max(start - c * size - lo, 0) :]
-        del zs, xs, z, x  # so these buffers are freed before the next chunk's are made
+            if first < hi:
+                yield x[max(first - lo, 0) : last - lo]
 
 
 @one_blas_thread()
@@ -250,10 +250,9 @@ def draw_range(
 ) -> np.ndarray:
     """Samples with global indices [start, stop) of the spec's sequence.
 
-    Sample i, a pure function of (seed, stream_index, i), is the mean plus
-    row i mod S of chunk i // S, S = :func:`chunk_size`: the tiles of
-    :func:`offset_tiles` are copied into a column-major result, to which the
-    mean is added.
+    Sample i, a pure function of (seed, stream_index, i) whatever the range,
+    is the mean plus row i mod S of chunk i // S, S = :func:`chunk_size`: the
+    tiles of :func:`offset_tiles` are copied into a column-major result.
     """
     if not (_is_int(start) and _is_int(stop) and 0 <= start <= stop):
         raise UsageError(f"bad index range [{start}, {stop}): integers 0 <= start <= stop")
@@ -264,7 +263,6 @@ def draw_range(
     for tile in offset_tiles(spec, start, stop, stream_index):
         x[row : row + len(tile)] = tile
         row += len(tile)
-        del tile  # a tile holds its chunk's buffers
     x += spec.mean
     return x
 

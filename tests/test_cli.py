@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mvcheb import cli, linalg, sampler
+from mvcheb import cli, linalg, regions, sampler
 
 EXAMPLE_COV = "[[1,1],[1,26]]"
 PAPER_SPEC = '{"kind":"paper_example","sigma":1.0,"k":25.0,"seed":42}'
@@ -193,6 +193,17 @@ class TestRegion:
             '{\n  "kind": "sphere",\n  "center": [\n    1000000000.0,\n    -3.0\n  ],\n'
             '  "radius_sq": 270.0\n}\n'
         )
+
+    def test_ellipsoid_reads_back_at_n3(self):
+        # 3/0.9 is one ulp below 10/3, so a threshold written as 10/3 agrees
+        # with n/delta within the boundary tolerance, not exactly
+        proc = run_cli("region", "--kind", "ellipsoid", "--cov", "[[2,1,0],[1,3,1],[0,1,4]]",
+                       "--delta", "0.9")
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["threshold"] == 3 / 0.9 != 10 / 3
+        assert regions.region_to_dict(regions.region_from_dict(data), data["delta"]) == data
+        assert regions.region_from_dict({**data, "threshold": 10 / 3}).level == 10 / 3
 
     def test_delta_out_of_range_exits_3(self):
         proc = run_cli("region", "--kind", "sphere", "--cov", EXAMPLE_COV, "--delta", "1.5")

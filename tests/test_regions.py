@@ -193,9 +193,9 @@ class TestRegions:
 
     @pytest.mark.parametrize("level", [0.0, -1.0, math.inf, math.nan])
     def test_level_must_be_positive_and_finite(self, level):
-        with pytest.raises(DomainError, match="threshold must be positive and finite"):
+        with pytest.raises(UsageError, match="threshold must be positive and finite"):
             Region([0.0, 0.0], level, EXAMPLE)
-        with pytest.raises(DomainError, match="radius_sq must be positive and finite"):
+        with pytest.raises(UsageError, match="radius_sq must be positive and finite"):
             Region([0.0, 0.0], level)
 
     def test_center_is_checked(self):
@@ -543,7 +543,7 @@ class TestRegionJson:
         assert back.level == sph.level
 
     def test_ellipsoid_needs_a_delta_in_range(self):
-        ell = make_ellipsoid([0.0, 0.0], Covariance(np.eye(2)), 0.1)
+        ell = make_ellipsoid([0.0, 0.0], Covariance(np.eye(2)), 0.5)
         with pytest.raises(UsageError, match="delta must be a number, got None"):
             region_to_dict(ell)
         with pytest.raises(UsageError, match="delta must be a number, got 'x'"):
@@ -552,6 +552,20 @@ class TestRegionJson:
             with pytest.raises(DomainError, match=r"delta must lie in \(0, 1\)"):
                 region_to_dict(ell, delta=delta)
         assert region_to_dict(ell, delta=np.float32(0.5))["delta"] == 0.5
+
+    @pytest.mark.parametrize("delta, error, match", [
+        ("bogus", UsageError, "delta must be a number, got 'bogus'"),
+        (1.5, DomainError, r"delta must lie in \(0, 1\), got 1.5"),
+        (0.2, DomainError, r"threshold 20.0 is not n/delta = 10.0 at delta=0.2"),
+    ], ids=["not_a_number", "out_of_range", "disagrees_with_the_threshold"])
+    def test_ellipsoid_delta_is_checked_both_ways(self, delta, error, match):
+        data = region_to_dict(make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1), delta=0.1)
+        with pytest.raises(error, match=match):
+            region_from_dict({**data, "delta": delta})
+        with pytest.raises(error, match=match):  # so what region_to_dict writes reads back
+            region_to_dict(region_from_dict(data), delta=delta)
+        with pytest.raises(UsageError, match="ellipsoid region is missing field 'delta'"):
+            region_from_dict({k: v for k, v in data.items() if k != "delta"})
 
     def test_unknown_kind(self):
         with pytest.raises(UsageError, match="unknown region kind"):

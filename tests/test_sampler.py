@@ -209,21 +209,27 @@ class TestDraw:
         assert all(part.T.flags.c_contiguous for part in parts)
         assert np.array_equal(np.vstack(parts), draw(spec, 2 * size + 7))
 
+    @pytest.mark.parametrize("spec", [
+        gaussian_spec(np.zeros(64), Covariance(np.eye(64) + 0.5), seed=3),
+        tight_radial_spec(128.0, mean=np.ones(64), cov=Covariance(np.eye(64) + 0.5), seed=3),
+    ], ids=lambda s: s.kind)
     @pytest.mark.parametrize("tail", [1, 5, 100, 2047])
-    def test_chunk_aligned_parts_are_the_whole_draw(self, tail):
+    def test_every_part_and_prefix_is_the_whole_draw(self, spec, tail):
         # at n=64 BLAS rounds a short product otherwise than a long one, so
-        # each chunk is multiplied by L^T tile by tile from its first row,
-        # whatever range holds it
-        spec = gaussian_spec(np.zeros(64), Covariance(np.eye(64) + 0.5), seed=3)
+        # every tile is multiplied by L^T whole, whatever range holds it; a
+        # non-diagonal Sigma, since the identity multiplies exactly
         size = chunk_size(spec)
         total = 3 * size + tail
         full = draw(spec, total)
         tile = max(sampler._TILE_ROWS, sampler._TILE_ENTRIES // spec.dim)
         assert size % tile == 0 and size // tile > 2
         for cuts in ([0, size, 2 * size, 3 * size, total], [0, 2 * size, total], [0, 3 * size, total],
-                     [0, size + 2 * tile, total]):  # a part that ends at a tile edge inside a chunk
+                     [0, size + 2 * tile, total],  # a part that ends at a tile edge inside a chunk
+                     [0, 1, 5, size + 3, 2 * size - 1, total]):  # parts that end mid-tile
             parts = [draw_range(spec, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
             assert np.vstack(parts).tobytes() == full.tobytes()
+        for prefix in (1, 5, size + 3, 2 * size - 1):
+            assert draw(spec, prefix).tobytes() == full[:prefix].tobytes()
 
     def test_stream_index_changes_samples(self):
         spec = paper_example_spec(1.0, 25.0, seed=11)
@@ -273,7 +279,8 @@ class TestDraw:
     @given(kind=st.sampled_from(sampler.KINDS), n=st.integers(1, 6), data=st.data())
     def test_in_place_transform_matches_the_out_of_place_formula(self, kind, n, data):
         # the generators are stubbed to serve chosen normals (zero rows included)
-        # and uniforms, which the former out-of-place formula turns into x
+        # and uniforms, which the former out-of-place formula turns into x; a
+        # chunk of the served rows is one tile, drawn whole
         rows = data.draw(st.integers(1, 12), label="rows")
         n = 2 if kind == "paper_example" else n
         entry = st.one_of(st.just(0.0), st.floats(-40.0, 40.0))
@@ -305,11 +312,12 @@ class TestDraw:
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(sampler, "Generator", Served)
+            m.setattr(sampler, "_CHUNK_NORMALS", rows * n)
             x = draw_range(spec, 0, rows)
         if kind == "paper_example":
             y = spec.sigma * z[:, 0]
             w = np.sqrt(spec.k) * spec.sigma * z[:, 1]
-            expected = np.column_stack([y, y + w])
+            expected = spec.mean + np.column_stack([y, y + w])
         elif kind == "gaussian":
             expected = spec.mean + z @ spec.cov.chol.T
         else:
