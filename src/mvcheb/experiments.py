@@ -1,16 +1,15 @@
 """Monte Carlo verification of the tail bounds and region coverage.
 
-Coverage counts use the distribution's true moments (not estimates), so the
-experiments exercise the inequalities themselves rather than estimation
-error; an estimated-moments mode is available separately. Every experiment
-runs through one reducer: N is cut into the sampler's chunks of
-:func:`~mvcheb.sampler.chunk_size` samples, each drawn by its own generator,
-and workers reduce each chunk's tiles, as they are drawn, to small partial
-results combined in tile and chunk order, so results are identical for any
-worker count. A tile holds offsets from the mean, and one distance pass gives
-their ||W d||^2 and ||d||^2 about a region centre relative to the mean (zero
-for the true moments) to every experiment: the mean is never added, and
-memory is a few tiles per worker, whatever N is.
+Coverage counts use the distribution's true moments, so the experiments
+exercise the inequalities rather than estimation error; an estimated-moments
+mode is separate. Every experiment runs through one reducer: N is cut into
+the sampler's chunks of :func:`~mvcheb.sampler.chunk_size` samples, each
+drawn by its own generator, and workers reduce each chunk's tiles, as they
+are drawn, to small partial results summed by ``+`` in tile and chunk order,
+so results are identical for any worker count. A tile holds offsets from the
+mean, and one distance pass gives their ||W d||^2 and ||d||^2 about a region
+centre relative to the mean (zero for the true moments) to every experiment:
+the mean is never added, and memory is a few tiles per worker, whatever N is.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, UsageError, as_count
-from .linalg import as_float_array, one_blas_thread, quad_form
-from .moments import _csv_lines, merge_moment_sums, moment_sums, moments_from_sums
+from .linalg import as_float_array, float_range_guard, one_blas_thread, quad_form
+from .moments import _MOMENTS_RANGE, _csv_lines, moments_from_sums
 from .regions import ellipse_boundary, make_ellipsoid, make_sphere, within
 from .sampler import SamplerSpec, chunk_size, draw, offset_tiles, paper_example_spec
 
@@ -65,32 +64,36 @@ def _reports(delta: float, n_samples: int, hits) -> tuple[CoverageReport, Covera
     return tuple(_report(k, delta, n_samples, int(h)) for k, h in zip(("ellipsoid", "sphere"), hits))
 
 
-def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1, combine=operator.add):
-    """The fold by ``combine`` of ``per_tile(x)`` over every tile x of
+_raise_on_overflow = functools.partial(np.errstate, over="raise", invalid="raise")
+
+
+def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1):
+    """The sum by ``+`` of ``per_tile(x)`` over every tile x of
     :func:`~mvcheb.sampler.offset_tiles` on [0, n_samples), in tile and chunk order.
 
     A chunk is the sampler's :func:`~mvcheb.sampler.chunk_size` samples, one
     generator's draw, so its bounds depend only on the spec and N.
-    ``streams`` threads draw and fold the chunks; this thread folds their
-    results in chunk order, so no result depends on it. The pool runs in one
-    :func:`~mvcheb.linalg.one_blas_thread` scope for the call, so it is the
-    one source of threads.
+    ``streams`` threads draw and sum the chunks and this thread sums their
+    results in chunk order, so no result depends on it; a float that leaves
+    the range raises ``FloatingPointError`` in either. The pool runs in one
+    :func:`~mvcheb.linalg.one_blas_thread` scope, its one source of threads.
     """
     streams, size = as_count(streams, "streams"), chunk_size(spec)
 
     def chunk(start: int):
         tiles = offset_tiles(spec, start, min(start + size, n_samples))
-        return functools.reduce(combine, map(per_tile, tiles))
+        with _raise_on_overflow():  # numpy's error state is per thread
+            return functools.reduce(operator.add, map(per_tile, tiles))
 
-    # a chunk is submitted as each result is folded, so at most
+    # a chunk is submitted as each result is summed, so at most
     # 2 * streams are in flight and memory stays flat in N
     starts = iter(range(0, n_samples, size))
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=streams) as pool:
+    with one_blas_thread(), _raise_on_overflow(), ThreadPoolExecutor(max_workers=streams) as pool:
         pending = deque(pool.submit(chunk, s) for s in islice(starts, 2 * streams))
         total = pending.popleft().result()
         while pending:
             pending.extend(pool.submit(chunk, s) for s in islice(starts, 1))
-            total = combine(total, pending.popleft().result())
+            total = total + pending.popleft().result()
     return total
 
 
@@ -138,21 +141,23 @@ def run_coverage_estimated(
     Returns ``{"true": (ellipsoid, sphere), "estimated": (ellipsoid,
     sphere)}`` where the estimated pair rebuilds the regions from the
     sample mean and unbiased (ddof=1) covariance of the same draws. The
-    first pass counts the true-moment hits and merges the per-tile moment
-    sums of the offsets; the second redraws each chunk and counts the hits
-    of the fitted regions, centred at the offsets' mean.
+    first pass sums the true-moment hits and the raw moments of the offsets,
+    whose mean is zero by construction; the second redraws each chunk to
+    count the hits of the fitted regions, centred at the offsets' mean.
     """
-    n = as_count(n_samples, "n_samples")
-    count = _hit_counter(np.zeros(spec.dim), spec.cov, delta)
+    n, dim = as_count(n_samples, "n_samples"), spec.dim
+    count = _hit_counter(np.zeros(dim), spec.cov, delta)
 
-    def merge(a, b):  # (hit counts, moment sums) of tiles, then of chunks
-        return a[0] + b[0], merge_moment_sums(a[1], b[1])
+    def hits_and_moments(x):  # one float vector: the two hit counts, sum(x), sum(x x^T)
+        return np.concatenate([count(x), x.sum(axis=0), (x.T @ x).ravel()])
 
-    hits, sums = _reduce(spec, n, lambda x: (count(x), moment_sums(x)), streams, merge)
-    fitted = moments_from_sums(sums)  # of the offsets: its mean is the fitted mean less the true
+    with float_range_guard(_MOMENTS_RANGE):
+        sums = _reduce(spec, n, hits_and_moments, streams)
+        s, outer = sums[2:2 + dim], sums[2 + dim:].reshape(dim, dim)
+        fitted = moments_from_sums((n, s / n, outer - np.outer(s, s) / n))  # mean: fitted less true
     count_fitted = _hit_counter(fitted.mean, fitted.cov, delta)
     return {
-        "true": _reports(delta, n, hits),
+        "true": _reports(delta, n, sums[:2]),
         "estimated": _reports(delta, n, _reduce(spec, n, count_fitted, streams)),
     }
 

@@ -69,19 +69,9 @@ def moment_sums(samples) -> tuple[int, np.ndarray, np.ndarray]:
         return a.shape[0], mean, centered.T @ centered
 
 
-def merge_moment_sums(a, b) -> tuple[int, np.ndarray, np.ndarray]:
-    """Moment sums of the union of two sample sets, from those of each part
-    (the pairwise update of Chan, Golub & LeVeque, 1979)."""
-    (n_a, mean_a, scatter_a), (n_b, mean_b, scatter_b) = a, b
-    with float_range_guard(_MOMENTS_RANGE):
-        n, shift = n_a + n_b, mean_b - mean_a
-        scatter = scatter_a + scatter_b + np.outer(shift, shift) * (n_a * n_b / n)
-        return n, mean_a + shift * (n_b / n), scatter
-
-
 def moments_from_sums(sums, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate:
     """Mean and covariance (divisor N - ddof, plus ``ridge`` I) from the
-    :func:`moment_sums` of a sample set."""
+    :func:`moment_sums` of a sample set; a refusal names the sample covariance."""
     if not _is_int(ddof) or ddof not in (0, 1):
         raise DomainError("ddof must be 0 or 1")
     ridge = as_float(ridge, "ridge")
@@ -93,7 +83,11 @@ def moments_from_sums(sums, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate
     cov = scatter / (n_rows - ddof)
     if ridge > 0.0:
         cov = cov + ridge * np.eye(cov.shape[0])
-    return MomentEstimate(mean=mean, cov=Covariance.from_matrix(cov), ddof=ddof)
+    try:
+        cov = Covariance.from_matrix(cov)
+    except DomainError as exc:
+        raise DomainError(f"the sample covariance of {n_rows} rows: {exc}") from None
+    return MomentEstimate(mean=mean, cov=cov, ddof=ddof)
 
 
 def example_covariance(sigma: float, k: float) -> Covariance:

@@ -67,6 +67,14 @@ class TestEstimate:
         path.write_text("x1,x2\n0.0,0.0\n1.0,1.0\n2.0,2.0\n")
         assert run_cli("estimate", "--input", str(path)).returncode == 3
 
+    def test_degenerate_covariance_is_named_the_sample_covariance(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        path.write_text("x1,x2\n0.0,0.0\n1.0,1.0\n2.0,2.0\n")
+        assert run_main("estimate", "--input", str(path)) == 3
+        assert capsys.readouterr().err == (
+            "mvcheb: error: the sample covariance of 3 rows: matrix is not positive definite\n"
+        )
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run_cli("estimate", "--input", str(tmp_path / "nope.csv")).returncode == 2
 
@@ -265,6 +273,15 @@ class TestCoverage:
     def test_non_pd_gaussian_cov_exits_3(self):
         spec = '{"kind":"gaussian","mean":[0,0],"cov":[[1,2],[2,1]]}'
         assert run_cli("coverage", "--spec", spec, "--delta", "0.1", "--n", "10").returncode == 3
+
+    def test_estimated_degenerate_fit_is_named_the_sample_covariance(self, capsys):
+        # 100 draws of a 10-dim tight_radial put few atoms off the mean: a flat fit
+        spec = {"kind": "tight_radial", "dim": 10, "eps": 100, "seed": 1}
+        argv = ["coverage", "--spec", json.dumps(spec), "--delta", "0.1", "--n", "100", "--estimated"]
+        assert run_main(*argv) == 3
+        assert capsys.readouterr().err == (
+            "mvcheb: error: the sample covariance of 100 rows: matrix is not positive definite\n"
+        )
 
     def test_bad_delta_exits_3(self):
         assert (

@@ -6,6 +6,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import operator
 import time
 import tracemalloc
@@ -350,8 +351,8 @@ class TestReducer:
         fits = []
         reduce, fit = experiments._reduce, experiments.moments_from_sums
 
-        def reduce_with_streams(spec, n_samples, per_tile, streams_ignored=1, *combine):
-            return reduce(spec, n_samples, per_tile, streams, *combine)
+        def reduce_with_streams(spec, n_samples, per_tile, streams_ignored=1):
+            return reduce(spec, n_samples, per_tile, streams)
 
         def recording_fit(*args, **kwargs):
             fits.append(fit(*args, **kwargs))
@@ -500,21 +501,24 @@ class TestReducer:
         assert max(b - a for a, b in calls) <= chunk
 
     def test_at_most_two_chunks_per_stream_in_flight(self, monkeypatch):
-        calls, drawn = self._record_draws(monkeypatch), []
+        calls, drawn = [], []
+        original = experiments.offset_tiles
 
-        def combine(a, b):  # a chunk is one tile, so this folds chunk results
-            if not drawn:
+        def recording(spec, start, stop, stream_index=0):
+            calls.append((start, stop))
+            if start == 0:
                 time.sleep(0.05)  # ample time for idle workers to draw whatever was submitted
                 drawn.append(len(calls))
-            return a + b
+            return original(spec, start, stop, stream_index)
 
-        assert experiments._reduce(PAPER, self.N, len, 2, combine) == self.N
-        # four submitted up front, one more as the first result was folded
+        monkeypatch.setattr(experiments, "offset_tiles", recording)
+        assert experiments._reduce(PAPER, self.N, len, 2) == self.N
+        # four submitted up front, one more as the first result was summed
         assert drawn[0] <= 5
 
     @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
     def test_the_fold_keeps_tile_and_chunk_order(self, monkeypatch, spec):
-        # two tiles a chunk, a combine that does not commute (list concatenation),
+        # two tiles a chunk, a + that does not commute (list concatenation),
         # and tiles that sleep by their first value, so chunks complete out of order
         monkeypatch.setattr(sampler, "_TILE_ENTRIES", 64)
         monkeypatch.setattr(sampler, "_TILE_ROWS", 1)
@@ -527,7 +531,7 @@ class TestReducer:
         serial = functools.reduce(operator.add, map(per_tile, sampler.offset_tiles(spec, 0, self.N)))
         assert max(serial[1::2]) < chunk_size(spec)  # tiles are shorter than chunks
         for streams in (1, 2, 3):
-            assert experiments._reduce(spec, self.N, per_tile, streams, operator.add) == serial
+            assert experiments._reduce(spec, self.N, per_tile, streams) == serial
 
     def test_peak_memory_is_flat_in_the_chunk_count(self):
         chunk = chunk_size(PAPER)
@@ -543,6 +547,25 @@ class TestReducer:
         small, large = peak(200), peak(2000)
         assert large <= 1.5 * small, (small, large)
 
+    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
+    def test_fitted_moments_match_an_exact_sum_of_the_offsets(self, monkeypatch, spec):
+        fits, fit = [], experiments.moments_from_sums
+
+        def recording_fit(sums):
+            fits.append(fit(sums))
+            return fits[-1]
+
+        monkeypatch.setattr(experiments, "moments_from_sums", recording_fit)
+        run_coverage_estimated(spec, self.DELTA, self.N, streams=2)
+        # the same offsets, copied as each tile is overwritten by the next
+        x = np.concatenate([t.copy() for t in sampler.offset_tiles(spec, 0, self.N)])
+        s = np.array([math.fsum(c) for c in x.T])
+        cov = np.array([[math.fsum(x[:, i] * x[:, j]) for j in range(spec.dim)] for i in range(spec.dim)])
+        cov = (cov - np.outer(s, s) / self.N) / (self.N - 1)
+        scale = np.max(np.abs(cov))
+        assert np.max(np.abs(fits[0].cov.entries - cov)) <= 1e-13 * scale
+        assert np.max(np.abs(fits[0].mean - s / self.N)) <= 1e-13 * np.sqrt(scale)
+
     def test_merged_moments_beyond_float_range_exit_3_without_warning(self, capsys):
         # one chunk's scatter (about 64e306) is in range; the merge of many is not
         spec = {"kind": "gaussian", "mean": [0, 0], "cov": [[1e306, 0], [0, 1e306]]}
@@ -553,6 +576,19 @@ class TestReducer:
             assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err == "mvcheb: error: the sample moments are beyond the float range\n"
+
+
+def test_summed_moments_beyond_float_range_exit_3_without_warning(capsys):
+    # at the default chunk size each 4,096-row tile sums to about 4e307, in
+    # range; the sum of the chunk's tiles is not
+    spec = {"kind": "gaussian", "mean": [0, 0], "cov": [[1e304, 0], [0, 1e304]]}
+    argv = ["coverage", "--spec", json.dumps(spec), "--delta", "0.1",
+            "--n", "20000", "--estimated"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "mvcheb: error: the sample moments are beyond the float range\n"
 
 
 @pytest.mark.parametrize("spec", [
