@@ -14,7 +14,7 @@ modules it runs: ``bound`` loads only ``errors``, ``jsonio`` and
 
 Exit codes: 0 success; 2 for a :class:`~mvcheb.errors.UsageError` (the
 input cannot be read as what the command needs: bad flags, malformed JSON
-or CSV, a ragged or non-numeric array, an unknown spec kind); 3 for a
+or CSV, a ragged, non-numeric or empty array, an unknown spec kind); 3 for a
 :class:`~mvcheb.errors.DomainError` (the input is well formed but the
 mathematics rejects it: a matrix that is not positive definite, delta
 outside (0, 1), ...) or for a run larger than memory; 4 for an output I/O

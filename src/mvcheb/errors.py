@@ -1,17 +1,17 @@
-"""The two exception types the package raises for bad input, and the
-numpy-free scalar layer that checks every count and every level with them.
+"""The two exception types for bad input, and the numpy-free scalar layer that
+checks every count and level with them, as ``linalg.as_finite_array`` does every array.
 
 The split is the one the CLI reports as its exit code:
 
-* :class:`UsageError` (exit 2): the input cannot be read as what the
-  command needs. Malformed JSON or CSV, an array that is ragged or not
-  numeric, an unknown or incomplete sampler spec, an empty sample set or
-  eps grid, a count that is not a positive integer, or a level (eps,
-  total variance, sigma, k, a region's level) that is not positive and finite.
-* :class:`DomainError` (exit 3): the input is well formed, but the
-  mathematics rejects it. A matrix that is not square, symmetric, finite
-  or positive definite, mismatched dimensions, delta outside (0, 1), too
-  few samples, a value beyond the float range.
+* :class:`UsageError` (exit 2): the input cannot be read as what the command
+  needs. Malformed JSON or CSV, an array that is ragged, not numeric or empty
+  (any axis of length 0), an unknown or incomplete sampler spec, an empty eps
+  grid, a count that is not a positive integer, or a level (eps, total
+  variance, sigma, k, a region's level) that is not positive and finite.
+* :class:`DomainError` (exit 3): the input is well formed, but the mathematics
+  rejects it. An array with the wrong number of axes, a wrong dimension or an
+  entry that is not finite, a matrix that is not square, symmetric or positive
+  definite, delta outside (0, 1), too few samples, a value beyond the float range.
 
 Both derive from ``ValueError``, so callers that do not care about the
 split can catch the builtin. numpy registers its integer types as

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -72,13 +73,15 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1):
     :func:`~mvcheb.sampler.offset_tiles` on [0, n_samples), in tile and chunk order.
 
     A chunk is the sampler's :func:`~mvcheb.sampler.chunk_size` samples, one
-    generator's draw, so its bounds depend only on the spec and N.
-    ``streams`` threads draw and sum the chunks and this thread sums their
-    results in chunk order, so no result depends on it; a float that leaves
-    the range raises ``FloatingPointError`` in either. The pool runs in one
-    :func:`~mvcheb.linalg.one_blas_thread` scope, its one source of threads.
+    generator's draw, so its bounds depend only on the spec and N. Up to
+    ``streams`` threads, no more than the chunks or usable CPUs, draw and sum the
+    chunks and this thread sums their results in chunk order, so no result depends
+    on them; a float that leaves the range raises ``FloatingPointError`` in either.
+    The pool runs in one :func:`~mvcheb.linalg.one_blas_thread` scope, its one source of threads.
     """
     streams, size = as_count(streams, "streams"), chunk_size(spec)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(streams, -(-n_samples // size), cpus)
 
     def chunk(start: int):
         tiles = offset_tiles(spec, start, min(start + size, n_samples))
@@ -86,10 +89,10 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1):
             return functools.reduce(operator.add, map(per_tile, tiles))
 
     # a chunk is submitted as each result is summed, so at most
-    # 2 * streams are in flight and memory stays flat in N
+    # 2 * workers are in flight and memory stays flat in N
     starts = iter(range(0, n_samples, size))
-    with one_blas_thread(), _raise_on_overflow(), ThreadPoolExecutor(max_workers=streams) as pool:
-        pending = deque(pool.submit(chunk, s) for s in islice(starts, 2 * streams))
+    with one_blas_thread(), _raise_on_overflow(), ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(chunk, s) for s in islice(starts, 2 * workers))
         total = pending.popleft().result()
         while pending:
             pending.extend(pool.submit(chunk, s) for s in islice(starts, 1))

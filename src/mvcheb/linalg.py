@@ -12,8 +12,10 @@ are read-only, so the kernels that take one do not check it again.
 Every squared Mahalanobis distance is ||W d||^2 with the whitener W = L^-1
 (:func:`quad_form`): its error grows like cond(L) = sqrt(cond(Sigma)),
 where one through an explicit Sigma^-1 would grow like cond(Sigma).
-Arrays are read with :func:`as_float_array`; counts and levels with the
-numpy-free scalar layer of :mod:`mvcheb.errors`.
+Every data array (vector, matrix, sample set, point) is read by one function,
+:func:`as_finite_array`, as every count and level is by the numpy-free scalar
+layer of :mod:`mvcheb.errors`; only :func:`quad_form`'s tile kernel and the eps
+grid of ``run_tail_curve``, a list of levels, keep their own rules.
 """
 
 from __future__ import annotations
@@ -114,16 +116,28 @@ def as_float_array(x, what: str) -> np.ndarray:
         raise UsageError(f"{what} is not a numeric array: {exc}") from None
 
 
+def as_finite_array(x, what: str, ndim: int | tuple, dim: int | None = None) -> np.ndarray:
+    """``x`` as a float array with ``ndim`` axes (a count or a tuple of them),
+    the last of length ``dim`` where given, none empty, every entry finite,
+    checked in that order. Input that does not convert, or has an empty
+    axis, raises :class:`UsageError`; the other checks :class:`DomainError`."""
+    a = as_float_array(x, what)
+    ndims = (ndim,) if isinstance(ndim, int) else ndim
+    if a.ndim not in ndims:
+        raise DomainError(f"expected a {'-D or '.join(map(str, ndims))}-D {what}, got shape {a.shape}")
+    if dim is not None and a.shape[-1] != dim:
+        raise DomainError(f"{what} dimension {a.shape[-1]} does not match expected dimension {dim}")
+    if a.size == 0:
+        raise UsageError(f"{what} must not be empty, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} entries must be finite")
+    return a
+
+
 def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """A read-only copy of the 1-D finite vector ``x``, optionally of a
-    required dimension; the caller's array stays writable."""
-    v = np.array(as_float_array(x, "vector"))
-    if v.ndim != 1:
-        raise DomainError(f"expected a 1-D vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise DomainError(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("vector entries must be finite")
+    """A read-only copy of the 1-D vector ``x`` (:func:`as_finite_array`);
+    the caller's array stays writable."""
+    v = np.array(as_finite_array(x, "vector", 1, dim))
     v.setflags(write=False)
     return v
 
@@ -135,13 +149,9 @@ def symmetrize(m) -> np.ndarray:
     treated as round-trip noise (e.g. from text formats) and averaged away;
     anything larger raises :class:`DomainError`.
     """
-    a = as_float_array(m, "matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = as_finite_array(m, "matrix", 2)
+    if a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if a.size == 0:
-        raise DomainError("matrix must be at least 1x1")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
     scale = float(np.max(np.abs(a)))
     gap = float(np.max(np.abs(a - a.T)))
     if gap > SYMMETRY_RTOL * max(scale, 1e-300):
@@ -249,6 +259,7 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
     ulp can depend on the length and the layout of its batch, as BLAS picks
     its summation order by shape; in the experiments a batch is a
     column-major tile of :func:`~mvcheb.sampler.offset_tiles`, set by the chunk.
+    Its arguments are only shape-tested, as a finiteness pass would add ~45% per tile.
     """
     kernel = as_float_array(w, "kernel")
     dv = as_float_array(d, "vector")

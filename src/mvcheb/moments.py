@@ -1,6 +1,6 @@
 """Mean/covariance estimation from sample sets, plus the worked-example matrix.
 
-A sample set is a plain float array of shape (N, n): one row per draw. The
+A sample set is a finite float array of shape (N, n), one row per draw. The
 CSV interchange format is a header row ``x1,...,xn`` followed by one
 comma-separated sample per line.
 """
@@ -9,27 +9,16 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UsageError, _is_int, as_float, as_level
-from .linalg import Covariance, as_float_array, float_range_guard, one_blas_thread
+from .linalg import Covariance, as_finite_array, float_range_guard, one_blas_thread
 
 _MOMENTS_RANGE = "the sample moments are beyond the float range"
 _CSV_BLOCK_ROWS = 1024  # rows formatted at a time: the formatter's memory does not grow with N
-
-
-def as_samples(rows) -> np.ndarray:
-    """Validate a sample set: 2-D, at least one row, all entries finite."""
-    a = as_float_array(rows, "sample set")
-    if a.ndim != 2:
-        raise DomainError(f"samples must be 2-D, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise UsageError("sample set has no rows")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("sample entries must be finite")
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,19 +31,11 @@ class MomentEstimate:
 
 
 def estimate_moments(samples, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate:
-    """Sample mean and covariance, the latter a validated :class:`Covariance`.
-
-    Parameters
-    ----------
-    samples : array_like, shape (N, n)
-    ddof : {0, 1}
-        Divisor is N - ddof; ddof=1 (default) is the unbiased estimator.
-    ridge : float
-        Optional nonnegative, finite multiple of the identity added before
-        validation, as an escape hatch for degenerate data. Default 0
-        keeps the estimator exact; degeneracy then surfaces as
-        :class:`DomainError`.
-    """
+    """Mean and covariance of an (N, n) sample set, the latter a validated
+    :class:`Covariance` with divisor N - ddof (0 or 1; 1, the default, is
+    unbiased). ``ridge``, a nonnegative finite multiple of I added before
+    validation, is an escape hatch for degenerate data; the default 0 keeps
+    the estimator exact, and degeneracy then raises :class:`DomainError`."""
     return moments_from_sums(moment_sums(samples), ddof=ddof, ridge=ridge)
 
 
@@ -62,7 +43,7 @@ def estimate_moments(samples, ddof: int = 1, ridge: float = 0.0) -> MomentEstima
 def moment_sums(samples) -> tuple[int, np.ndarray, np.ndarray]:
     """(row count, mean, scatter) of a sample set; the scatter matrix is
     the sum of (x - mean)(x - mean)^T over the rows."""
-    a = as_samples(samples)
+    a = as_finite_array(samples, "sample", 2)
     with float_range_guard(_MOMENTS_RANGE):
         mean = a.mean(axis=0)
         centered = a - mean
@@ -82,7 +63,8 @@ def moments_from_sums(sums, ddof: int = 1, ridge: float = 0.0) -> MomentEstimate
         raise DomainError(f"need at least {ddof + 1} rows for ddof={ddof}, got {n_rows}")
     cov = scatter / (n_rows - ddof)
     if ridge > 0.0:
-        cov = cov + ridge * np.eye(cov.shape[0])
+        with float_range_guard(f"ridge {ridge} puts the sample covariance beyond the float range"):
+            cov = cov + ridge * np.eye(cov.shape[0])
     try:
         cov = Covariance.from_matrix(cov)
     except DomainError as exc:
@@ -118,11 +100,11 @@ def read_samples_csv(source) -> np.ndarray:
 
     The header must be ``x1,...,xn``; every data row must have exactly n
     numeric fields. Ragged or non-numeric rows raise :class:`UsageError`
-    naming the offending line, as do a header with no data rows and text
-    that does not decode or parse as CSV.
+    naming the offending line, as does text that does not decode or parse as
+    CSV; the rows are read as a sample set, so no row is a :class:`UsageError` too.
     """
     reader = csv.reader(source)
-    rows = []
+    values = array("d")  # one flat buffer: a float costs 8 bytes, not a Python object
     try:
         header = next(reader, None)
         if header is None:
@@ -136,14 +118,12 @@ def read_samples_csv(source) -> np.ndarray:
             if len(row) != len(header):
                 raise UsageError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                rows.append([float(f) for f in row])
+                values.extend(map(float, row))
             except ValueError:
                 raise UsageError(f"line {lineno}: non-numeric field in {row!r}") from None
     except (csv.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"unreadable sample CSV: {exc}") from None
-    if not rows:
-        raise UsageError("no data rows after the header")
-    return as_samples(rows)
+    return as_finite_array(np.frombuffer(values).reshape(-1, len(header)), "sample", 2)
 
 
 def _csv_lines(a: np.ndarray) -> list[str]:
@@ -156,7 +136,7 @@ def write_samples_csv(samples, target) -> None:
     """Write a sample set to a text stream in the CSV interchange format
     (lossless floats), formatting it in blocks of rows, one ``write`` each
     (a text file's ``writelines`` writes line by line)."""
-    a = as_samples(samples)
+    a = as_finite_array(samples, "sample", 2)
     if not hasattr(target, "write"):
         raise TypeError(f"target must be a text stream, got {type(target).__name__}")
     target.write(",".join(_expected_header(a.shape[1])) + "\n")

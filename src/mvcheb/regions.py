@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError, as_count, as_float, as_level
-from .linalg import Covariance, as_float_array, as_vector, check_entries, exp_or_inf, quad_form
+from .linalg import Covariance, as_finite_array, as_vector, check_entries, exp_or_inf, quad_form
 
 
 # each kind's level, named as in its JSON form and its error messages
@@ -113,13 +113,11 @@ def within(q, level: float):
 def contains(region, x) -> bool | np.ndarray:
     """Membership test (closed regions: boundary points are members).
 
-    ``x`` may be one vector or a batch of shape (N, n); the result is a bool
-    or a boolean array accordingly. The comparison is :func:`within`, whose
+    ``x`` may be one finite vector or a batch of shape (N, n); the result is
+    a bool or a boolean array accordingly. The comparison is :func:`within`, whose
     slack keeps points constructed on the boundary members despite round-off.
     """
-    xv, shape = as_float_array(x, "point"), _region(region).center.shape
-    if xv.shape[-1:] != shape:
-        raise DomainError(f"point dimension {xv.shape[-1:]} does not match center {shape}")
+    xv = as_finite_array(x, "point", (1, 2), _region(region).dim)
     d = xv - region.center
     q = np.einsum("...i,...i->...", d, d) if region.cov is None else quad_form(d, region.cov.whitener)
     inside = within(q, region.level)

@@ -78,6 +78,17 @@ class TestEstimate:
     def test_missing_input_exits_2(self, tmp_path):
         assert run_cli("estimate", "--input", str(tmp_path / "nope.csv")).returncode == 2
 
+    def test_ridge_beyond_float_range_exits_3_with_one_line(self, tmp_path, capsys):
+        # the scatter 1.28e308 is in range; plus the ridge it is not
+        path = tmp_path / "r.csv"
+        path.write_text("x1,x2\n8e153,0\n-8e153,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_main("estimate", "--input", str(path), "--ridge", "1.7e308") == 3
+        assert capsys.readouterr().err == (
+            "mvcheb: error: ridge 1.7e+308 puts the sample covariance beyond the float range\n"
+        )
+
     def test_nan_row_exits_3(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
         path.write_text("x1,x2\n1.0,2.0\nnan,3.0\n")

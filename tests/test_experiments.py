@@ -8,6 +8,7 @@ import io
 import json
 import math
 import operator
+import os
 import time
 import tracemalloc
 import warnings
@@ -515,6 +516,20 @@ class TestReducer:
         assert experiments._reduce(PAPER, self.N, len, 2) == self.N
         # four submitted up front, one more as the first result was summed
         assert drawn[0] <= 5
+
+    def test_workers_are_bounded_by_the_chunks_and_the_cpus(self, monkeypatch):
+        # a pool sized by streams alone starts one OS thread per chunk submitted
+        sizes, pool = [], experiments.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
+        n = 3 * chunk_size(PAPER)
+        assert experiments._reduce(PAPER, n, len, 10 ** 6) == n
+        assert experiments._reduce(PAPER, 10, len, 4) == 10
+        assert 1 <= sizes[0] <= min(3, os.cpu_count()) and sizes[1] == 1
 
     @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
     def test_the_fold_keeps_tile_and_chunk_order(self, monkeypatch, spec):

@@ -123,7 +123,7 @@ class TestCovariance:
             Covariance.from_matrix([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(DomainError, match="at least 1x1"):
+        with pytest.raises(UsageError, match=r"matrix must not be empty, got shape \(0, 0\)"):
             symmetrize(np.zeros((0, 0)))
 
     def test_immutable(self):
