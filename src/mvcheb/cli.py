@@ -83,8 +83,8 @@ def _cov_fields(cov) -> dict:
     return {"trace": _in_range(cov.trace), "det": _in_range(cov.det), "log_det": cov.logdet}
 
 
-def _coverage_pair_dict(pair) -> dict:
-    return {"ellipsoid": pair[0].to_dict(), "sphere": pair[1].to_dict()}
+def _reports_dict(reports) -> dict:
+    return {r.kind: r.to_dict() for r in reports}
 
 
 def _cmd_estimate(args, out) -> None:
@@ -135,10 +135,9 @@ def _cmd_coverage(args, out) -> None:
     spec = _load_spec(args.spec, args.seed)
     if args.estimated:
         both = run_coverage_estimated(spec, args.delta, args.n, streams=args.streams)
-        payload = _coverage_pair_dict(both["true"])
-        payload["estimated"] = _coverage_pair_dict(both["estimated"])
+        payload = _reports_dict(both["true"]) | {"estimated": _reports_dict(both["estimated"])}
     else:
-        payload = _coverage_pair_dict(run_coverage(spec, args.delta, args.n, streams=args.streams))
+        payload = _reports_dict(run_coverage(spec, args.delta, args.n, streams=args.streams))
     out.write(dump_json(payload))
 
 

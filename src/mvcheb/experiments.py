@@ -7,9 +7,9 @@ the sampler's chunks of :func:`~mvcheb.sampler.chunk_size` samples, each
 drawn by its own generator, and workers reduce each chunk's tiles, as they
 are drawn, to small partial results summed by ``+`` in tile and chunk order,
 so results are identical for any worker count. A tile holds offsets from the
-mean, and one distance pass gives their ||W d||^2 and ||d||^2 about a region
-centre relative to the mean (zero for the true moments) to every experiment:
-the mean is never added, and memory is a few tiles per worker, whatever N is.
+mean; :func:`_regions` alone names the regions counted, and every distance is
+:func:`~mvcheb.linalg.sq_distance`'s about a centre relative to the mean (zero
+for the true moments), so the mean is never added; memory is a few tiles a worker.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, UsageError, as_count
-from .linalg import as_float_array, float_range_guard, one_blas_thread, quad_form
+from .linalg import as_float_array, float_range_guard, one_blas_thread, sq_distance
 from .moments import _MOMENTS_RANGE, _csv_lines, moments_from_sums
 from .regions import ellipse_boundary, make_ellipsoid, make_sphere, within
 from .sampler import SamplerSpec, chunk_size, draw, offset_tiles, paper_example_spec
@@ -60,9 +60,9 @@ def _report(kind: str, delta: float, n_samples: int, hits: int) -> CoverageRepor
     )
 
 
-def _reports(delta: float, n_samples: int, hits) -> tuple[CoverageReport, CoverageReport]:
-    """The (ellipsoid, sphere) reports for their summed hit counts."""
-    return tuple(_report(k, delta, n_samples, int(h)) for k, h in zip(("ellipsoid", "sphere"), hits))
+def _reports(regions, delta: float, n_samples: int, hits) -> tuple[CoverageReport, ...]:
+    """One report per region, of its kind, for the regions' summed hit counts."""
+    return tuple(_report(r.kind, delta, n_samples, int(h)) for r, h in zip(regions, hits))
 
 
 _raise_on_overflow = functools.partial(np.errstate, over="raise", invalid="raise")
@@ -100,26 +100,20 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1):
     return total
 
 
-def _per_tile(center, whitener, reduce_tile):
-    """``reduce_tile(m2, e2)`` of a tile of offsets from the mean, given their
-    squared Mahalanobis and Euclidean distances about ``center``, an offset
-    too: every experiment's one distance pass. A zero centre is not subtracted."""
-
-    def per_tile(x):
-        d = x - center if center.any() else x
-        return reduce_tile(quad_form(d, whitener), np.einsum("ij,ij->i", d, d))
-
-    return per_tile
+def _regions(center, cov, delta: float):
+    """The regions every coverage experiment counts, in report order: the
+    (ellipsoid, sphere) pair at ``delta`` about ``center``."""
+    return make_ellipsoid(center, cov, delta), make_sphere(center, cov, delta)
 
 
-def _hit_counter(center, cov, delta: float):
-    """Per-tile (ellipsoid, sphere) hit counts for the regions at ``delta``
-    about ``center``, an offset from the true mean; the two regions pair in
-    order with the two distances of :func:`_per_tile`."""
-    regions = make_ellipsoid(center, cov, delta), make_sphere(center, cov, delta)
-    return _per_tile(center, cov.whitener, lambda *qs: np.array(
-        [np.count_nonzero(within(q, r.level)) for r, q in zip(regions, qs)]
-    ))
+def _hit_counter(regions):
+    """Per-tile hit counts, one per region, of a tile of offsets from the true
+    mean; each centre is such an offset, and a zero centre is not subtracted."""
+    centers = [r.center if r.center.any() else None for r in regions]
+    return lambda x: np.array([
+        np.count_nonzero(within(sq_distance(x if c is None else x - c, r.cov), r.level))
+        for r, c in zip(regions, centers)
+    ])
 
 
 def run_coverage(
@@ -132,8 +126,8 @@ def run_coverage(
     counts. Returns the (ellipsoid, sphere) report pair.
     """
     n = as_count(n_samples, "n_samples")
-    count = _hit_counter(np.zeros(spec.dim), spec.cov, delta)
-    return _reports(delta, n, _reduce(spec, n, count, streams))
+    regions = _regions(np.zeros(spec.dim), spec.cov, delta)
+    return _reports(regions, delta, n, _reduce(spec, n, _hit_counter(regions), streams))
 
 
 def run_coverage_estimated(
@@ -149,19 +143,20 @@ def run_coverage_estimated(
     count the hits of the fitted regions, centred at the offsets' mean.
     """
     n, dim = as_count(n_samples, "n_samples"), spec.dim
-    count = _hit_counter(np.zeros(dim), spec.cov, delta)
+    true = _regions(np.zeros(dim), spec.cov, delta)
+    count, k = _hit_counter(true), len(true)
 
-    def hits_and_moments(x):  # one float vector: the two hit counts, sum(x), sum(x x^T)
+    def hits_and_moments(x):  # one float vector: the k hit counts, sum(x), sum(x x^T)
         return np.concatenate([count(x), x.sum(axis=0), (x.T @ x).ravel()])
 
     with float_range_guard(_MOMENTS_RANGE):
         sums = _reduce(spec, n, hits_and_moments, streams)
-        s, outer = sums[2:2 + dim], sums[2 + dim:].reshape(dim, dim)
+        s, outer = sums[k:k + dim], sums[k + dim:].reshape(dim, dim)
         fitted = moments_from_sums((n, s / n, outer - np.outer(s, s) / n))  # mean: fitted less true
-    count_fitted = _hit_counter(fitted.mean, fitted.cov, delta)
+    est = _regions(fitted.mean, fitted.cov, delta)
     return {
-        "true": _reports(delta, n, sums[:2]),
-        "estimated": _reports(delta, n, _reduce(spec, n, count_fitted, streams)),
+        "true": _reports(true, delta, n, sums[:k]),
+        "estimated": _reports(est, delta, n, _reduce(spec, n, _hit_counter(est), streams)),
     }
 
 
@@ -173,8 +168,7 @@ def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
     Carlo error of the dimension.
     """
     n = as_count(n_samples, "n_samples")
-    chunk_sum = _per_tile(np.zeros(spec.dim), spec.cov.whitener, lambda m2, _: float(np.sum(m2)))
-    return _reduce(spec, n, chunk_sum) / n
+    return _reduce(spec, n, lambda x: float(np.sum(sq_distance(x, spec.cov)))) / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,15 +202,17 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
         raise DomainError("tr(Sigma) is beyond the float range")
     # Var / (sqrt(eps Var))^2 is 1/eps exactly; 1/eps is below 1 only where eps > 1
     classical = 1.0 / np.maximum(grid, 1.0)
-    # a level beyond the float range is inf: no sample reaches it, and min(1, n/eps) is 1
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # n/eps beyond the float range is inf: min(1, n/eps) is 1
         new_bound = np.minimum(spec.dim / grid, 1.0)
-        var_levels = grid * var_total
+    # eps * tr(Sigma) and ||d||^2 may leave the float range: the levels are scaled
+    # by 2^-2h and the offsets by 2^-h, which is exact, so the top level is finite
+    h = max(0, math.ceil((math.log2(var_total) + math.log2(grid[-1]) - 1023) / 2))
+    var_levels, shrink = grid * math.ldexp(var_total, -2 * h), math.ldexp(1.0, -h)
 
-    # a level's count (v >= level) is the tile's length less its sorted v below the level
-    counts = _per_tile(np.zeros(spec.dim), spec.cov.whitener, lambda *vs: np.stack(
-        [len(v) - np.searchsorted(np.sort(v), lv) for lv, v in zip((grid, var_levels), vs)]
-    ))
+    def counts(x):  # a level's count (v >= level) is the tile's length less its sorted v below it
+        vs = (grid, sq_distance(x, spec.cov)), (var_levels, sq_distance(x * shrink if h else x))
+        return np.stack([len(v) - np.searchsorted(np.sort(v), lv) for lv, v in vs])
+
     tails = _reduce(spec, total, counts, streams) / total
     return TailCurve(
         eps_grid=grid,
@@ -255,8 +251,7 @@ def export_figure(
     """
     spec = paper_example_spec(sigma, k, seed=seed)
     samples = draw(spec, n_samples)
-    ell = make_ellipsoid(spec.mean, spec.cov, delta)
-    sph = make_sphere(spec.mean, spec.cov, delta)
+    ell, sph = _regions(spec.mean, spec.cov, delta)
     return FigureData(
         samples=samples,
         ellipse_boundary=ellipse_boundary(ell, boundary_points),
@@ -275,8 +270,6 @@ def export_figure(
 
 def figure_csv_texts(fig: FigureData) -> dict[str, str]:
     """The three CSV series (samples, ellipse, circle), two columns x,y."""
-    return {
-        "samples": "x,y\n" + "".join(_csv_lines(fig.samples)),
-        "ellipse": "x,y\n" + "".join(_csv_lines(fig.ellipse_boundary)),
-        "circle": "x,y\n" + "".join(_csv_lines(fig.circle_boundary)),
-    }
+    series = {"samples": fig.samples, "ellipse": fig.ellipse_boundary,
+              "circle": fig.circle_boundary}
+    return {name: "x,y\n" + "".join(_csv_lines(a)) for name, a in series.items()}

@@ -9,12 +9,12 @@ the whitener's solve and the experiments run BLAS on one thread
 A :class:`Covariance` is built from the matrix alone, which is checked once;
 its factor, log determinant and trace are derived from it, and its arrays
 are read-only, so the kernels that take one do not check it again.
-Every squared Mahalanobis distance is ||W d||^2 with the whitener W = L^-1
-(:func:`quad_form`): its error grows like cond(L) = sqrt(cond(Sigma)),
+Every squared distance is :func:`sq_distance`'s: ||d||^2, or ||W d||^2 with the
+whitener W = L^-1 (:func:`quad_form`), whose error grows like sqrt(cond(Sigma)),
 where one through an explicit Sigma^-1 would grow like cond(Sigma).
 Every data array (vector, matrix, sample set, point) is read by one function,
 :func:`as_finite_array`, as every count and level is by the numpy-free scalar
-layer of :mod:`mvcheb.errors`; only :func:`quad_form`'s tile kernel and the eps
+layer of :mod:`mvcheb.errors`; only :func:`sq_distance`'s tile kernels and the eps
 grid of ``run_tail_curve``, a list of levels, keep their own rules.
 """
 
@@ -272,3 +272,11 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
     y = np.matmul(dv, np.ascontiguousarray(kernel.T), out=np.empty_like(dv))
     q = np.einsum("...i,...i->...", y, y)
     return float(q) if q.ndim == 0 else q
+
+
+def sq_distance(d, cov: Covariance | None = None):
+    """Squared distance of offsets ``d``, (n,) or (..., n): ||d||^2, or with a
+    :class:`Covariance` the Mahalanobis ``quad_form(d, cov.whitener)``; a scalar or an array."""
+    if cov is None:
+        return np.einsum("...i,...i->...", d, d)
+    return quad_form(d, cov.whitener)

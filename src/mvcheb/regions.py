@@ -15,8 +15,8 @@ Both are one type, :class:`Region`: the closed set ||S (v - center)||^2 <=
 level, where S is the whitener W = L^-1 of the region's
 :class:`~mvcheb.linalg.Covariance` for the ellipsoid, and I, with no matrix
 formed, for the sphere (``cov=None``). So membership computes one squared
-distance (:func:`~mvcheb.linalg.quad_form` for the ellipsoid, Sigma^-1 never
-formed) and compares it with the level with <=. A region is checked once,
+distance (:func:`~mvcheb.linalg.sq_distance` of the region's ``cov``, Sigma^-1
+never formed) and compares it with the level with <=. A region is checked once,
 when it is built: a finite center, a positive finite level, and for an
 ellipsoid a whitener within the float range. The level's name, in JSON and
 in error messages, is the ellipsoid's ``threshold`` or the sphere's
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError, as_count, as_float, as_level
-from .linalg import Covariance, as_finite_array, as_vector, check_entries, exp_or_inf, quad_form
+from .linalg import Covariance, as_finite_array, as_vector, check_entries, exp_or_inf, sq_distance
 
 
 # each kind's level, named as in its JSON form and its error messages
@@ -106,8 +106,9 @@ _BOUNDARY_RTOL = 1e-12
 
 
 def within(q, level: float):
-    """``q <= level`` for the closed region at ``level``, with ``_BOUNDARY_RTOL`` slack."""
-    return q <= level * (1.0 + _BOUNDARY_RTOL)
+    """``q <= level`` for the closed region at ``level``, with ``_BOUNDARY_RTOL``
+    slack capped at the largest float, so an overflowed (inf) ``q`` is outside."""
+    return q <= min(level * (1.0 + _BOUNDARY_RTOL), math.nextafter(math.inf, 0.0))
 
 
 def contains(region, x) -> bool | np.ndarray:
@@ -118,9 +119,7 @@ def contains(region, x) -> bool | np.ndarray:
     slack keeps points constructed on the boundary members despite round-off.
     """
     xv = as_finite_array(x, "point", (1, 2), _region(region).dim)
-    d = xv - region.center
-    q = np.einsum("...i,...i->...", d, d) if region.cov is None else quad_form(d, region.cov.whitener)
-    inside = within(q, region.level)
+    inside = within(sq_distance(xv - region.center, region.cov), region.level)
     return bool(inside) if xv.ndim == 1 else inside
 
 

@@ -129,6 +129,38 @@ class TestCoverage:
                     assert report.empirical_coverage >= floor, (spec.kind, delta, report)
 
 
+class TestExactGaussianCoverage:
+    """Hit counts against the exact coverage of a gaussian: the ellipsoid's is
+    chi2.cdf(n/delta, n) for every Sigma, and for Sigma = c I the sphere's is the
+    same, as ||x - mu||^2 <= n c/delta is ||z||^2 <= n/delta. delta puts it in
+    [0.3, 0.99]. Each of the 8 checks allows 5 standard errors, a two-sided
+    false-failure rate of 5.7e-7, so about 5e-6 for the family."""
+
+    N = 1 << 17
+
+    def _check(self, report, n, delta):
+        exact = chi2.cdf(n / delta, n)
+        assert 0.3 <= exact <= 0.99
+        se = math.sqrt(exact * (1.0 - exact) / self.N)
+        assert abs(report.hits / self.N - exact) <= 5.0 * se, (report.hits, exact * self.N)
+
+    @pytest.mark.parametrize("n, p", [(1, 0.7), (2, 0.9), (5, 0.8), (16, 0.95), (64, 0.75)])
+    def test_ellipsoid_of_a_random_covariance(self, n, p):
+        rng = np.random.default_rng(200 + n)
+        a = rng.standard_normal((n, n))
+        cov = Covariance(a @ a.T / n + 0.5 * np.eye(n))
+        delta = n / chi2.ppf(p, n)
+        ell, _ = run_coverage(gaussian_spec(rng.standard_normal(n), cov, seed=n), delta, self.N)
+        self._check(ell, n, delta)
+
+    @pytest.mark.parametrize("n, c, p", [(2, 0.25, 0.85), (16, 7.0, 0.7), (64, 1e-3, 0.95)])
+    def test_sphere_of_an_isotropic_covariance(self, n, c, p):
+        delta = n / chi2.ppf(p, n)
+        spec = gaussian_spec(np.ones(n), Covariance(c * np.eye(n)), seed=300 + n)
+        _, sph = run_coverage(spec, delta, self.N)
+        self._check(sph, n, delta)
+
+
 class TestLargeMean:
     """The experiments measure offsets from the mean and never add the mean,
     so a mean far beyond the spread moves no count: samples that held it
@@ -245,6 +277,18 @@ class TestTailCurve:
             curve = run_tail_curve(spec, [eps], 1)
         assert curve.classical_tail.tolist() == [0.0]
         assert curve.classical_bound.tolist() == [1 / eps]
+
+    def test_scalar_case_curves_coincide_where_eps_times_variance_overflows(self):
+        # eps * Var(X) and ||x||^2 leave the float range from eps = 2 on here
+        spec = gaussian_spec([0.0], Covariance([[1e308]]), seed=0)
+        curve = run_tail_curve(spec, [1.0, 2.0, 4.0], 1 << 16)
+        assert np.array_equal(curve.classical_tail, curve.empirical_tail)
+
+    def test_euclidean_tail_at_eps_is_the_mahalanobis_tail_at_2_eps_near_overflow(self):
+        # for c I in two dimensions ||x||^2 >= eps * 2c is d^2 >= 2 eps, and 2c = 1.2e308
+        spec = gaussian_spec([0.0, 0.0], Covariance(6e307 * np.eye(2)), seed=1)
+        curve = run_tail_curve(spec, [0.5, 1.0, 2.0, 4.0], 1 << 16)
+        assert curve.classical_tail[:-1].tolist() == curve.empirical_tail[1:].tolist()
 
     def test_trace_beyond_float_range_refused(self):
         spec = gaussian_spec([0.0, 0.0], Covariance(1e308 * np.eye(2)))

@@ -5,6 +5,7 @@ that never touch the gamma-function route used by the implementation.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +175,15 @@ class TestRegions:
         assert sph.level == 4.0
         assert contains(sph, [0.0, 2.0]) is True
         assert contains(sph, [0.0, 2.0000001]) is False
+
+    def test_an_overflowed_distance_is_outside_a_region_at_the_largest_float(self):
+        # ||x||^2 = 2e308 overflows to inf, and the boundary slack must not lift the
+        # level to inf with it; a point well inside stays a member
+        top = sys.float_info.max
+        for region in (Region([0.0, 0.0], top), Region([0.0, 0.0], top, Covariance(np.eye(2)))):
+            assert contains(region, [1e154, 1e154]) is False
+            assert contains(region, [1e150, 0.0]) is True
+            assert contains(region, [[1e154, 1e154], [1e150, 0.0]]).tolist() == [False, True]
 
     def test_inside_and_outside_example(self):
         ell = make_ellipsoid([0.0, 0.0], EXAMPLE, 0.1)
