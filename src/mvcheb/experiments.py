@@ -9,7 +9,7 @@ are drawn, to small partial results summed by ``+`` in tile and chunk order,
 so results are identical for any worker count. A tile holds offsets from the
 mean; :func:`_regions` alone names the regions counted, and every distance is
 :func:`~mvcheb.linalg.sq_distance`'s about a centre relative to the mean (zero
-for the true moments), so the mean is never added; memory is a few tiles a worker.
+for the true moments), so the mean is never added; a worker holds two tiles at once.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ _raise_on_overflow = functools.partial(np.errstate, over="raise", invalid="raise
 def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1):
     """The sum by ``+`` of ``per_tile(x)`` over every tile x of
     :func:`~mvcheb.sampler.offset_tiles` on [0, n_samples), in tile and chunk order.
+    ``per_tile`` owns its tile and may write to it: the sampler rewrites the next whole.
 
     A chunk is the sampler's :func:`~mvcheb.sampler.chunk_size` samples, one
     generator's draw, so its bounds depend only on the spec and N. Up to
@@ -108,12 +109,14 @@ def _regions(center, cov, delta: float):
 
 def _hit_counter(regions):
     """Per-tile hit counts, one per region, of a tile of offsets from the true
-    mean; each centre is such an offset, and a zero centre is not subtracted."""
-    centers = [r.center if r.center.any() else None for r in regions]
-    return lambda x: np.array([
-        np.count_nonzero(within(sq_distance(x if c is None else x - c, r.cov), r.level))
-        for r, c in zip(regions, centers)
-    ])
+    mean, less the regions' one centre, subtracted in place unless it is zero."""
+    center = regions[0].center if regions[0].center.any() else None
+
+    def count(x):
+        if center is not None:
+            x -= center
+        return np.array([np.count_nonzero(within(sq_distance(x, r.cov), r.level)) for r in regions])
+    return count
 
 
 def run_coverage(

@@ -257,8 +257,8 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
     is a float or an array of the leading shape: the row sums of (d w^T)^2,
     from one matrix product written in the layout of ``d``. A row's last
     ulp can depend on the length and the layout of its batch, as BLAS picks
-    its summation order by shape; in the experiments a batch is a
-    column-major tile of :func:`~mvcheb.sampler.offset_tiles`, set by the chunk.
+    its summation order by shape; in the experiments a batch is a tile of
+    :func:`~mvcheb.sampler.offset_tiles`, row-major from n = 32 on, else column-major.
     Its arguments are only shape-tested, as a finiteness pass would add ~45% per tile.
     """
     kernel = as_float_array(w, "kernel")

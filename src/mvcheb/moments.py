@@ -78,15 +78,15 @@ def example_covariance(sigma: float, k: float) -> Covariance:
     This is the covariance of (y, y+z) for independent zero-mean Gaussians
     y, z with variances sigma^2 and k*sigma^2. Its trace is (k+2) sigma^2 and
     its determinant k sigma^4. Anything but a finite sigma > 0 and k > 0 is a
-    :class:`UsageError`, and a sigma whose square leaves the float range a
-    :class:`DomainError`.
+    :class:`UsageError`, and a sigma whose square leaves the normal float
+    range, below which it keeps too few digits, a :class:`DomainError`.
     """
     sigma, k = as_level(sigma, "sigma"), as_level(k, "k")
     try:
         s2 = sigma ** 2
     except OverflowError:
         s2 = math.inf
-    if s2 in (0.0, math.inf):  # sigma**2 underflows or overflows
+    if not np.finfo(float).smallest_normal <= s2 < math.inf:  # subnormal, 0 or inf
         raise DomainError(f"sigma**2 is beyond the float range, got sigma={sigma}")
     return Covariance.from_matrix([[s2, s2], [s2, (k + 1.0) * s2]])
 

@@ -12,12 +12,14 @@ hashing, not disjoint by counter (numpy's "Parallel random number
 generation").
 
 Chunk c of stream s is defined by :func:`offset_tiles` alone, as offsets from
-the mean in one tile plan per spec: column-major tiles of ``max(256, 2**13 //
-n)`` rows, a shorter remainder joining the chunk's last tile. Every tile that
-meets the range asked for is drawn whole from its chunk's first row on, and
-cut only where it is yielded; :func:`draw_range` adds the mean. So although
-BLAS rounds ``z @ L^T`` by shape, sample i is a pure function of (seed, s, i)
-whatever range holds it, and a draw shorter than a tile draws the tile.
+the mean in one tile plan per spec: tiles of ``max(256, 2**13 // n)`` rows, a
+shorter remainder joining the chunk's last tile, column-major below n = 32 and
+row-major from it on (:data:`_ROW_MAJOR_DIM`), each yielded once its normals
+are freed. Every tile that meets the range asked for is drawn whole from its
+chunk's first row on, and cut only where it is yielded; :func:`draw_range` adds
+the mean. So although BLAS rounds ``z @ L^T`` by shape, sample i is a pure
+function of (seed, s, i) whatever range holds it, and a draw shorter than a
+tile draws the tile.
 ``Generator`` methods need not be stable across numpy releases (NEP 19), and
 L and the product can change bits with the BLAS build, so values are bit-exact
 within one numpy version and BLAS build.
@@ -49,6 +51,7 @@ STREAM_FORMAT = 3  # the layout of the random stream that draw_range reads
 _CHUNK_NORMALS = 1 << 17  # normals per chunk, so 65,536 samples at n=2
 _TILE_ENTRIES = 1 << 13  # entries per tile of a chunk's kernels, so 64 KB temporaries at low n
 _TILE_ROWS = 256  # rows per tile at least: a matrix product on fewer rows leaves BLAS idle
+_ROW_MAJOR_DIM = 32  # tiles are row-major from this dimension on, below it column-major
 
 # The tight_radial atom sits on the closed tail event {d^2 >= eps}; round-off
 # in the quadratic form would break the tie at random, so the shell radius is
@@ -201,18 +204,19 @@ def chunk_size(spec: SamplerSpec) -> int:
 
 
 def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0):
-    """Samples [start, stop) of the spec's sequence less the mean, one
-    column-major tile at a time, each overwritten by the next.
+    """Samples [start, stop) of the spec's sequence less the mean, one tile at
+    a time, each overwritten by the next: the caller owns a tile and may write to it.
 
     Every tile of the spec's one plan that meets the range is drawn whole, and
-    cut only where it is yielded. A tile is drawn row-major and copied,
-    transformed or as ``z @ L^T``, into a column-major buffer.
+    cut only where it is yielded. Its normals, drawn row-major into a fresh array
+    and freed before it is yielded, are copied, transformed or as ``z @ L^T``,
+    into one buffer, row-major from n = :data:`_ROW_MAJOR_DIM` on, else column-major.
     """
     n, key, size = spec.dim, _key(spec.seed, stream_index), chunk_size(spec)
     step = max(_TILE_ROWS, _TILE_ENTRIES // n)
     los = range(0, max(size - step, 0) + 1, step)  # a shorter remainder joins the last tile
     tiles, longest = list(zip(los, [*los[1:], size])), size - los[-1]
-    zs, xs = np.empty((2, longest * n))
+    xs, order = np.empty(longest * n), "C" if n >= _ROW_MAJOR_DIM else "F"
     us = np.empty(longest) if spec.kind == "tight_radial" else None
     for c in range(start // size, (stop - 1) // size + 1):
         words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
@@ -223,23 +227,26 @@ def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0
         for lo, hi in tiles:
             if lo >= last:
                 break
-            # BLAS rounds a product by layout and shape: z is row-major, x column-major
-            z, x = zs[: (hi - lo) * n].reshape(-1, n), xs[: (hi - lo) * n].reshape(n, -1).T
+            # into a row-major x matmul rounds as z @ L^T does, into a column-major one not always
+            z, x = np.empty((hi - lo, n)), xs[: (hi - lo) * n].reshape(hi - lo, n, order=order)
             normals(out=z)
+            if spec.kind == "tight_radial":
+                uniforms(out=us[: hi - lo])
+                norms = np.linalg.norm(z, axis=1)
+                z /= np.where(norms == 0.0, 1.0, norms)[:, None]
+                z[norms == 0.0] = np.eye(1, n)
             if spec.kind == "paper_example":
                 x[...] = z
                 x[:, 0] *= spec.sigma
                 x[:, 1] *= np.sqrt(spec.k) * spec.sigma
                 x[:, 1] += x[:, 0]
-            elif spec.kind == "gaussian":
-                x[...] = z @ spec.cov.chol.T
+            elif order == "C":
+                np.matmul(z, spec.cov.chol.T, out=x)
             else:
-                uniforms(out=us[: hi - lo])
-                norms = np.linalg.norm(z, axis=1)
-                z /= np.where(norms == 0.0, 1.0, norms)[:, None]
-                z[norms == 0.0] = np.eye(1, n)
                 x[...] = z @ spec.cov.chol.T
+            if spec.kind == "tight_radial":
                 x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (us[: hi - lo] < n / spec.eps)[:, None]
+            del z  # spent: the caller's kernels have the tile's memory to themselves
             if first < hi:
                 yield x[max(first - lo, 0) : last - lo]
 

@@ -505,11 +505,25 @@ def coverage_args(spec):
         (("tail", "--spec", PAPER_SPEC, "--eps", "0", "--n", "10"), 2),
         (("tail", "--spec", PAPER_SPEC, "--eps=-1,2", "--n", "10"), 2),
         (("tail", "--spec", PAPER_SPEC, "--eps", "4,2", "--n", "10"), 2),
+        # a sigma whose square is subnormal keeps too few digits for the law
+        (("figure", "--sigma", "1e-161", "--out-prefix", "unwritten_"), 3),
     ],
 )
 def test_in_process_exit_codes(argv, code, capsys):
     assert run_main(*argv) == code
     assert capsys.readouterr().err.startswith("mvcheb: error: ") == (code != 0)
+
+
+def test_subnormal_sigma_square_exits_3_with_one_line(capsys):
+    # sigma**2 = 1e-322 keeps about 4 significant bits: the trace would read
+    # 1.1% low, and the hits (199985, 199718) against (199988, 199733) at sigma=1
+    spec = {"kind": "paper_example", "sigma": 1e-161, "k": 25, "seed": 1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_main("coverage", "--spec", json.dumps(spec), "--delta", "0.1", "--n", "200000")
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "mvcheb: error: sigma**2 is beyond the float range, got sigma=1e-161\n"
 
 
 TINY = {"kind": "gaussian", "mean": [0, 0], "cov": [[1e-310, 0], [0, 1e-310]]}

@@ -353,7 +353,11 @@ REDUCER_SPECS = [
     paper_example_spec(1.0, 25.0, seed=41),
     gaussian_spec(np.arange(9.0), Covariance.from_matrix(np.eye(9) + 0.5), seed=42),
     tight_radial_spec(8.0, dim=2, seed=43),
+    # above the layout crossover, so on row-major tiles
+    gaussian_spec(np.arange(40.0), Covariance.from_matrix(np.eye(40) + 0.5), seed=44),
+    tight_radial_spec(80.0, mean=np.ones(40), cov=Covariance.from_matrix(np.eye(40) + 0.5), seed=45),
 ]
+REDUCER_IDS = ["paper_example", "gaussian", "tight_radial", "gaussian-d40", "tight_radial-d40"]
 
 
 def _hits(x, mean, cov, delta):
@@ -416,7 +420,7 @@ class TestReducer:
             "fit": fits[0],
         }
 
-    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=REDUCER_IDS)
     def test_streams_and_in_memory_reference_agree(self, monkeypatch, spec):
         assert self.N > 10 * chunk_size(spec)
         runs = {}
@@ -448,13 +452,13 @@ class TestReducer:
         )
         assert runs[1]["trace"] == pytest.approx(np.mean(d2), rel=1e-12)
 
-    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=REDUCER_IDS)
     def test_tail_streams_give_identical_tails(self, spec):
         curves = [run_tail_curve(spec, self.GRID, self.N, streams=s).to_dict() for s in (1, 2, 3)]
         assert curves[0] == curves[1] == curves[2]
 
     @pytest.mark.parametrize("entries", [1, 24])
-    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=REDUCER_IDS)
     def test_tiles_of_a_few_rows_change_no_count(self, monkeypatch, spec, entries):
         # the sampler draws and the reducer measures tile by tile, so tiles of a
         # few rows may move the samples' last bits (a product of a few rows can
@@ -492,7 +496,7 @@ class TestReducer:
         assert curve.empirical_tail.tolist() == curve.classical_tail.tolist() == reached
         assert reached != (np.sum(d2[:, None] > grid, axis=0) / self.N).tolist()
 
-    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=REDUCER_IDS)
     def test_tail_counts_at_the_edges_of_the_drawn_range(self, spec):
         size = chunk_size(spec)
         assert self.N % size != 0  # the last chunk is partial
@@ -575,7 +579,7 @@ class TestReducer:
         assert experiments._reduce(PAPER, 10, len, 4) == 10
         assert 1 <= sizes[0] <= min(3, os.cpu_count()) and sizes[1] == 1
 
-    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=REDUCER_IDS)
     def test_the_fold_keeps_tile_and_chunk_order(self, monkeypatch, spec):
         # two tiles a chunk, a + that does not commute (list concatenation),
         # and tiles that sleep by their first value, so chunks complete out of order
@@ -606,7 +610,7 @@ class TestReducer:
         small, large = peak(200), peak(2000)
         assert large <= 1.5 * small, (small, large)
 
-    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=REDUCER_IDS)
     def test_fitted_moments_match_an_exact_sum_of_the_offsets(self, monkeypatch, spec):
         fits, fit = [], experiments.moments_from_sums
 
@@ -654,7 +658,8 @@ def test_summed_moments_beyond_float_range_exit_3_without_warning(capsys):
     PAPER, gaussian_spec([1.0, -2.0, 0.5], Covariance(np.eye(3) + 0.5), seed=7),
 ], ids=lambda s: s.kind)
 def test_hits_equal_contains_on_the_row_major_sample(spec):
-    # the kernels run on column-major chunks; contains here on one C-order array
+    # the kernels run on tiles, column-major at these n; contains here on one
+    # C-order array of the whole draw
     n = 2 * chunk_size(spec) + 1001
     x = np.ascontiguousarray(draw(spec, n))
     assert [r.hits for r in run_coverage(spec, 0.7, n, streams=2)] == _hits(x, *true_moments(spec), 0.7)
@@ -674,19 +679,60 @@ def test_coverage_peak_memory_is_flat_in_n():
 
 
 # Peak traced memory per worker, in tiles of max(256, 2**13 // n) samples, at
-# most a chunk: a tile of normals, one of offsets and the temporaries of the
-# draw or of the distance pass, W d among them, at most a tile each. It
-# measured 4.3 (coverage) to 4.8 (tail) tiles on paper_example and 4.7 in the
-# estimated pass at n=64, while a whole chunk is 16 and 8 tiles there. At n=512
-# a tile is a whole chunk: README's bound of 3 tiles per worker plus L and W,
-# n^2 8-byte entries each (L is built before the trace starts; W is derived
-# inside it).
+# most a chunk: two tiles at once, the normals and the offsets while a tile is
+# drawn and the offsets and W d while it is measured, plus the small arrays of
+# the kernels. It measured 2.8 (coverage) to 3.2 (tail) tiles on paper_example
+# and 3.0 in the estimated pass at n=64, while a whole chunk is 16 and 8 tiles
+# there. At n=512 a tile is a whole chunk: README's bound of 2 tiles per
+# worker plus L and W, n^2 8-byte entries each (L is built before the trace
+# starts; W is derived inside it).
 PEAK_TILES_PER_STREAM = {"": 6, "d64": 6, "d512": 3}
 
 
 def _gaussian(n):
     a = np.random.default_rng(n).standard_normal((n, n))
     return gaussian_spec(np.zeros(n), Covariance(a @ a.T / n + 0.01 * np.eye(n)), seed=1)
+
+
+def test_estimated_peak_at_n64_is_below_four_tiles():
+    # one worker holds two 128 KB tiles at once, not four: the normals are
+    # released before a tile is yielded, the product is written into the
+    # row-major tile, and the fitted centre is subtracted in place. The rest
+    # is the fitted Covariance and W, n^2 entries each
+    spec, tile_bytes = _gaussian(64), 256 * 64 * 8
+    tracemalloc.start()
+    try:
+        run_coverage_estimated(spec, 0.1, 1 << 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * tile_bytes, peak / tile_bytes
+
+
+@pytest.mark.parametrize("spec", REDUCER_SPECS, ids=REDUCER_IDS)
+def test_a_per_tile_callable_owns_its_tile(monkeypatch, spec):
+    # a callable that fills each tile with NaN once it has read it changes no
+    # later tile and no count: the sampler rewrites every entry of the next
+    n = 2 * chunk_size(spec) + 1001
+
+    def run():
+        tiles = experiments._reduce(spec, n, lambda x: [x.tobytes()], 2)
+        both = run_coverage_estimated(spec, 0.1, n, streams=2)
+        hits = [r.hits for r in (*run_coverage(spec, 0.1, n, streams=2), *both["true"], *both["estimated"])]
+        tail = run_tail_curve(spec, [0.5, 2.0, 8.0, 60.0], n, streams=2).to_dict()
+        return tiles, hits, tail, trace_identity_check(spec, n)
+
+    untouched, reduce = run(), experiments._reduce
+
+    def scribbling(spec, n_samples, per_tile, streams=1):
+        def owner(x):
+            result = per_tile(x)
+            x.fill(np.nan)
+            return result
+        return reduce(spec, n_samples, owner, streams)
+
+    monkeypatch.setattr(experiments, "_reduce", scribbling)
+    assert run() == untouched
 
 
 @pytest.mark.parametrize("streams", [1, 2])

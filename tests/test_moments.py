@@ -118,11 +118,15 @@ class TestExampleCovariance:
             example_covariance(1e200, 1.0)
 
     def test_sigma_square_below_float_range(self):
-        # (1e-200)**2 underflows to 0; (1e-160)**2 = 1e-320 is subnormal, and still a covariance
-        with pytest.raises(DomainError, match=r"sigma\*\*2 is beyond the float range"):
-            example_covariance(1e-200, 1.0)
-        assert example_covariance(1e-160, 1.0).entries[0, 0] == 1e-320
-        assert np.all(np.isfinite(draw(paper_example_spec(1e-160, 1.0, seed=1), 3)))
+        # (1e-200)**2 underflows to 0, and (1e-160)**2 = 1e-320 is subnormal: its
+        # few digits would put the regions off the law the sampler draws
+        for sigma in (1e-200, 1e-161, 1e-160, 1e-155):
+            with pytest.raises(DomainError, match=r"sigma\*\*2 is beyond the float range"):
+                example_covariance(sigma, 1.0)
+            with pytest.raises(DomainError, match=r"sigma\*\*2 is beyond the float range"):
+                paper_example_spec(sigma, 1.0)
+        assert example_covariance(1e-150, 1.0).entries[0, 0] == 1e-150 ** 2
+        assert np.all(np.isfinite(draw(paper_example_spec(1e-150, 1.0, seed=1), 3)))
 
     def test_nonpositive_parameters(self):
         # the one sigma/k rule, which a paper_example spec meets through this function

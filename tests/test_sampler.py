@@ -467,6 +467,22 @@ class TestStreamKeys:
              else draw_range(spec, 3 * m, 4 * m, stream_index=8))[:, 0]
         assert abs(float(np.corrcoef(a, b)[0, 1])) <= 5.0 / np.sqrt(m)
 
+    @pytest.mark.parametrize("n", [9, 40, 64])
+    def test_each_tile_is_its_chunks_normals_times_l_transpose(self, n):
+        # on both sides of the layout crossover; the last tile of a chunk is
+        # longer than the step at n=9 and n=40. z @ L^T written into a
+        # column-major tile with out= rounds otherwise in some of these shapes
+        a = np.random.default_rng(n).standard_normal((n, n))
+        spec = gaussian_spec(np.zeros(n), Covariance(a @ a.T / n + 0.01 * np.eye(n)), seed=5)
+        size, l_t = chunk_size(spec), spec.cov.chol.T
+        for c in (0, 2):
+            z = chunk_generator(5, 3, c, 0).standard_normal((size, n))
+            tiles = [x.copy() for x in sampler.offset_tiles(spec, c * size, (c + 1) * size, 3)]
+            los = np.cumsum([0, *map(len, tiles)])
+            assert los[-1] == size and (n == 64 or len(tiles[-1]) > len(tiles[0]))
+            for lo, hi, x in zip(los[:-1], los[1:], tiles):
+                assert x.tobytes() == (z[lo:hi] @ l_t).tobytes()
+
 
 class TestDistributions:
     def test_normal_moments(self):
