@@ -69,9 +69,10 @@ _raise_on_overflow = functools.partial(np.errstate, over="raise", invalid="raise
 
 
 def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1):
-    """The sum by ``+`` of ``per_tile(x)`` over every tile x of
+    """The sum by ``+=`` of ``per_tile(x)`` over every tile x of
     :func:`~mvcheb.sampler.offset_tiles` on [0, n_samples), in tile and chunk order.
-    ``per_tile`` owns its tile and may write to it: the sampler rewrites the next whole.
+    ``per_tile`` owns its tile and may write to it, as the sampler rewrites the next
+    whole, and returns a fresh value each call: the reducer adds later ones into it.
 
     A chunk is the sampler's :func:`~mvcheb.sampler.chunk_size` samples, one
     generator's draw, so its bounds depend only on the spec and N. Up to
@@ -87,7 +88,7 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1):
     def chunk(start: int):
         tiles = offset_tiles(spec, start, min(start + size, n_samples))
         with _raise_on_overflow():  # numpy's error state is per thread
-            return functools.reduce(operator.add, map(per_tile, tiles))
+            return functools.reduce(operator.iadd, map(per_tile, tiles))
 
     # a chunk is submitted as each result is summed, so at most
     # 2 * workers are in flight and memory stays flat in N
@@ -97,7 +98,7 @@ def _reduce(spec: SamplerSpec, n_samples: int, per_tile, streams: int = 1):
         total = pending.popleft().result()
         while pending:
             pending.extend(pool.submit(chunk, s) for s in islice(starts, 1))
-            total = total + pending.popleft().result()
+            total += pending.popleft().result()
     return total
 
 

@@ -1,6 +1,6 @@
 """Seeded random-vector generators, one hashed SFC64 generator per chunk.
 
-Stream format 3 (:data:`STREAM_FORMAT`). Stream s is cut into chunks of
+Stream format 4 (:data:`STREAM_FORMAT`). Stream s is cut into chunks of
 :func:`chunk_size` samples, about 2^17 normals each. Chunk c draws its
 normals row by row from ``Generator(SFC64(SeedSequence(words)))``, with
 ``words`` = [seed, s, c, 0] as little-endian uint64 seen as uint32, and a
@@ -17,20 +17,19 @@ shorter remainder joining the chunk's last tile, column-major below n = 32 and
 row-major from it on (:data:`_ROW_MAJOR_DIM`), each yielded once its normals
 are freed. Every tile that meets the range asked for is drawn whole from its
 chunk's first row on, and cut only where it is yielded; :func:`draw_range` adds
-the mean. So although BLAS rounds ``z @ L^T`` by shape, sample i is a pure
+the mean. So although ``u @ L^T`` rounds by shape, sample i is a pure
 function of (seed, s, i) whatever range holds it, and a draw shorter than a
 tile draws the tile.
 ``Generator`` methods need not be stable across numpy releases (NEP 19), and
 L and the product can change bits with the BLAS build, so values are bit-exact
 within one numpy version and BLAS build.
 
-Three kinds: ``gaussian``, x = mean + L z with z i.i.d. standard normal and
-L the Cholesky factor of the covariance; ``paper_example``, x = (y, y+z) for
-independent zero-mean Gaussians of variances sigma^2 and k sigma^2, so its
-covariance is [[s^2, s^2], [s^2, (k+1) s^2]]; and ``tight_radial``, x = mean
-+ R L u with u uniform on the unit sphere and R^2 = eps with probability
-n/eps, else 0, whose covariance is exactly Sigma and whose Pr{d^2 >= eps} is
-n/eps: the Mahalanobis tail bound holds with equality.
+Three kinds, one law x = mean + u L^T with L the Cholesky factor of the covariance:
+``gaussian``, u = z i.i.d. standard normal; ``paper_example``, the same for the
+covariance [[s^2, s^2], [s^2, (k+1) s^2]] of (y, y+z), y and z independent zero-mean
+Gaussians of variances sigma^2 and k sigma^2; and ``tight_radial``, u = R z/|z| with
+R^2 = eps with probability n/eps, else 0, whose covariance is exactly Sigma and
+whose Pr{d^2 >= eps} is n/eps: the Mahalanobis tail bound holds with equality.
 
 A :class:`SamplerSpec` is checked once, when it is built, and holds its
 exact mean and :class:`~mvcheb.linalg.Covariance` in read-only arrays.
@@ -47,7 +46,7 @@ from .errors import DomainError, UsageError, _is_int, as_count, as_float
 from .linalg import Covariance, as_vector, check_entries, one_blas_thread
 from .moments import example_covariance
 
-STREAM_FORMAT = 3  # the layout of the random stream that draw_range reads
+STREAM_FORMAT = 4  # the layout of the random stream that draw_range reads
 _CHUNK_NORMALS = 1 << 17  # normals per chunk, so 65,536 samples at n=2
 _TILE_ENTRIES = 1 << 13  # entries per tile of a chunk's kernels, so 64 KB temporaries at low n
 _TILE_ROWS = 256  # rows per tile at least: a matrix product on fewer rows leaves BLAS idle
@@ -208,16 +207,16 @@ def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0
     a time, each overwritten by the next: the caller owns a tile and may write to it.
 
     Every tile of the spec's one plan that meets the range is drawn whole, and
-    cut only where it is yielded. Its normals, drawn row-major into a fresh array
-    and freed before it is yielded, are copied, transformed or as ``z @ L^T``,
-    into one buffer, row-major from n = :data:`_ROW_MAJOR_DIM` on, else column-major.
+    cut only where it is yielded. Its normals, drawn row-major into a fresh array,
+    become the kind's vectors u in place, are written as ``u @ L^T`` into one buffer,
+    row-major from n = :data:`_ROW_MAJOR_DIM` on, else column-major, and are freed.
     """
     n, key, size = spec.dim, _key(spec.seed, stream_index), chunk_size(spec)
     step = max(_TILE_ROWS, _TILE_ENTRIES // n)
     los = range(0, max(size - step, 0) + 1, step)  # a shorter remainder joins the last tile
     tiles, longest = list(zip(los, [*los[1:], size])), size - los[-1]
     xs, order = np.empty(longest * n), "C" if n >= _ROW_MAJOR_DIM else "F"
-    us = np.empty(longest) if spec.kind == "tight_radial" else None
+    picks = np.empty(longest) if spec.kind == "tight_radial" else None
     for c in range(start // size, (stop - 1) // size + 1):
         words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
         normals = Generator(SFC64(SeedSequence(words[0]))).standard_normal
@@ -227,26 +226,16 @@ def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0
         for lo, hi in tiles:
             if lo >= last:
                 break
-            # into a row-major x matmul rounds as z @ L^T does, into a column-major one not always
-            z, x = np.empty((hi - lo, n)), xs[: (hi - lo) * n].reshape(hi - lo, n, order=order)
-            normals(out=z)
-            if spec.kind == "tight_radial":
-                uniforms(out=us[: hi - lo])
-                norms = np.linalg.norm(z, axis=1)
-                z /= np.where(norms == 0.0, 1.0, norms)[:, None]
-                z[norms == 0.0] = np.eye(1, n)
-            if spec.kind == "paper_example":
-                x[...] = z
-                x[:, 0] *= spec.sigma
-                x[:, 1] *= np.sqrt(spec.k) * spec.sigma
-                x[:, 1] += x[:, 0]
-            elif order == "C":
-                np.matmul(z, spec.cov.chol.T, out=x)
-            else:
-                x[...] = z @ spec.cov.chol.T
-            if spec.kind == "tight_radial":
-                x *= np.sqrt(spec.eps * _SHELL_MARGIN) * (us[: hi - lo] < n / spec.eps)[:, None]
-            del z  # spent: the caller's kernels have the tile's memory to themselves
+            u, x = np.empty((hi - lo, n)), xs[: (hi - lo) * n].reshape(hi - lo, n, order=order)
+            normals(out=u)
+            if spec.kind == "tight_radial":  # u = R z/|z|, with e_1 for a zero z
+                uniforms(out=picks[: hi - lo])
+                norms = np.linalg.norm(u, axis=1)
+                u /= np.where(norms == 0.0, 1.0, norms)[:, None]
+                u[norms == 0.0] = np.eye(1, n)
+                u *= np.sqrt(spec.eps * _SHELL_MARGIN) * (picks[: hi - lo] < n / spec.eps)[:, None]
+            np.matmul(u, spec.cov.chol.T, out=x)
+            del u  # spent: the caller's kernels have the tile's memory to themselves
             if first < hi:
                 yield x[max(first - lo, 0) : last - lo]
 

@@ -579,6 +579,20 @@ class TestReducer:
         assert experiments._reduce(PAPER, 10, len, 4) == 10
         assert 1 <= sizes[0] <= min(3, os.cpu_count()) and sizes[1] == 1
 
+    @pytest.mark.parametrize("streams", [1, 2])
+    def test_later_results_are_added_into_the_first_in_place(self, streams):
+        # per_tile returns a fresh array each call, so the sum needs no array of
+        # its own: the reducer returns the first tile's result, every other added in
+        returned, n = [], 3 * chunk_size(PAPER) + 5
+
+        def per_tile(x):
+            returned.append(np.array([len(x)]))
+            return returned[-1]
+
+        total = experiments._reduce(PAPER, n, per_tile, streams)
+        assert any(total is r for r in returned)
+        assert total.tolist() == [n]
+
     @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=REDUCER_IDS)
     def test_the_fold_keeps_tile_and_chunk_order(self, monkeypatch, spec):
         # two tiles a chunk, a + that does not commute (list concatenation),
@@ -815,7 +829,7 @@ class TestFigureExport:
         assert man["radius_sq"] == fig.radius_sq
         assert man["params"]["k"] == 25.0
         assert man["files"] == {name: f"f_{name}.csv" for name in ("samples", "ellipse", "circle")}
-        assert man["stream_format"] == 3  # the samples' stream, as sampler.STREAM_FORMAT names it
+        assert man["stream_format"] == 4  # the samples' stream, as sampler.STREAM_FORMAT names it
 
     @pytest.mark.parametrize(
         "kwargs, match",

@@ -279,15 +279,16 @@ class TestDraw:
     @given(kind=st.sampled_from(sampler.KINDS), n=st.integers(1, 6), data=st.data())
     def test_in_place_transform_matches_the_out_of_place_formula(self, kind, n, data):
         # the generators are stubbed to serve chosen normals (zero rows included)
-        # and uniforms, which the former out-of-place formula turns into x; a
-        # chunk of the served rows is one tile, drawn whole
+        # and uniforms, which the kind's u and the one product u @ L^T, written
+        # out of place into a column-major array, turn into x; a chunk of the
+        # served rows is one tile, drawn whole
         rows = data.draw(st.integers(1, 12), label="rows")
         n = 2 if kind == "paper_example" else n
         entry = st.one_of(st.just(0.0), st.floats(-40.0, 40.0))
         z = np.array(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                                         min_size=rows, max_size=rows), label="z"))
-        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
-                                        min_size=rows, max_size=rows), label="u"))
+        p = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                        min_size=rows, max_size=rows), label="p"))
         a = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n),
                                label="a")).reshape(n, n)
         cov = Covariance.from_matrix(a @ a.T + np.eye(n))
@@ -308,25 +309,21 @@ class TestDraw:
                 out[...] = z
 
             def random(self, out):
-                out[...] = u
+                out[...] = p
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(sampler, "Generator", Served)
             m.setattr(sampler, "_CHUNK_NORMALS", rows * n)
             x = draw_range(spec, 0, rows)
-        if kind == "paper_example":
-            y = spec.sigma * z[:, 0]
-            w = np.sqrt(spec.k) * spec.sigma * z[:, 1]
-            expected = spec.mean + np.column_stack([y, y + w])
-        elif kind == "gaussian":
-            expected = spec.mean + z @ spec.cov.chol.T
-        else:
+        u = z
+        if kind == "tight_radial":
             norms = np.linalg.norm(z, axis=1)
             direction = z / np.where(norms == 0.0, 1.0, norms)[:, None]
             direction[norms == 0.0] = np.eye(n)[0]
-            radius = np.sqrt(spec.eps * sampler._SHELL_MARGIN) * (u < n / spec.eps)
-            expected = spec.mean + radius[:, None] * (direction @ spec.cov.chol.T)
-        assert x.tobytes() == expected.tobytes()
+            radius = np.sqrt(spec.eps * sampler._SHELL_MARGIN) * (p < n / spec.eps)
+            u = radius[:, None] * direction
+        product = np.matmul(u, spec.cov.chol.T, out=np.empty((rows, n), order="F"))
+        assert x.tobytes() == (spec.mean + product).tobytes()
 
     @pytest.mark.parametrize("start, stop, stream_index, match", [
         (0, 3, 1.5, "stream_index must be"),
@@ -346,9 +343,9 @@ class TestDraw:
         tight_radial_spec(6.0, dim=3, seed=3),
     ], ids=lambda s: s.kind)
     def test_memory_does_not_grow_with_the_chunk_count(self, spec):
-        # the result, plus a tile of normals, one of offsets and the image
-        # z @ L^T (and tight_radial's per-row uniforms and norms), however many
-        # chunks it spans, while a chunk is 16 tiles here
+        # the result, plus a tile of normals and one of offsets (and tight_radial's
+        # per-row uniforms and norms and the squares np.linalg.norm sums), however
+        # many chunks it spans, while a chunk is 16 tiles here
         size = chunk_size(spec)
         tile_bytes = max(sampler._TILE_ROWS, sampler._TILE_ENTRIES // spec.dim) * spec.dim * 8
         for k in (4, 16):
@@ -370,17 +367,17 @@ class TestDraw:
             draw_range(paper_example_spec(1.0, 25.0), 0, 10**20)
 
 
-# Stream format 3: the first rows of each kind at seed 0, streams 0 and 1.
-# The gaussian's mean and power-of-two Cholesky factor and the elementwise
-# paper_example transform are exact, so any change of the stream shows.
+# Stream format 4: the first rows of each kind at seed 0, streams 0 and 1.
+# The gaussian's mean and power-of-two Cholesky factor and paper_example's
+# factor [[1, 0], [1, 5]] are exact, so any change of the stream shows.
 GOLDEN_ROWS = {
     ("paper_example", 0): [
-        [-0.6739084659445024, 2.614354337299032],
+        [-0.6739084659445024, 2.6143543372990323],
         [-0.371815860727009, 2.0216823206223586],
         [-1.4758952988686023, -0.9516548819209855],
     ],
     ("paper_example", 1): [
-        [-1.0821928140859856, -7.237631931297415],
+        [-1.0821928140859856, -7.2376319312974156],
         [-1.762391351083656, -7.402454724106303],
         [0.9126805589152116, -6.1344535916585246],
     ],
@@ -420,7 +417,7 @@ def standard_normal_spec(seed):
 
 
 def chunk_generator(seed, stream, chunk, role):
-    # the documented key of stream format 3: four little-endian uint64 as eight uint32
+    # the documented key of stream format 4: four little-endian uint64 as eight uint32
     words = np.array([seed, stream, chunk, role], dtype="<u8").view("<u4")
     return Generator(SFC64(SeedSequence(words)))
 
@@ -467,21 +464,35 @@ class TestStreamKeys:
              else draw_range(spec, 3 * m, 4 * m, stream_index=8))[:, 0]
         assert abs(float(np.corrcoef(a, b)[0, 1])) <= 5.0 / np.sqrt(m)
 
-    @pytest.mark.parametrize("n", [9, 40, 64])
-    def test_each_tile_is_its_chunks_normals_times_l_transpose(self, n):
+    @pytest.mark.parametrize("kind, n", [
+        *(pytest.param("gaussian", n, id=str(n)) for n in (2, 9, 17, 31, 40, 64)),
+        pytest.param("paper_example", 2, id="paper_example-2"),
+        *(pytest.param("tight_radial", n, id=f"tight_radial-{n}") for n in (2, 17, 40)),
+    ])
+    def test_each_tile_is_its_chunks_normals_times_l_transpose(self, kind, n):
         # on both sides of the layout crossover; the last tile of a chunk is
-        # longer than the step at n=9 and n=40. z @ L^T written into a
-        # column-major tile with out= rounds otherwise in some of these shapes
+        # longer than the step where the step does not divide the chunk. The
+        # product written into a column-major tile rounds otherwise than z @ L^T
+        # in some of these shapes, so the reference is written into the tile's layout
         a = np.random.default_rng(n).standard_normal((n, n))
-        spec = gaussian_spec(np.zeros(n), Covariance(a @ a.T / n + 0.01 * np.eye(n)), seed=5)
+        cov = Covariance(a @ a.T / n + 0.01 * np.eye(n))
+        spec = {"gaussian": lambda: gaussian_spec(np.zeros(n), cov, seed=5),
+                "paper_example": lambda: paper_example_spec(0.5, 3.0, seed=5),
+                "tight_radial": lambda: tight_radial_spec(2.0 * n, cov=cov, seed=5)}[kind]()
         size, l_t = chunk_size(spec), spec.cov.chol.T
+        order = "C" if n >= sampler._ROW_MAJOR_DIM else "F"
         for c in (0, 2):
-            z = chunk_generator(5, 3, c, 0).standard_normal((size, n))
+            u = chunk_generator(5, 3, c, 0).standard_normal((size, n))
+            if kind == "tight_radial":
+                shell = chunk_generator(5, 3, c, 1).random(size) < n / spec.eps
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                u *= (np.sqrt(spec.eps * sampler._SHELL_MARGIN) * shell)[:, None]
             tiles = [x.copy() for x in sampler.offset_tiles(spec, c * size, (c + 1) * size, 3)]
             los = np.cumsum([0, *map(len, tiles)])
-            assert los[-1] == size and (n == 64 or len(tiles[-1]) > len(tiles[0]))
+            assert los[-1] == size and len(tiles[-1]) == len(tiles[0]) + size % len(tiles[0])
             for lo, hi, x in zip(los[:-1], los[1:], tiles):
-                assert x.tobytes() == (z[lo:hi] @ l_t).tobytes()
+                product = np.matmul(u[lo:hi], l_t, out=np.empty((hi - lo, n), order=order))
+                assert x.tobytes() == product.tobytes()
 
 
 class TestDistributions:
