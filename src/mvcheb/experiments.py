@@ -9,7 +9,9 @@ are drawn, to small partial results summed by ``+`` in tile and chunk order,
 so results are identical for any worker count. A tile holds offsets from the
 mean; :func:`_regions` alone names the regions counted, and every distance is
 :func:`~mvcheb.linalg.sq_distance`'s about a centre relative to the mean (zero
-for the true moments), so the mean is never added; a worker holds two tiles at once.
+for the true moments), so the mean is never added. A worker holds two tiles at
+once below n = 32, and one from it on, where a tile is row-major and its kernels
+whiten it in place once they have read its offsets.
 """
 
 from __future__ import annotations
@@ -110,13 +112,20 @@ def _regions(center, cov, delta: float):
 
 def _hit_counter(regions):
     """Per-tile hit counts, one per region, of a tile of offsets from the true
-    mean, less the regions' one centre, subtracted in place unless it is zero."""
+    mean, less the regions' one centre, subtracted in place unless it is zero.
+    The last region with a covariance may whiten the tile in place, so it is
+    measured after every other; an earlier one writes its own W d."""
     center = regions[0].center if regions[0].center.any() else None
+    last = max((i for i, r in enumerate(regions) if r.cov is not None), default=None)
 
     def count(x):
         if center is not None:
             x -= center
-        return np.array([np.count_nonzero(within(sq_distance(x, r.cov), r.level)) for r in regions])
+        hits = np.empty(len(regions), dtype=int)
+        for i in sorted(range(len(regions)), key=lambda i: i == last):
+            r = regions[i]
+            hits[i] = np.count_nonzero(within(sq_distance(x, r.cov, overwrite=i == last), r.level))
+        return hits
     return count
 
 
@@ -151,7 +160,8 @@ def run_coverage_estimated(
     count, k = _hit_counter(true), len(true)
 
     def hits_and_moments(x):  # one float vector: the k hit counts, sum(x), sum(x x^T)
-        return np.concatenate([count(x), x.sum(axis=0), (x.T @ x).ravel()])
+        s, outer = x.sum(axis=0), x.T @ x  # before count, which may whiten x in place
+        return np.concatenate([count(x), s, outer.ravel()])
 
     with float_range_guard(_MOMENTS_RANGE):
         sums = _reduce(spec, n, hits_and_moments, streams)
@@ -172,7 +182,7 @@ def trace_identity_check(spec: SamplerSpec, n_samples: int) -> float:
     Carlo error of the dimension.
     """
     n = as_count(n_samples, "n_samples")
-    return _reduce(spec, n, lambda x: float(np.sum(sq_distance(x, spec.cov)))) / n
+    return _reduce(spec, n, lambda x: float(np.sum(sq_distance(x, spec.cov, overwrite=True)))) / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,9 +223,12 @@ def run_tail_curve(spec: SamplerSpec, eps_grid, n_samples: int, streams: int = 1
     h = max(0, math.ceil((math.log2(var_total) + math.log2(grid[-1]) - 1023) / 2))
     var_levels, shrink = grid * math.ldexp(var_total, -2 * h), math.ldexp(1.0, -h)
 
-    def counts(x):  # a level's count (v >= level) is the tile's length less its sorted v below it
-        vs = (grid, sq_distance(x, spec.cov)), (var_levels, sq_distance(x * shrink if h else x))
-        return np.stack([len(v) - np.searchsorted(np.sort(v), lv) for lv, v in vs])
+    def tail(v, levels):  # a level's count (v >= level) is len(v) less the sorted v below it
+        return len(v) - np.searchsorted(np.sort(v), levels)
+
+    def counts(x):  # the Euclidean tail first, as x may then be whitened in place
+        classical = tail(sq_distance(x * shrink if h else x), var_levels)
+        return np.stack([tail(sq_distance(x, spec.cov, overwrite=True), grid), classical])
 
     tails = _reduce(spec, total, counts, streams) / total
     return TailCurve(

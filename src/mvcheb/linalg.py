@@ -10,8 +10,10 @@ A :class:`Covariance` is built from the matrix alone, which is checked once;
 its factor, log determinant and trace are derived from it, and its arrays
 are read-only, so the kernels that take one do not check it again.
 Every squared distance is :func:`sq_distance`'s: ||d||^2, or ||W d||^2 with the
-whitener W = L^-1 (:func:`quad_form`), whose error grows like sqrt(cond(Sigma)),
-where one through an explicit Sigma^-1 would grow like cond(Sigma).
+whitener W = L^-1 (:func:`quad_form`, or :func:`trmm` in place on a tile the caller
+owns), whose error grows like sqrt(cond(Sigma)), where one through an explicit
+Sigma^-1 would grow like cond(Sigma). :func:`trmm` is BLAS dtrmm of numpy's own
+OpenBLAS, through ctypes, as is the thread count of :func:`one_blas_thread`.
 Every data array (vector, matrix, sample set, point) is read by one function,
 :func:`as_finite_array`, as every count and level is by the numpy-free scalar
 layer of :mod:`mvcheb.errors`; only :func:`sq_distance`'s tile kernels and the eps
@@ -56,18 +58,31 @@ def float_range_guard(message: str):
         raise DomainError(message) from None
 
 
-@functools.cache
-def _blas_thread_count():
-    """(get, set) of the thread count of numpy's own OpenBLAS (scipy-openblas,
-    64-bit), or None where numpy's build does not export them."""
+def _openblas(name: str, restype, *argtypes):
+    """Function ``name`` of numpy's own OpenBLAS (scipy-openblas, 64-bit), typed,
+    or None where numpy's build does not export it."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        f = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
     except (AttributeError, OSError):
         return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
+    f.restype, f.argtypes = restype, argtypes
+    return f
+
+
+@functools.cache
+def _blas_thread_count():
+    """(get, set) of the thread count of numpy's own OpenBLAS, or None."""
+    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    put = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    return (get, put) if get and put else None
+
+
+@functools.cache
+def _blas_trmm():
+    """cblas_dtrmm of numpy's own OpenBLAS, 64-bit integers, or None."""
+    i, n = ctypes.c_int, ctypes.c_int64
+    return _openblas("scipy_cblas_dtrmm64_", None, i, i, i, i, i, n, n, ctypes.c_double,
+                     ctypes.c_void_p, n, ctypes.c_void_p, n)
 
 
 _scope_lock = threading.Lock()
@@ -218,10 +233,14 @@ class Covariance:
     @functools.cached_property
     def whitener(self) -> np.ndarray:
         """W = L^-1, so that d^T Sigma^-1 d = ||W d||^2, stored column-major so
-        that :func:`quad_form` reads W^T without a copy. One with an entry beyond
-        the float range raises :class:`DomainError` when read, not when built."""
+        that :func:`quad_form` reads W^T without a copy. Exactly lower-triangular:
+        the solve pivots where a column's largest entry is below the diagonal, and
+        the round-off it leaves above it is cut, so :func:`trmm` and a full product
+        read the same matrix. One with an entry beyond the float range raises
+        :class:`DomainError` when read, not when built."""
         with one_blas_thread():
             w = np.asfortranarray(np.linalg.solve(self.chol, np.eye(self.dim)))
+        np.copyto(w, 0.0, where=np.tri(self.dim, k=-1, dtype=bool).T)  # the strict upper triangle
         if not np.all(np.isfinite(w)):
             raise DomainError("the whitener L^-1 is beyond the float range")
         w.setflags(write=False)
@@ -257,8 +276,9 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
     is a float or an array of the leading shape: the row sums of (d w^T)^2,
     from one matrix product written in the layout of ``d``. A row's last
     ulp can depend on the length and the layout of its batch, as BLAS picks
-    its summation order by shape; in the experiments a batch is a tile of
-    :func:`~mvcheb.sampler.offset_tiles`, row-major from n = 32 on, else column-major.
+    its summation order by shape; in the experiments a batch is a column-major
+    tile of :func:`~mvcheb.sampler.offset_tiles`, below n = 32, as a row-major one
+    is whitened in place (:func:`sq_distance`).
     Its arguments are only shape-tested, as a finiteness pass would add ~45% per tile.
     """
     kernel = as_float_array(w, "kernel")
@@ -274,9 +294,35 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
     return float(q) if q.ndim == 0 else q
 
 
-def sq_distance(d, cov: Covariance | None = None):
+def trmm(b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """b <- b t^T in place, for an (m, n) ``b`` the caller owns and a lower-triangular
+    n x n ``t``, either of them C- or F-ordered; returns ``b``.
+
+    BLAS dtrmm reads t's lower triangle alone and does half the flops of a full
+    product. Its rows round otherwise than ``b @ t.T`` at some shapes. Where numpy's
+    BLAS does not export it, or for any other ``b``, it is ``np.matmul(b, t.T, out=b)``.
+    """
+    f, (m, n), row = _blas_trmm(), b.shape, b.flags.c_contiguous
+    fits = (b.dtype == t.dtype == np.float64 and t.shape == (n, n) and m > 0 and b.flags.writeable
+            and (row or b.flags.f_contiguous) and (t.flags.c_contiguous or t.flags.f_contiguous))
+    if f is None or not fits:  # BLAS would read or write outside these arrays
+        return np.matmul(b, t.T, out=b)
+    # t read in b's order is t, lower and transposed, or t^T, upper and as it is
+    lower = t.flags.c_contiguous if row else t.flags.f_contiguous
+    # CBLAS enums: row- or column-major, right side, lower or upper, transposed or not, non-unit
+    f(101 if row else 102, 142, 122 if lower else 121, 112 if lower else 111, 131,
+      m, n, 1.0, t.ctypes.data, n, b.ctypes.data, n if row else m)
+    return b
+
+
+def sq_distance(d, cov: Covariance | None = None, overwrite: bool = False):
     """Squared distance of offsets ``d``, (n,) or (..., n): ||d||^2, or with a
-    :class:`Covariance` the Mahalanobis ``quad_form(d, cov.whitener)``; a scalar or an array."""
+    :class:`Covariance` the Mahalanobis ``quad_form(d, cov.whitener)``; a scalar or
+    an array. With ``overwrite`` the caller gives up a 2-D ``d``: unless it is
+    column-major, it is whitened in place (:func:`trmm`). A full product is faster
+    on the column-major tiles of :func:`~mvcheb.sampler.offset_tiles`, below n = 32."""
     if cov is None:
         return np.einsum("...i,...i->...", d, d)
+    if overwrite and not d.flags.f_contiguous:
+        return sq_distance(trmm(d, cov.whitener))
     return quad_form(d, cov.whitener)

@@ -1,6 +1,6 @@
 """Seeded random-vector generators, one hashed SFC64 generator per chunk.
 
-Stream format 4 (:data:`STREAM_FORMAT`). Stream s is cut into chunks of
+Stream format 5 (:data:`STREAM_FORMAT`). Stream s is cut into chunks of
 :func:`chunk_size` samples, about 2^17 normals each. Chunk c draws its
 normals row by row from ``Generator(SFC64(SeedSequence(words)))``, with
 ``words`` = [seed, s, c, 0] as little-endian uint64 seen as uint32, and a
@@ -14,12 +14,13 @@ generation").
 Chunk c of stream s is defined by :func:`offset_tiles` alone, as offsets from
 the mean in one tile plan per spec: tiles of ``max(256, 2**13 // n)`` rows, a
 shorter remainder joining the chunk's last tile, column-major below n = 32 and
-row-major from it on (:data:`_ROW_MAJOR_DIM`), each yielded once its normals
-are freed. Every tile that meets the range asked for is drawn whole from its
-chunk's first row on, and cut only where it is yielded; :func:`draw_range` adds
-the mean. So although ``u @ L^T`` rounds by shape, sample i is a pure
-function of (seed, s, i) whatever range holds it, and a draw shorter than a
-tile draws the tile.
+row-major from it on (:data:`_ROW_MAJOR_DIM`). A column-major tile is the full
+product ``u @ L^T`` of a freed normals array; a row-major one is its own normals
+times L^T, multiplied in place by BLAS dtrmm (:func:`~mvcheb.linalg.trmm`). Every
+tile that meets the range asked for is drawn whole from its chunk's first row on,
+and cut only where it is yielded; :func:`draw_range` adds the mean. So although
+either product rounds by shape, sample i is a pure function of (seed, s, i)
+whatever range holds it, and a draw shorter than a tile draws the tile.
 ``Generator`` methods need not be stable across numpy releases (NEP 19), and
 L and the product can change bits with the BLAS build, so values are bit-exact
 within one numpy version and BLAS build.
@@ -43,10 +44,10 @@ import numpy as np
 from numpy.random import SFC64, Generator, Philox, SeedSequence  # Philox: bench/tracing.py binds it
 
 from .errors import DomainError, UsageError, _is_int, as_count, as_float
-from .linalg import Covariance, as_vector, check_entries, one_blas_thread
+from .linalg import Covariance, as_vector, check_entries, one_blas_thread, trmm
 from .moments import example_covariance
 
-STREAM_FORMAT = 4  # the layout of the random stream that draw_range reads
+STREAM_FORMAT = 5  # the layout of the random stream that draw_range reads
 _CHUNK_NORMALS = 1 << 17  # normals per chunk, so 65,536 samples at n=2
 _TILE_ENTRIES = 1 << 13  # entries per tile of a chunk's kernels, so 64 KB temporaries at low n
 _TILE_ROWS = 256  # rows per tile at least: a matrix product on fewer rows leaves BLAS idle
@@ -207,15 +208,16 @@ def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0
     a time, each overwritten by the next: the caller owns a tile and may write to it.
 
     Every tile of the spec's one plan that meets the range is drawn whole, and
-    cut only where it is yielded. Its normals, drawn row-major into a fresh array,
-    become the kind's vectors u in place, are written as ``u @ L^T`` into one buffer,
-    row-major from n = :data:`_ROW_MAJOR_DIM` on, else column-major, and are freed.
+    cut only where it is yielded. Its normals are drawn row-major and made the kind's
+    vectors u in place: from n = :data:`_ROW_MAJOR_DIM` on in the one row-major
+    buffer of the call, which :func:`~mvcheb.linalg.trmm` turns into u L^T in place;
+    below it in a fresh array, written as ``u @ L^T`` into a column-major buffer and freed.
     """
     n, key, size = spec.dim, _key(spec.seed, stream_index), chunk_size(spec)
     step = max(_TILE_ROWS, _TILE_ENTRIES // n)
     los = range(0, max(size - step, 0) + 1, step)  # a shorter remainder joins the last tile
     tiles, longest = list(zip(los, [*los[1:], size])), size - los[-1]
-    xs, order = np.empty(longest * n), "C" if n >= _ROW_MAJOR_DIM else "F"
+    xs, row_major = np.empty(longest * n), n >= _ROW_MAJOR_DIM
     picks = np.empty(longest) if spec.kind == "tight_radial" else None
     for c in range(start // size, (stop - 1) // size + 1):
         words = np.array([[*key, c, 0], [*key, c, 1]], dtype="<u8").view("<u4")  # 8 words a role
@@ -226,15 +228,19 @@ def offset_tiles(spec: SamplerSpec, start: int, stop: int, stream_index: int = 0
         for lo, hi in tiles:
             if lo >= last:
                 break
-            u, x = np.empty((hi - lo, n)), xs[: (hi - lo) * n].reshape(hi - lo, n, order=order)
+            x = xs[: (hi - lo) * n].reshape(hi - lo, n, order="C" if row_major else "F")
+            u = x if row_major else np.empty((hi - lo, n))
             normals(out=u)
             if spec.kind == "tight_radial":  # u = R z/|z|, with e_1 for a zero z
                 uniforms(out=picks[: hi - lo])
-                norms = np.linalg.norm(u, axis=1)
+                norms = np.sqrt(np.einsum("ij,ij->i", u, u))  # no tile of squares, as np.linalg.norm
                 u /= np.where(norms == 0.0, 1.0, norms)[:, None]
                 u[norms == 0.0] = np.eye(1, n)
                 u *= np.sqrt(spec.eps * _SHELL_MARGIN) * (picks[: hi - lo] < n / spec.eps)[:, None]
-            np.matmul(u, spec.cov.chol.T, out=x)
+            if row_major:
+                trmm(x, spec.cov.chol)
+            else:
+                np.matmul(u, spec.cov.chol.T, out=x)
             del u  # spent: the caller's kernels have the tile's memory to themselves
             if first < hi:
                 yield x[max(first - lo, 0) : last - lo]

@@ -708,11 +708,26 @@ def _gaussian(n):
     return gaussian_spec(np.zeros(n), Covariance(a @ a.T / n + 0.01 * np.eye(n)), seed=1)
 
 
+def test_coverage_peak_at_n64_is_below_one_and_a_half_tiles():
+    # one worker holds one 128 KB row-major tile: the normals are drawn into
+    # it and multiplied by L^T in place, and the ellipsoid whitens it in place
+    # after the sphere has read it. W, n^2 entries, is derived before the trace
+    spec, tile_bytes = _gaussian(64), 256 * 64 * 8
+    spec.cov.whitener
+    tracemalloc.start()
+    try:
+        run_coverage(spec, 0.1, 1 << 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * tile_bytes, peak / tile_bytes
+
+
 def test_estimated_peak_at_n64_is_below_four_tiles():
-    # one worker holds two 128 KB tiles at once, not four: the normals are
-    # released before a tile is yielded, the product is written into the
-    # row-major tile, and the fitted centre is subtracted in place. The rest
-    # is the fitted Covariance and W, n^2 entries each
+    # one worker holds one 128 KB row-major tile, drawn and multiplied by L^T
+    # in place, with x^T x, n^2 entries, while it is measured; the fitted
+    # centre is subtracted in place and each pass whitens the tile in place.
+    # The rest is the fitted Covariance and W, n^2 entries each
     spec, tile_bytes = _gaussian(64), 256 * 64 * 8
     tracemalloc.start()
     try:
@@ -721,6 +736,29 @@ def test_estimated_peak_at_n64_is_below_four_tiles():
     finally:
         tracemalloc.stop()
     assert peak < 4 * tile_bytes, peak / tile_bytes
+
+
+@pytest.mark.parametrize("n", [40, 65])
+def test_row_major_tiles_are_whitened_after_every_raw_use(n):
+    # the last region with a covariance and the tail's Mahalanobis pass whiten a
+    # row-major tile in place: the sphere, the Euclidean tail and an earlier
+    # ellipsoid must read the offsets before. dtrmm rounds otherwise than
+    # contains' full product at n=65, not at n=40
+    spec, zero = _gaussian(n), np.zeros(n)
+    regions = (make_ellipsoid(zero, spec.cov, 0.95), make_sphere(zero, spec.cov, 0.95),
+               make_ellipsoid(zero, Covariance(np.eye(n) + 0.5), 0.95))
+    size = chunk_size(spec)
+    total = 2 * size + 1001
+    x = draw(spec, total)
+    want = [int(np.count_nonzero(contains(r, x))) for r in regions]
+    assert experiments._reduce(spec, total, experiments._hit_counter(regions), 2).tolist() == want
+    assert [r.hits for r in run_coverage(spec, 0.95, total, streams=2)] == want[:2]
+    grid = np.array([0.9, 1.0, 1.2, n - 4.0, n, n + 6.0])
+    d2, sq = quad_form(x, spec.cov.whitener), np.einsum("ij,ij->i", x, x)
+    curve = run_tail_curve(spec, grid, total, streams=2)
+    assert curve.empirical_tail.tolist() == (np.sum(d2[:, None] >= grid, axis=0) / total).tolist()
+    assert curve.classical_tail.tolist() == (
+        np.sum(sq[:, None] >= grid * spec.cov.trace, axis=0) / total).tolist()
 
 
 @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=REDUCER_IDS)
@@ -829,7 +867,7 @@ class TestFigureExport:
         assert man["radius_sq"] == fig.radius_sq
         assert man["params"]["k"] == 25.0
         assert man["files"] == {name: f"f_{name}.csv" for name in ("samples", "ellipse", "circle")}
-        assert man["stream_format"] == 4  # the samples' stream, as sampler.STREAM_FORMAT names it
+        assert man["stream_format"] == 5  # the samples' stream, as sampler.STREAM_FORMAT names it
 
     @pytest.mark.parametrize(
         "kwargs, match",

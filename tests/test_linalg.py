@@ -433,17 +433,72 @@ class TestOneBlasThread:
         assert blas_threads() == 2 and linalg._scope["depth"] == 0
 
     def test_a_build_without_the_symbols_runs_as_is(self, blas_threads, monkeypatch):
+        # without dtrmm too: row-major tiles are then multiplied by full products
+        spec = _gaussian(64)
+        want = experiments.run_coverage_estimated(spec, 0.9, 3000)
         monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: types.SimpleNamespace())
-        lookup = functools.cache(linalg._blas_thread_count.__wrapped__)
-        monkeypatch.setattr(linalg, "_blas_thread_count", lookup)
+        lookups = [functools.cache(getattr(linalg, name).__wrapped__)
+                   for name in ("_blas_thread_count", "_blas_trmm")]
+        monkeypatch.setattr(linalg, "_blas_thread_count", lookups[0])
+        monkeypatch.setattr(linalg, "_blas_trmm", lookups[1])
         seen = []
 
         def per_tile(x):
             seen.append(blas_threads())
             return 1
 
-        spec = _gaussian(64)
         experiments._reduce(spec, 5000, per_tile, streams=2)
-        experiments.run_coverage_estimated(spec, 0.9, 3000)
-        assert lookup() is None
+        assert experiments.run_coverage_estimated(spec, 0.9, 3000) == want
+        assert [lookup() for lookup in lookups] == [None, None]
         assert set(seen) == {2} and blas_threads() == 2
+
+
+TRMM_DIMS = [1, 2, 3, 17, 32, 33, 64, 65, 129, 512]
+
+
+class TestTrmm:
+    """b <- b t^T in place, by BLAS dtrmm, for the Cholesky factor L (C-ordered)
+    and the whitener W (F-ordered) of the high-dimension specs."""
+
+    @staticmethod
+    def _case(n):
+        cov = _gaussian(n).cov
+        return cov, np.random.default_rng(n).standard_normal((max(256, 8192 // n), n))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", TRMM_DIMS)
+    def test_equals_the_full_product(self, n, order):
+        cov, b = self._case(n)
+        for t in (cov.chol, cov.whitener):
+            out = np.array(b, order=order)
+            assert linalg.trmm(out, t) is out
+            # two sums of n products each lie within n u |b| |t|^T of the exact one
+            # (u = eps / 2), so within n eps |b| |t|^T of each other
+            bound = n * np.finfo(float).eps * (np.abs(b) @ np.abs(t.T))
+            assert np.all(np.abs(out - b @ t.T) <= bound)
+
+    @pytest.mark.parametrize("n", TRMM_DIMS)
+    def test_the_whitener_is_exactly_lower_triangular(self, n):
+        # dtrmm reads W's lower triangle alone; the solve left round-off above
+        # it at n = 2, 32 and 33, which the full product read
+        w = _gaussian(n).cov.whitener
+        assert w.flags.f_contiguous and not np.triu(w, 1).any()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [2, 33, 65])
+    def test_a_build_without_dtrmm_gives_the_full_products_bits(self, monkeypatch, n, order):
+        monkeypatch.setattr(linalg, "_blas_trmm", lambda: None)
+        cov, b = self._case(n)
+        b = np.array(b, order=order)
+        for t in (cov.chol, cov.whitener):
+            want = np.matmul(b, t.T, out=np.empty_like(b))
+            assert linalg.trmm(b.copy(order="K"), t).tobytes(order="A") == want.tobytes(order="A")
+
+    def test_other_arrays_take_the_full_product(self):
+        # dtrmm would read or write past a strided or read-only b
+        cov, b = self._case(40)
+        strided = b.copy()[::2]
+        np.testing.assert_allclose(linalg.trmm(strided, cov.chol), b[::2] @ cov.chol.T, rtol=1e-13)
+        b.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            linalg.trmm(b, cov.chol)
