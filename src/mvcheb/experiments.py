@@ -117,12 +117,13 @@ def _hit_counter(regions):
     measured after every other; an earlier one writes its own W d."""
     center = regions[0].center if regions[0].center.any() else None
     last = max((i for i, r in enumerate(regions) if r.cov is not None), default=None)
+    order = sorted(range(len(regions)), key=lambda i: i == last)
 
     def count(x):
         if center is not None:
             x -= center
         hits = np.empty(len(regions), dtype=int)
-        for i in sorted(range(len(regions)), key=lambda i: i == last):
+        for i in order:
             r = regions[i]
             hits[i] = np.count_nonzero(within(sq_distance(x, r.cov, overwrite=i == last), r.level))
         return hits

@@ -318,11 +318,12 @@ def trmm(b: np.ndarray, t: np.ndarray) -> np.ndarray:
 def sq_distance(d, cov: Covariance | None = None, overwrite: bool = False):
     """Squared distance of offsets ``d``, (n,) or (..., n): ||d||^2, or with a
     :class:`Covariance` the Mahalanobis ``quad_form(d, cov.whitener)``; a scalar or
-    an array. With ``overwrite`` the caller gives up a 2-D ``d``: unless it is
-    column-major, it is whitened in place (:func:`trmm`). A full product is faster
-    on the column-major tiles of :func:`~mvcheb.sampler.offset_tiles`, below n = 32."""
+    an array. With ``overwrite`` the caller gives up a 2-D ``d``: if it is
+    C-contiguous, it is whitened in place (:func:`trmm`). Any other layout keeps
+    the full product, which is faster on the column-major tiles of
+    :func:`~mvcheb.sampler.offset_tiles`, below n = 32, and their cut row slices."""
     if cov is None:
         return np.einsum("...i,...i->...", d, d)
-    if overwrite and not d.flags.f_contiguous:
+    if overwrite and d.flags.c_contiguous:
         return sq_distance(trmm(d, cov.whitener))
     return quad_form(d, cov.whitener)

@@ -45,7 +45,7 @@ from mvcheb import (
     trace_identity_check,
     true_moments,
 )
-from mvcheb import cli, experiments, sampler
+from mvcheb import cli, experiments, linalg, sampler
 from mvcheb.sampler import chunk_size
 
 PAPER = paper_example_spec(1.0, 25.0, seed=99)
@@ -759,6 +759,25 @@ def test_row_major_tiles_are_whitened_after_every_raw_use(n):
     assert curve.empirical_tail.tolist() == (np.sum(d2[:, None] >= grid, axis=0) / total).tolist()
     assert curve.classical_tail.tolist() == (
         np.sum(sq[:, None] >= grid * spec.cov.trace, axis=0) / total).tolist()
+
+
+@pytest.mark.parametrize("n", [3, 17, 40])
+def test_only_c_contiguous_tiles_are_whitened_in_place(monkeypatch, n):
+    # a range that ends inside a tile yields a row slice of it: below n = 32 that
+    # slice of a column-major tile is neither C- nor F-contiguous, and it keeps
+    # quad_form's full product, as every column-major tile does
+    spec, calls, real = _gaussian(n), [], linalg.trmm
+    monkeypatch.setattr(linalg, "trmm", lambda b, t: calls.append(b.flags.c_contiguous) or real(b, t))
+    total = chunk_size(spec) + 1001
+    assert 1001 % max(256, 8192 // n)  # the second chunk's first tiles: the last is cut
+    x = draw(spec, total)
+    want = [int(np.count_nonzero(contains(r, x))) for r in experiments._regions(np.zeros(n), spec.cov, 0.95)]
+    assert [r.hits for r in run_coverage(spec, 0.95, total)] == want
+    if n < sampler._ROW_MAJOR_DIM:
+        w = spec.cov.whitener
+        per_tile = experiments._reduce(spec, total, lambda t: float(np.sum(quad_form(t, w))))
+        assert trace_identity_check(spec, total) == per_tile / total
+    assert calls == [True] * len(calls) and bool(calls) == (n >= sampler._ROW_MAJOR_DIM)
 
 
 @pytest.mark.parametrize("spec", REDUCER_SPECS, ids=REDUCER_IDS)

@@ -477,7 +477,8 @@ class TestStreamKeys:
         # product written into a column-major tile rounds otherwise than z @ L^T
         # in some of these shapes, so the reference is written into the tile's
         # layout; a row-major tile is the in-place dtrmm, which at n=33 rounds
-        # otherwise than z @ L^T
+        # otherwise than z @ L^T, and is also checked against z @ L^T within
+        # the n eps |z| |L|^T of two sums of n products
         a = np.random.default_rng(n).standard_normal((n, n))
         cov = Covariance(a @ a.T / n + 0.01 * np.eye(n))
         spec = {"gaussian": lambda: gaussian_spec(np.zeros(n), cov, seed=5),
@@ -497,6 +498,8 @@ class TestStreamKeys:
             for lo, hi, x in zip(los[:-1], los[1:], tiles):
                 if order == "C":
                     product = trmm(u[lo:hi].copy(), spec.cov.chol)
+                    bound = n * np.finfo(float).eps * (np.abs(u[lo:hi]) @ np.abs(l_t))
+                    assert np.all(np.abs(x - u[lo:hi] @ l_t) <= bound)
                 else:
                     product = np.matmul(u[lo:hi], l_t, out=np.empty((hi - lo, n), order=order))
                 assert x.tobytes() == product.tobytes()
