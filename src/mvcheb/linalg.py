@@ -10,10 +10,10 @@ A :class:`Covariance` is built from the matrix alone, which is checked once;
 its factor, log determinant and trace are derived from it, and its arrays
 are read-only, so the kernels that take one do not check it again.
 Every squared distance is :func:`sq_distance`'s: ||d||^2, or ||W d||^2 with the
-whitener W = L^-1 (:func:`quad_form`, or :func:`trmm` in place on a tile the caller
-owns), whose error grows like sqrt(cond(Sigma)), where one through an explicit
-Sigma^-1 would grow like cond(Sigma). :func:`trmm` is BLAS dtrmm of numpy's own
-OpenBLAS, through ctypes, as is the thread count of :func:`one_blas_thread`.
+whitener W = L^-1 (:func:`quad_form`, or :func:`trmm` in place), whose error grows like
+sqrt(cond(Sigma)), where one through an explicit Sigma^-1 would grow like cond(Sigma).
+:func:`trmm` multiplies row-major tiles alone and refuses any other array; it is BLAS
+dtrmm of numpy's own OpenBLAS, through ctypes, as is :func:`one_blas_thread`'s count.
 Every data array (vector, matrix, sample set, point) is read by one function,
 :func:`as_finite_array`, as every count and level is by the numpy-free scalar
 layer of :mod:`mvcheb.errors`; only :func:`sq_distance`'s tile kernels and the eps
@@ -200,21 +200,19 @@ class Covariance:
                 lower = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             raise DomainError("matrix is not positive definite") from None
-        diag = np.diag(a)
         pivots = np.diag(lower) ** 2
-        tol = PIVOT_RTOL * float(np.max(diag))
+        tol = PIVOT_RTOL * float(np.max(np.diag(a)))
         bad = np.flatnonzero(pivots <= tol)
         if bad.size:
             i = int(bad[0])
             raise DomainError(f"pivot {pivots[i]:.6e} at row {i} is <= tolerance {tol:.6e}")
-        # where np.trace could overflow (with a warning), Python's sum gives inf
-        safe = np.max(diag) <= sys.float_info.max / diag.size
         a.setflags(write=False)
         lower.setflags(write=False)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "chol", lower)
         object.__setattr__(self, "logdet", float(2.0 * np.sum(np.log(np.diag(lower)))))
-        object.__setattr__(self, "trace", float(np.trace(a)) if safe else sum(diag.tolist()))
+        with np.errstate(over="ignore"):  # inf beyond the float range
+            object.__setattr__(self, "trace", float(np.trace(a)))
 
     @property
     def dim(self) -> int:
@@ -295,23 +293,24 @@ def quad_form(d, w: np.ndarray) -> float | np.ndarray:
 
 
 def trmm(b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """b <- b t^T in place, for an (m, n) ``b`` the caller owns and a lower-triangular
-    n x n ``t``, either of them C- or F-ordered; returns ``b``.
+    """b <- b t^T in place, for a writable, C-contiguous float64 (m, n) ``b`` the caller
+    owns, m, n >= 1, and a lower-triangular float64 n x n ``t``, C-ordered (the Cholesky
+    factor L) or F-ordered (the whitener W); returns ``b``. Any other array raises ValueError.
 
-    BLAS dtrmm reads t's lower triangle alone and does half the flops of a full
-    product. Its rows round otherwise than ``b @ t.T`` at some shapes. Where numpy's
-    BLAS does not export it, or for any other ``b``, it is ``np.matmul(b, t.T, out=b)``.
+    BLAS dtrmm reads t's lower triangle alone, in half the flops of a full product, and
+    rounds otherwise than ``b @ t.T`` at some shapes. Where numpy's BLAS does not export
+    it, ``np.matmul(b, t.T, out=b)`` takes its place.
     """
-    f, (m, n), row = _blas_trmm(), b.shape, b.flags.c_contiguous
-    fits = (b.dtype == t.dtype == np.float64 and t.shape == (n, n) and m > 0 and b.flags.writeable
-            and (row or b.flags.f_contiguous) and (t.flags.c_contiguous or t.flags.f_contiguous))
-    if f is None or not fits:  # BLAS would read or write outside these arrays
+    # carray: C-contiguous, aligned and writable, so BLAS stays inside b
+    if not (b.ndim == 2 and b.size and b.dtype == t.dtype == np.float64 and b.flags.carray
+            and t.shape == b.shape[1:] * 2 and (t.flags.c_contiguous or t.flags.f_contiguous)):
+        raise ValueError(f"trmm takes a C-contiguous float64 tile, got {b.shape} and t {t.shape}")
+    f, (m, n) = _blas_trmm(), b.shape
+    if f is None:
         return np.matmul(b, t.T, out=b)
-    # t read in b's order is t, lower and transposed, or t^T, upper and as it is
-    lower = t.flags.c_contiguous if row else t.flags.f_contiguous
-    # CBLAS enums: row- or column-major, right side, lower or upper, transposed or not, non-unit
-    f(101 if row else 102, 142, 122 if lower else 121, 112 if lower else 111, 131,
-      m, n, 1.0, t.ctypes.data, n, b.ctypes.data, n if row else m)
+    # CBLAS row-major, right side, non-unit; t read row-major: t lower, transposed, or t^T upper
+    uplo, trans = (122, 112) if t.flags.c_contiguous else (121, 111)
+    f(101, 142, uplo, trans, 131, m, n, 1.0, t.ctypes.data, n, b.ctypes.data, n)
     return b
 
 

@@ -258,6 +258,8 @@ def draw_range(
     """
     if not (_is_int(start) and _is_int(stop) and 0 <= start <= stop):
         raise UsageError(f"bad index range [{start}, {stop}): integers 0 <= start <= stop")
+    if stop > (length := 2 ** 64 * chunk_size(spec)):  # chunk indices are 64-bit key words
+        raise UsageError(f"stop {stop} is past the stream's end: {length} samples, 2**64 chunks")
     count = stop - start
     check_entries(count * spec.dim, f"{count} samples")
     x = np.empty((spec.dim, count)).T

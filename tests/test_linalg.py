@@ -5,6 +5,7 @@ inv = [[d, -b], [-c, a]] / det, which never touch the Cholesky path.
 """
 
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -165,6 +166,8 @@ class TestCovariance:
         assert huge.logdet == pytest.approx(3 * np.log(1e300), rel=1e-15)
         top = Covariance.from_matrix([[1e308, 0.0], [0.0, 1e308]])
         assert top.trace == np.inf and top.det == np.inf
+        # np.trace alone, with no overflow warning, where one term is near the float max
+        assert Covariance(np.diag([1e308] + [9e306] * 8)).trace == 1.72e308
         tiny = Covariance.from_matrix(1e-200 * np.eye(2))
         assert tiny.det == 0.0 and tiny.logdet == pytest.approx(2 * np.log(1e-200), rel=1e-15)
         # partial products leave the range although the determinant is 1
@@ -457,15 +460,15 @@ TRMM_DIMS = [1, 2, 3, 17, 32, 33, 64, 65, 129, 512]
 
 
 class TestTrmm:
-    """b <- b t^T in place, by BLAS dtrmm, for the Cholesky factor L (C-ordered)
-    and the whitener W (F-ordered) of the high-dimension specs."""
+    """b <- b t^T in place, by BLAS dtrmm, for a row-major tile b and the Cholesky
+    factor L (C-ordered) or the whitener W (F-ordered) of the high-dimension specs."""
 
     @staticmethod
     def _case(n):
         cov = _gaussian(n).cov
         return cov, np.random.default_rng(n).standard_normal((max(256, 8192 // n), n))
 
-    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("order", ["C"])  # the one layout of b that trmm takes
     @pytest.mark.parametrize("n", TRMM_DIMS)
     def test_equals_the_full_product(self, n, order):
         cov, b = self._case(n)
@@ -484,7 +487,7 @@ class TestTrmm:
         w = _gaussian(n).cov.whitener
         assert w.flags.f_contiguous and not np.triu(w, 1).any()
 
-    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("order", ["C"])
     @pytest.mark.parametrize("n", [2, 33, 65])
     def test_a_build_without_dtrmm_gives_the_full_products_bits(self, monkeypatch, n, order):
         monkeypatch.setattr(linalg, "_blas_trmm", lambda: None)
@@ -492,13 +495,19 @@ class TestTrmm:
         b = np.array(b, order=order)
         for t in (cov.chol, cov.whitener):
             want = np.matmul(b, t.T, out=np.empty_like(b))
-            assert linalg.trmm(b.copy(order="K"), t).tobytes(order="A") == want.tobytes(order="A")
+            assert linalg.trmm(b.copy(), t).tobytes() == want.tobytes()
 
-    def test_other_arrays_take_the_full_product(self):
-        # dtrmm would read or write past a strided or read-only b
+    def test_other_arrays_are_refused(self, monkeypatch):
+        # dtrmm would read or write past any other b, and a build without it
+        # refuses the same arrays rather than take a full product
         cov, b = self._case(40)
-        strided = b.copy()[::2]
-        np.testing.assert_allclose(linalg.trmm(strided, cov.chol), b[::2] @ cov.chol.T, rtol=1e-13)
-        b.setflags(write=False)
-        with pytest.raises(ValueError, match="read-only"):
-            linalg.trmm(b, cov.chol)
+        read_only = b.copy()
+        read_only.setflags(write=False)
+        others = (np.asfortranarray(b), b.copy()[::2], read_only, b[:0])
+        for lookup in (linalg._blas_trmm, lambda: None):
+            monkeypatch.setattr(linalg, "_blas_trmm", lookup)
+            for other, t in itertools.product(others, (cov.chol, cov.whitener)):
+                before = other.copy()
+                with pytest.raises(ValueError, match="C-contiguous float64 tile"):
+                    linalg.trmm(other, t)
+                assert other.tobytes() == before.tobytes()

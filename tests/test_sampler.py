@@ -338,6 +338,18 @@ class TestDraw:
         with pytest.raises(UsageError, match=match):
             draw_range(paper_example_spec(1.0, 25.0), start, stop, stream_index=stream_index)
 
+    def test_the_stream_ends_after_two_to_the_64_chunks(self):
+        # chunk indices are 64-bit key words: the last row of chunk 2^64 - 1 draws,
+        # and the next index is refused, not passed to numpy as an int it cannot hold
+        spec = paper_example_spec(1.0, 25.0)
+        end = 2 ** 64 * chunk_size(spec)
+        last = draw_range(spec, end - 1, end)
+        assert last.tobytes() == draw_range(spec, end - 2, end)[1:].tobytes()
+        assert np.isfinite(last).all()
+        for start, stop in ((end, end + 2), (end - 1, end + 1)):
+            with pytest.raises(UsageError, match=rf"past the stream's end: {end} samples, 2\*\*64 chunks"):
+                draw_range(spec, start, stop)
+
     @pytest.mark.parametrize("spec", [
         paper_example_spec(1.0, 25.0, seed=3),
         gaussian_spec(np.zeros(3), Covariance(np.eye(3) + 0.5), seed=3),
